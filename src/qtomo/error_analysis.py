@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import _direction_matrix, minimal_estimate, standard_estimate
 from .linalg import InvariantError
-from .measurement import TETRAHEDRON, outcome_probabilities, standard_povm, stream_rng
+from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
 from .states import bloch_to_matrix, is_bloch_state
 
 __all__ = [
@@ -31,11 +30,6 @@ __all__ = [
 BALL_SECOND_MOMENT = 0.2
 # Coefficient of (T^T T)^{-1} in the ball-averaged MSE: 1 - 1/5.
 AVERAGE_MSE_COEFF = 1.0 - BALL_SECOND_MOMENT
-
-# Per-trial sample block used by the Monte Carlo loops; fixed so that the
-# stream layout, and hence every sampled number, is independent of worker
-# scheduling.
-_CHUNK = 4096
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -128,60 +122,16 @@ def empirical_mse(
     t = _check_theta(theta)
     if trials < 100:
         raise InvariantError("at least 100 trials are required for a stable average")
-    rho = bloch_to_matrix(t)
-    if scheme == "three-direction":
-        n = _check_total(total, divisor=3)
-        dirmat = np.eye(3) if directions is None else _direction_matrix(directions)
-        draw = _ThreeDirectionDraw(dirmat, t, n // 3)
-    elif scheme == "standard":
-        if directions is not None:
-            raise InvariantError("directions apply to the three-direction scheme only")
-        n = _check_total(total)
-        draw = _PovmDraw(outcome_probabilities(standard_povm(), rho), n, standard_estimate)
-    elif scheme == "minimal":
-        if directions is not None:
-            raise InvariantError("directions apply to the three-direction scheme only")
-        n = _check_total(total)
-        from .measurement import minimal_povm
-
-        draw = _PovmDraw(outcome_probabilities(minimal_povm(), rho), n, minimal_estimate)
-    else:
-        raise InvariantError(f"unknown scheme {scheme!r}")
+    linear = linear_scheme(scheme, directions=directions)
+    settings = len(linear.settings)
+    shots = _check_total(total, divisor=settings) // settings
+    probs = linear.probabilities(bloch_to_matrix(t))
     accum = np.zeros((3, 3))
-    for chunk, start in enumerate(range(0, trials, _CHUNK)):
-        m = min(_CHUNK, trials - start)
-        rng = stream_rng(seed, chunk)
-        err = draw.sample(m, rng) - t
+    for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        m = min(CHUNK_TRIALS, trials - start)
+        err = linear.sample(probs, shots, m, stream_rng(seed, chunk)) - t
         accum += err.T @ err
     return accum / trials
-
-
-class _PovmDraw:
-    def __init__(self, probs, shots, estimator):
-        self.probs = probs
-        self.shots = shots
-        self.estimator = estimator
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        counts = rng.multinomial(self.shots, self.probs, size=m)
-        nu = counts / self.shots
-        if self.estimator is standard_estimate:
-            return 3.0 * (nu[:, :3] - nu[:, 3:])
-        return 3.0 * (nu @ TETRAHEDRON)
-
-
-class _ThreeDirectionDraw:
-    def __init__(self, dirmat, theta, repetitions):
-        self.dirmat = dirmat
-        self.p_plus = 0.5 * (1.0 + dirmat @ theta)
-        self.repetitions = repetitions
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        nu = np.empty((m, 3))
-        for a in range(3):
-            nu[:, a] = rng.binomial(self.repetitions, self.p_plus[a], size=m)
-        nu /= self.repetitions
-        return np.linalg.solve(self.dirmat, (2.0 * nu - 1.0).T).T
 
 
 def average_mse_over_ball(directions):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import InvariantError, hermitian_eig
-from .measurement import TETRAHEDRON, MeasurementPlan
+from .measurement import MeasurementPlan, linear_scheme
 from .states import require_trace_one
 
 __all__ = [
@@ -50,26 +50,12 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     maps each plan key to its outcome-count row; rows may be fractional
     (expected counts work too), but every row must sum to the plan's r.
     """
-    k = plan.dim
     r = plan.repetitions
-    outcomes = 2 if k == 2 else 3
-    phi = np.zeros((k, k), dtype=complex)
-    diag_sum = 0.0
-    for i in range(1, k):
-        row = _counts_row(counts, ("z", i), 2, r)
-        nu = row[0] / r
-        phi[i - 1, i - 1] = nu
-        diag_sum += nu
-    phi[k - 1, k - 1] = 1.0 - diag_sum
-    for i in range(1, k):
-        for j in range(i + 1, k + 1):
-            rx = _counts_row(counts, ("x", i, j), outcomes, r)
-            ry = _counts_row(counts, ("y", i, j), outcomes, r)
-            re = 0.5 * (rx[0] - rx[1]) / r
-            im = 0.5 * (ry[0] - ry[1]) / r
-            phi[i - 1, j - 1] = re + 1j * im
-            phi[j - 1, i - 1] = re - 1j * im
-    return phi
+    frequencies = [
+        _counts_row(counts, key, len(obs.values), r) / r
+        for key, obs in plan.observables.items()
+    ]
+    return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
 def project_nonneg_simplex(values, tol: float = 1e-9):
@@ -166,20 +152,8 @@ def three_direction_estimate(frequencies, directions) -> np.ndarray:
         raise InvariantError(f"expected 3 frequencies, got shape {nu.shape}")
     if np.any(nu < 0) or np.any(nu > 1):
         raise InvariantError("frequencies must lie in [0, 1]")
-    t = _direction_matrix(directions)
-    return np.linalg.solve(t, 2.0 * nu - 1.0)
-
-
-def _direction_matrix(directions) -> np.ndarray:
-    t = np.asarray(directions, dtype=float)
-    if t.shape != (3, 3):
-        raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
-    norms = np.linalg.norm(t, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise InvariantError("direction rows must be unit vectors")
-    if abs(float(np.linalg.det(t))) <= 1e-12:
-        raise InvariantError("direction matrix is singular")
-    return t
+    scheme = linear_scheme("three-direction", directions=directions)
+    return scheme.estimate(np.stack([nu, 1.0 - nu], axis=1))[0]
 
 
 def standard_estimate(counts) -> np.ndarray:
@@ -188,8 +162,7 @@ def standard_estimate(counts) -> np.ndarray:
     theta_i = 3 (nu_i - nu_{i+3}), the scaled frequency gap between the +1
     and -1 effects of axis i.
     """
-    nu = _povm_frequencies(counts, 6)
-    return 3.0 * (nu[:3] - nu[3:])
+    return linear_scheme("standard").estimate([_povm_frequencies(counts, 6)])[0]
 
 
 def minimal_estimate(counts) -> np.ndarray:
@@ -198,8 +171,7 @@ def minimal_estimate(counts) -> np.ndarray:
     theta = 3 sum_i nu_i a_i over the tetrahedron directions a_i; the factor
     3 inverts sum_i a_i a_i^T = (4/3) I once the 1/4 effect weights are in.
     """
-    nu = _povm_frequencies(counts, 4)
-    return 3.0 * (TETRAHEDRON.T @ nu)
+    return linear_scheme("minimal").estimate([_povm_frequencies(counts, 4)])[0]
 
 
 def _povm_frequencies(counts, size: int) -> np.ndarray:

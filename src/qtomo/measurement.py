@@ -7,10 +7,18 @@ for the imaginary part of the off-diagonal entry.  Qubits can instead be
 measured along arbitrary Bloch directions or with one of two fixed POVMs,
 a six-outcome one built from the three coordinate axes and a four-outcome
 tetrahedral one.
+
+Every scheme's estimator is linear in the outcome frequencies, so a scheme
+is described once, as a ``LinearScheme``: its settings in measurement order,
+one real read-out block per setting, and the map from the estimated
+parameters to a matrix.  Sampling and the scalar estimators share its one
+read-out.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +43,9 @@ __all__ = [
     "sample_counts",
     "relative_frequency",
     "sample_plan_counts",
+    "CHUNK_TRIALS",
+    "LinearScheme",
+    "linear_scheme",
 ]
 
 # Tolerance for the algebraic checks on projectors and POVM effects.
@@ -53,6 +64,11 @@ TETRAHEDRON = np.array(
         [-1.0, -1.0, 1.0],
     ]
 ) / np.sqrt(3.0)
+
+
+# Trials per sampling chunk; part of the reproducibility contract, since the
+# stream key of every random number depends on it.
+CHUNK_TRIALS = 4096
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -289,25 +305,17 @@ def relative_frequency(counts, outcome: int) -> float:
 class MeasurementPlan:
     """Entrywise plan: the k^2 - 1 observables, each measured r times.
 
-    Copies are consumed independently, one fresh copy per shot; the optional
-    ``copy_order`` permutation only relabels which block of copies feeds
-    which observable and does not change any distribution.
+    Copies are consumed independently, one fresh copy per shot.
     """
 
     dim: int
     repetitions: int
-    copy_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise InvariantError("dimension must be at least 2")
         if self.repetitions < 1:
             raise InvariantError("repetitions must be at least 1")
-        if self.copy_order is not None:
-            order = tuple(int(v) for v in self.copy_order)
-            if sorted(order) != list(range(len(self.keys))):
-                raise InvariantError("copy_order must be a permutation of the observable slots")
-            object.__setattr__(self, "copy_order", order)
 
     @cached_property
     def keys(self) -> tuple[tuple, ...]:
@@ -319,16 +327,27 @@ class MeasurementPlan:
         return tuple(labels)
 
     @cached_property
-    def observables(self) -> dict:
-        built = {}
+    def scheme(self) -> LinearScheme:
+        """The observables in key order with the entrywise read-out.
+
+        Parameter s is the entry that observable s estimates: rho_ii for
+        i < k, then Re rho_ij and Im rho_ij for i < j.  Its block is the
+        observable's outcome values, halved for the pair observables, whose
+        expectations are 2 Re rho_ij and 2 Im rho_ij.
+        """
+        builders = {"z": diag_observable_z, "x": pair_observable_x, "y": pair_observable_y}
+        settings, readout = [], []
         for key in self.keys:
-            if key[0] == "z":
-                built[key] = diag_observable_z(self.dim, key[1])
-            elif key[0] == "x":
-                built[key] = pair_observable_x(self.dim, key[1], key[2])
-            else:
-                built[key] = pair_observable_y(self.dim, key[1], key[2])
-        return built
+            obs = builders[key[0]](self.dim, *key[1:])
+            scale = 1.0 if key[0] == "z" else 0.5
+            settings.append(obs)
+            readout.append(scale * np.array(obs.values)[:, None])
+        columns = tuple(slice(s, s + 1) for s in range(len(settings)))
+        return LinearScheme(tuple(settings), tuple(readout), columns, _entrywise_matrices)
+
+    @cached_property
+    def observables(self) -> dict:
+        return dict(zip(self.keys, self.scheme.settings))
 
     @property
     def total_copies(self) -> int:
@@ -350,3 +369,110 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
         probs = outcome_probabilities(plan.observables[key], state)
         counts[key] = sample_counts(probs, plan.repetitions, rng)
     return counts
+
+
+@dataclass(frozen=True)
+class LinearScheme:
+    """Measurement settings whose estimator is linear in the frequencies.
+
+    The settings (``Observable`` or ``Povm``) are measured in order, each
+    with the same number of shots.  ``readout[s]`` has one row per outcome
+    of setting ``s`` and one column per parameter in the slice
+    ``columns[s]``; the parameter estimate is the sum over settings of the
+    setting's relative frequencies times its block.  ``to_matrix`` maps
+    parameter rows (m, d) to the estimated matrices (m, k, k).
+    """
+
+    settings: tuple
+    readout: tuple[np.ndarray, ...]
+    columns: tuple[slice, ...]
+    to_matrix: Callable[[np.ndarray], np.ndarray]
+
+    def probabilities(self, rho) -> tuple[np.ndarray, ...]:
+        """Outcome distribution of every setting in ``rho``."""
+        return tuple(outcome_probabilities(setting, rho) for setting in self.settings)
+
+    def estimate(self, frequencies, m: int = 1) -> np.ndarray:
+        """Parameter estimates (m, d) from per-setting relative frequencies.
+
+        ``frequencies`` yields one (m, outcomes) array, or for m = 1 one
+        outcome vector, per setting in order; it is consumed one setting at
+        a time, so a generator never holds all outcomes at once.
+        """
+        params = np.zeros((m, max(c.stop for c in self.columns)))
+        for nu, block, cols in zip(frequencies, self.readout, self.columns):
+            params[:, cols] += nu @ block
+        return params
+
+    def sample(self, probs, shots: int, m: int, rng: np.random.Generator) -> np.ndarray:
+        """Parameter estimates of ``m`` independent runs of ``shots`` shots per
+        setting, given the settings' outcome distributions ``probs``.
+
+        Draws one multinomial block per setting, in setting order.
+        """
+        draws = (rng.multinomial(shots, p, size=m) / shots for p in probs)
+        return self.estimate(draws, m)
+
+
+def _entrywise_matrices(params: np.ndarray) -> np.ndarray:
+    k = math.isqrt(params.shape[1] + 1)
+    rows, cols = np.triu_indices(k, 1)
+    diag = np.arange(k - 1)
+    phi = np.zeros((params.shape[0], k, k), dtype=complex)
+    phi[:, diag, diag] = params[:, : k - 1]
+    phi[:, k - 1, k - 1] = 1.0 - params[:, : k - 1].sum(axis=1)
+    off = params[:, k - 1 : k - 1 + rows.size] + 1j * params[:, k - 1 + rows.size :]
+    phi[:, rows, cols] = off
+    phi[:, cols, rows] = off.conj()
+    return phi
+
+
+def _bloch_matrices(theta: np.ndarray) -> np.ndarray:
+    return 0.5 * (SIGMA_0 + np.einsum("ma,aij->mij", theta, PAULI))
+
+
+def _direction_matrix(directions) -> np.ndarray:
+    t = np.asarray(directions, dtype=float)
+    if t.shape != (3, 3):
+        raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
+    norms = np.linalg.norm(t, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
+        raise InvariantError("direction rows must be unit vectors")
+    if abs(float(np.linalg.det(t))) <= 1e-12:
+        raise InvariantError("direction matrix is singular")
+    return t
+
+
+_BLOCH = slice(0, 3)
+
+
+def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:
+    """The settings and read-out of one of the four estimation schemes.
+
+    ``"klevel-pairs"`` is the ``dim``-level entrywise plan.  The qubit
+    schemes estimate the Bloch vector theta:
+
+    - ``"three-direction"``: one spin observable per row u of the unit-row
+      matrix ``directions`` (identity when omitted); with T the row matrix,
+      theta = T^{-1} (nu(+1) - nu(-1)), so direction a has the block
+      [+c_a; -c_a] with c_a column a of T^{-1}.
+    - ``"standard"``: the six-outcome axis POVM, block 3 [I; -I].
+    - ``"minimal"``: the tetrahedral POVM, block 3 TETRAHEDRON.
+    """
+    if directions is not None and name != "three-direction":
+        raise InvariantError("directions apply to the three-direction scheme only")
+    if name == "klevel-pairs":
+        return MeasurementPlan(dim, 1).scheme
+    if name == "three-direction":
+        dirmat = np.eye(3) if directions is None else _direction_matrix(directions)
+        settings = tuple(direction_observable(u) for u in dirmat)
+        inverse = np.linalg.inv(dirmat)
+        readout = tuple(np.outer(obs.values, inverse[:, a]) for a, obs in enumerate(settings))
+        return LinearScheme(settings, readout, (_BLOCH,) * 3, _bloch_matrices)
+    if name == "standard":
+        block = 3.0 * np.vstack([np.eye(3), -np.eye(3)])
+        return LinearScheme((standard_povm(),), (block,), (_BLOCH,), _bloch_matrices)
+    if name == "minimal":
+        block = 3.0 * TETRAHEDRON
+        return LinearScheme((minimal_povm(),), (block,), (_BLOCH,), _bloch_matrices)
+    raise InvariantError(f"unknown scheme {name!r}")

@@ -18,15 +18,8 @@ import numpy as np
 
 from .estimators import project_nonneg_simplex
 from .linalg import PSD_ATOL, InvariantError
-from .measurement import (
-    TETRAHEDRON,
-    MeasurementPlan,
-    minimal_povm,
-    outcome_probabilities,
-    standard_povm,
-    stream_rng,
-)
-from .states import PAULI, SIGMA_0, bloch_to_matrix, random_density, require_density
+from .measurement import CHUNK_TRIALS, linear_scheme, stream_rng
+from .states import bloch_to_matrix, random_density, require_density
 
 __all__ = [
     "ConfigError",
@@ -50,10 +43,6 @@ METRICS = (
     "psd-fraction",
     "det-mean",
 )
-
-# Trials per sampling chunk; part of the reproducibility contract, since the
-# stream key of every random number depends on it.
-CHUNK_TRIALS = 4096
 
 # Stream namespaces under the master seed.
 _NS_STATE = 0
@@ -164,14 +153,6 @@ class TrajectoryRecord:
         return out
 
 
-def _copies_for(scheme: str, dim: int, amount: int) -> int:
-    if scheme == "klevel-pairs":
-        return amount * (dim**2 - 1)
-    if scheme == "three-direction":
-        return 3 * amount
-    return amount
-
-
 def _validate_scheme_state(config: ExperimentConfig, state: np.ndarray):
     dim = state.shape[0]
     if config.scheme != "klevel-pairs" and dim != 2:
@@ -181,54 +162,6 @@ def _validate_scheme_state(config: ExperimentConfig, state: np.ndarray):
             "fidelity-unconstrained is only defined for qubits, where fidelity "
             "extends to indefinite estimates"
         )
-
-
-def _pairs_block(state, repetitions, m, rng):
-    """Unconstrained estimates (m, k, k) for m independent entrywise runs."""
-    k = state.shape[0]
-    plan = MeasurementPlan(k, repetitions)
-    r = repetitions
-    phi = np.zeros((m, k, k), dtype=complex)
-    diag_sum = np.zeros(m)
-    for key in plan.keys:
-        probs = outcome_probabilities(plan.observables[key], state)
-        counts = rng.multinomial(r, probs, size=m)
-        if key[0] == "z":
-            nu = counts[:, 0] / r
-            phi[:, key[1] - 1, key[1] - 1] = nu
-            diag_sum += nu
-        else:
-            gap = 0.5 * (counts[:, 0] - counts[:, 1]) / r
-            i, j = key[1] - 1, key[2] - 1
-            if key[0] == "x":
-                phi[:, i, j] += gap
-                phi[:, j, i] += gap
-            else:
-                phi[:, i, j] += 1j * gap
-                phi[:, j, i] += -1j * gap
-    phi[:, k - 1, k - 1] = 1.0 - diag_sum
-    return phi
-
-
-def _qubit_block(scheme, state, amount, dirmat, m, rng):
-    """Unconstrained estimates for the qubit schemes, as (m, 2, 2) matrices."""
-    theta = np.einsum("aij,ji->a", PAULI, state).real
-    if scheme == "three-direction":
-        p_plus = 0.5 * (1.0 + dirmat @ theta)
-        nu = np.empty((m, 3))
-        for a in range(3):
-            nu[:, a] = rng.binomial(amount, p_plus[a], size=m)
-        nu /= amount
-        theta_hat = np.linalg.solve(dirmat, (2.0 * nu - 1.0).T).T
-    elif scheme == "standard":
-        probs = outcome_probabilities(standard_povm(), state)
-        nu = rng.multinomial(amount, probs, size=m) / amount
-        theta_hat = 3.0 * (nu[:, :3] - nu[:, 3:])
-    else:
-        probs = outcome_probabilities(minimal_povm(), state)
-        nu = rng.multinomial(amount, probs, size=m) / amount
-        theta_hat = 3.0 * (nu @ TETRAHEDRON)
-    return 0.5 * (SIGMA_0 + np.einsum("ma,aij->mij", theta_hat, PAULI))
 
 
 def _fidelity2_block(mats, rho):
@@ -273,12 +206,9 @@ def _metric_block(phi, state, metrics):
 
 
 def _chunk_task(payload):
-    scheme, state, amount, dirmat, metrics, seed, point, chunk, m = payload
+    scheme, probs, state, amount, metrics, seed, point, chunk, m = payload
     rng = stream_rng(seed, _NS_SAMPLE, point, chunk)
-    if scheme == "klevel-pairs":
-        phi = _pairs_block(state, amount, m, rng)
-    else:
-        phi = _qubit_block(scheme, state, amount, dirmat, m, rng)
+    phi = scheme.to_matrix(scheme.sample(probs, amount, m, rng))
     return _metric_block(phi, state, metrics)
 
 
@@ -293,24 +223,18 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
         raise ConfigError("workers must be at least 1")
     state = config.resolve_state()
     _validate_scheme_state(config, state)
-    if config.scheme == "three-direction" and config.directions is not None:
-        from .estimators import _direction_matrix
-
-        dirmat = _direction_matrix(config.directions)
-    elif config.scheme == "three-direction":
-        dirmat = np.eye(3)
-    else:
-        dirmat = None
+    scheme = linear_scheme(config.scheme, state.shape[0], config.directions)
+    probs = scheme.probabilities(state)
     tasks = []
     for point, amount in enumerate(config.schedule):
         for chunk, start in enumerate(range(0, config.trials, CHUNK_TRIALS)):
             m = min(CHUNK_TRIALS, config.trials - start)
             tasks.append(
                 (
-                    config.scheme,
+                    scheme,
+                    probs,
                     state,
                     amount,
-                    dirmat,
                     config.metrics,
                     config.seed,
                     point,
@@ -336,8 +260,7 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
                 stderrs[metric][point] = samples.std(ddof=1) / np.sqrt(config.trials)
             else:
                 stderrs[metric][point] = 0.0
-    dim = state.shape[0]
-    copies = np.array([_copies_for(config.scheme, dim, a) for a in config.schedule])
+    copies = np.array(config.schedule) * len(scheme.settings)
     return TrajectoryRecord(
         scheme=config.scheme,
         seed=config.seed,

@@ -105,6 +105,20 @@ class TestEstimate:
         sigma = matrix_from_json(payload["constrained"])
         assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
 
+    def test_psd_agrees_with_projection(self, capsys, tmp_path):
+        # The smallest eigenvalue is about -1e-10: inside any PSD slack, but
+        # negative, so the projection takes one sweep.
+        counts = {
+            "dim": 2,
+            "repetitions": 1,
+            "counts": {"z_1": [1, 0], "x_1_2": [0.50001, 0.49999], "y_1_2": [0.5, 0.5]},
+        }
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(counts))
+        payload = run_json(capsys, "estimate", "--counts", str(path))
+        assert payload["steps"] == 1
+        assert payload["psd"] is False
+
     def test_malformed_counts_exit_2(self, capsys, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"dim": 2, "repetitions": 1, "counts": {"z_1": [0, 1]}}))

@@ -234,12 +234,6 @@ class TestMeasurementPlan:
             MeasurementPlan(1, 5)
         with pytest.raises(InvariantError):
             MeasurementPlan(2, 0)
-        with pytest.raises(InvariantError):
-            MeasurementPlan(2, 1, copy_order=(0, 1))
-
-    def test_copy_order_accepted(self):
-        plan = MeasurementPlan(2, 1, copy_order=(2, 0, 1))
-        assert plan.copy_order == (2, 0, 1)
 
     def test_sample_plan_counts_complete_and_deterministic(self):
         rho = random_density(3, np.random.default_rng(12))
