@@ -36,13 +36,7 @@ from .error_analysis import (
 )
 from .estimators import constrained_estimate, unconstrained_estimate
 from .linalg import InvariantError, hs_distance
-from .measurement import (
-    MeasurementPlan,
-    direction_observable,
-    minimal_povm,
-    outcome_probabilities,
-    standard_povm,
-)
+from .measurement import _STRUCTURE_ATOL, MeasurementPlan, linear_scheme, structure_gaps
 from .simulation import (
     METRICS,
     ConfigError,
@@ -85,10 +79,33 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _load_json(text: str, origin: str):
+    def reject(name):
+        raise ConfigError(f"invalid JSON in {origin}: {name} is not a number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {origin}: {exc}") from exc
+
+
+def _number_array(obj, origin: str, shape: tuple) -> np.ndarray:
+    """A JSON array of numbers of the given shape, as floats."""
+    try:
+        array = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{origin} must be an array of numbers: {exc}") from exc
+    if array.shape != shape:
+        raise ConfigError(f"{origin} must be an array of numbers of shape {shape}")
+    return array
+
+
+def _directions_option(args) -> np.ndarray | None:
+    """``--directions`` as a 3x3 row matrix, or None when not given."""
+    if args.directions is None:
+        return None
+    if args.scheme != "three-direction":
+        raise ConfigError("--directions only applies to scheme three-direction")
+    return _number_array(_load_json(args.directions, "--directions"), "--directions", (3, 3))
 
 
 def _read_source(path: str) -> str:
@@ -233,7 +250,9 @@ def _cmd_project(args) -> int:
     return _emit_json(payload, args.out)
 
 
-_COUNT_KINDS = {"z": 2, "x": 3, "y": 3}
+def _labels(plan: MeasurementPlan) -> dict:
+    """Plan keys by their count-file label: ('x', 1, 2) is "x_1_2"."""
+    return {"_".join(str(part) for part in key): key for key in plan.keys}
 
 
 def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
@@ -251,26 +270,19 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
         raise ConfigError(str(exc)) from exc
     if not isinstance(obj["counts"], dict):
         raise ConfigError("counts must be an object mapping labels to count rows")
+    labels = _labels(plan)
     table = {}
     for label, row in obj["counts"].items():
-        parts = label.split("_")
-        if parts[0] not in _COUNT_KINDS or len(parts) != (2 if parts[0] == "z" else 3):
+        if label not in labels:
             raise ConfigError(f"unrecognized count label {label!r}")
-        try:
-            key = (parts[0], *(int(p) for p in parts[1:]))
-        except ValueError as exc:
-            raise ConfigError(f"unrecognized count label {label!r}") from exc
         if not isinstance(row, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
         ):
             raise ConfigError(f"counts for {label!r} must be an array of numbers")
-        table[key] = np.asarray(row, dtype=float)
-    missing = [k for k in plan.keys if k not in table]
+        table[labels[label]] = np.asarray(row, dtype=float)
+    missing = [label for label in labels if labels[label] not in table]
     if missing:
         raise ConfigError(f"counts are missing observables: {missing}")
-    extra = [k for k in table if k not in plan.keys]
-    if extra:
-        raise ConfigError(f"counts contain unknown observables: {extra}")
     return plan, table
 
 
@@ -299,10 +311,7 @@ def _state_from_json(obj):
     if not isinstance(obj, dict) or len(set(obj) & _STATE_KEYS) != 1 or set(obj) - _STATE_KEYS:
         raise ConfigError('state must be an object with exactly one of "bloch", "matrix", "random"')
     if "bloch" in obj:
-        vec = obj["bloch"]
-        if not isinstance(vec, list) or len(vec) != 3:
-            raise ConfigError("bloch state must be an array of three numbers")
-        return bloch_to_matrix([float(v) for v in vec]), 2
+        return bloch_to_matrix(_number_array(obj["bloch"], "bloch state", (3,))), 2
     if "matrix" in obj:
         m = matrix_from_json(obj["matrix"])
         return m, m.shape[0]
@@ -314,9 +323,7 @@ def _state_from_json(obj):
         raise ConfigError("random state dim must be an integer >= 2")
     eig = entry.get("eigenvalues")
     if eig is not None:
-        if not isinstance(eig, list) or len(eig) != entry["dim"]:
-            raise ConfigError("random state eigenvalues must list one value per dimension")
-        eig = tuple(float(v) for v in eig)
+        eig = tuple(_number_array(eig, "random state eigenvalues", (entry["dim"],)).tolist())
     return RandomState(dim=entry["dim"], eigenvalues=eig), entry["dim"]
 
 
@@ -338,9 +345,7 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         raise ConfigError("metrics must be an array of metric names")
     directions = obj.get("directions")
     if directions is not None:
-        if not isinstance(directions, list):
-            raise ConfigError("directions must be a 3x3 array of numbers")
-        directions = np.asarray(directions, dtype=float)
+        directions = _number_array(directions, "directions", (3, 3))
     trials = args.trials if args.trials is not None else obj.get("trials", 1000)
     seed = args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED)
     if not isinstance(trials, int) or not isinstance(seed, int):
@@ -398,21 +403,13 @@ _MSE_SCHEMES = ("comp", "three-direction", "standard", "minimal")
 
 def _cmd_mse(args) -> int:
     theta = _parse_theta(args.theta)
+    directions = _directions_option(args)
     n = args.copies
     if args.scheme in ("comp", "three-direction"):
         if n % 3:
             raise ConfigError("the per-direction schemes need copies divisible by 3")
-        if args.scheme == "comp":
-            if args.directions is not None:
-                raise ConfigError("--directions only applies to scheme three-direction")
-            directions = np.eye(3)
-        else:
-            directions = (
-                np.eye(3)
-                if args.directions is None
-                else np.asarray(_load_json(args.directions, "--directions"), dtype=float)
-            )
-        matrix = mse_three_direction(theta, directions, n // 3)
+        rows = np.eye(3) if directions is None else directions
+        matrix = mse_three_direction(theta, rows, n // 3)
     elif args.scheme == "standard":
         matrix = mse_standard(theta, n)
     else:
@@ -507,79 +504,46 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _check_povm(povm) -> dict:
-    e = povm.effects
-    herm = float(np.abs(e - e.conj().transpose(0, 2, 1)).max())
-    comp = float(np.abs(e.sum(axis=0) - np.eye(povm.dim)).max())
-    min_eig = float(np.linalg.eigvalsh(e)[:, 0].min())
-    return {
-        "hermitian": herm <= 1e-10,
-        "psd": min_eig >= -1e-10,
-        "sums_to_identity": comp <= 1e-10,
-        "max_hermiticity_gap": herm,
-        "min_effect_eigenvalue": min_eig,
-        "max_completeness_gap": comp,
-    }
-
-
 def _cmd_povm_check(args) -> int:
+    directions = _directions_option(args)
+    dim = args.dim if args.scheme == "klevel-pairs" else 2
+    if dim < 2:
+        raise ConfigError("--dim must be at least 2")
     if args.matrix is not None:
         state = matrix_from_json(_load_json(args.matrix, "--matrix"))
     elif args.theta is not None:
         state = bloch_to_matrix(_parse_theta(args.theta))
     else:
-        state = None
-    payload = {"scheme": args.scheme}
-    if args.scheme in ("standard", "minimal"):
-        povm = standard_povm() if args.scheme == "standard" else minimal_povm()
-        if state is None:
-            state = np.eye(2, dtype=complex) / 2.0
-        payload["dim"] = 2
-        payload["outcomes"] = povm.n_outcomes
-        payload["checks"] = _check_povm(povm)
-        payload["probabilities"] = [float(p) for p in outcome_probabilities(povm, state)]
+        state = np.eye(dim, dtype=complex) / dim
+    if args.scheme == "klevel-pairs" and state.shape[0] != dim:
+        raise ConfigError(f"--dim {dim} does not match the given state")
+    scheme = linear_scheme(args.scheme, dim, directions)
+    probs = [[float(p) for p in dist] for dist in scheme.probabilities(state)]
+    payload = {"scheme": args.scheme, "dim": dim}
+    if args.scheme == "klevel-pairs":
+        labels = list(_labels(MeasurementPlan(dim, 1)))
+        payload["observables"] = len(labels)
+        payload["checks"] = {
+            label: max(structure_gaps(obs.projectors, "sums_to_identity", "orthogonal").values())
+            <= _STRUCTURE_ATOL
+            for label, obs in zip(labels, scheme.settings)
+        }
+        payload["probabilities"] = dict(zip(labels, probs))
     elif args.scheme == "three-direction":
-        directions = (
-            np.eye(3)
-            if args.directions is None
-            else np.asarray(_load_json(args.directions, "--directions"), dtype=float)
-        )
-        if state is None:
-            state = np.eye(2, dtype=complex) / 2.0
-        payload["dim"] = 2
-        probs = {}
-        for a in range(3):
-            obs = direction_observable(directions[a])
-            probs[f"direction_{a + 1}"] = [
-                float(p) for p in outcome_probabilities(obs, state)
-            ]
+        # linear_scheme has rejected non-unit and singular direction rows.
         payload["checks"] = {"unit_rows": True, "invertible": True}
-        payload["probabilities"] = probs
+        payload["probabilities"] = {f"direction_{a + 1}": p for a, p in enumerate(probs)}
     else:
-        dim = args.dim
-        if state is None:
-            state = np.eye(dim, dtype=complex) / dim
-        if state.shape[0] != dim:
-            raise ConfigError(f"--dim {dim} does not match the given state")
-        plan = MeasurementPlan(dim, 1)
-        payload["dim"] = dim
-        payload["observables"] = len(plan.keys)
-        checks = {}
-        probs = {}
-        for key in plan.keys:
-            obs = plan.observables[key]
-            p = obs.projectors
-            label = "_".join(str(part) for part in key)
-            idem = max(
-                float(np.abs(p[s] @ p[t] - (p[s] if s == t else 0.0)).max())
-                for s in range(p.shape[0])
-                for t in range(p.shape[0])
-            )
-            comp = float(np.abs(p.sum(axis=0) - np.eye(dim)).max())
-            checks[label] = bool(idem <= 1e-10 and comp <= 1e-10)
-            probs[label] = [float(v) for v in outcome_probabilities(obs, state)]
-        payload["checks"] = checks
-        payload["probabilities"] = probs
+        (povm,) = scheme.settings
+        gaps = structure_gaps(povm.effects, "hermitian", "psd", "sums_to_identity")
+        payload["outcomes"] = povm.n_outcomes
+        payload["checks"] = {
+            **{name: gap <= _STRUCTURE_ATOL for name, gap in gaps.items()},
+            "max_hermiticity_gap": gaps["hermitian"],
+            "min_effect_eigenvalue": -gaps["psd"],
+            "max_completeness_gap": gaps["sums_to_identity"],
+        }
+        payload["probabilities"] = probs[0]
     return _emit_json(payload, args.out)
 
 

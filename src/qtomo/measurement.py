@@ -33,6 +33,7 @@ __all__ = [
     "MeasurementPlan",
     "TETRAHEDRON",
     "stream_rng",
+    "structure_gaps",
     "pair_observable_x",
     "pair_observable_y",
     "diag_observable_z",
@@ -86,6 +87,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_GAPS = {
+    "hermitian": lambda e: np.abs(e - e.conj().transpose(0, 2, 1)).max(),
+    "sums_to_identity": lambda e: np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max(),
+    "orthogonal": lambda e: np.abs(
+        e[:, None] @ e[None, :] - np.eye(len(e))[:, :, None, None] * e[:, None]
+    ).max(),
+    "psd": lambda e: -np.linalg.eigvalsh(e)[:, 0].min(),
+}
+
+
+def structure_gaps(ops, *conditions: str) -> dict[str, float]:
+    """Gap of a stack of operators E_s from each named condition, which holds
+    when its gap is at most ``_STRUCTURE_ATOL``: ``"hermitian"``, max
+    |E_s - E_s^dagger|; ``"sums_to_identity"``, max |sum_s E_s - I|;
+    ``"orthogonal"`` (idempotent, mutually orthogonal projectors), max
+    |E_s E_t - delta_st E_s|; ``"psd"``, minus the smallest eigenvalue of any
+    E_s.  Only the named gaps are computed.
+    """
+    e = np.asarray(ops, dtype=complex)
+    return {name: float(_GAPS[name](e)) for name in conditions}
+
+
 @dataclass(frozen=True)
 class Observable:
     """Projective observable: outcome values with their projectors.
@@ -106,14 +129,11 @@ class Observable:
             raise InvariantError("one projector per outcome value is required")
         if len(set(self.values)) != len(self.values):
             raise InvariantError("outcome values must be distinct")
-        ident = np.eye(p.shape[1])
-        if np.abs(p.sum(axis=0) - ident).max() > _STRUCTURE_ATOL:
+        gaps = structure_gaps(p, "sums_to_identity", "orthogonal")
+        if gaps["sums_to_identity"] > _STRUCTURE_ATOL:
             raise InvariantError("projectors must sum to the identity")
-        for s in range(p.shape[0]):
-            for t in range(p.shape[0]):
-                want = p[s] if s == t else 0.0
-                if np.abs(p[s] @ p[t] - want).max() > _STRUCTURE_ATOL:
-                    raise InvariantError("projectors must be idempotent and orthogonal")
+        if gaps["orthogonal"] > _STRUCTURE_ATOL:
+            raise InvariantError("projectors must be idempotent and orthogonal")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "projectors", _readonly(p))
 
@@ -137,14 +157,13 @@ class Povm:
         e = np.asarray(self.effects, dtype=complex)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise InvariantError(f"effects must be a stack of square matrices, got {e.shape}")
-        gap = np.abs(e - e.conj().transpose(0, 2, 1)).max()
-        if gap > _STRUCTURE_ATOL:
+        gaps = structure_gaps(e, "hermitian", "sums_to_identity", "psd")
+        if gaps["hermitian"] > _STRUCTURE_ATOL:
             raise InvariantError("effects must be Hermitian")
-        if np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max() > _STRUCTURE_ATOL:
+        if gaps["sums_to_identity"] > _STRUCTURE_ATOL:
             raise InvariantError("effects must sum to the identity")
-        smallest = np.linalg.eigvalsh(e)[:, 0].min()
-        if smallest < -_STRUCTURE_ATOL:
-            raise InvariantError(f"effects must be PSD, smallest eigenvalue {smallest:.3e}")
+        if gaps["psd"] > _STRUCTURE_ATOL:
+            raise InvariantError(f"effects must be PSD, smallest eigenvalue {-gaps['psd']:.3e}")
         object.__setattr__(self, "effects", _readonly(e))
 
     @property
@@ -169,6 +188,19 @@ def _check_pair(dim: int, i: int, j: int):
         raise InvariantError(f"need 1 <= i < j <= {dim}, got i={i}, j={j}")
 
 
+def _pair_observable(dim: int, i: int, j: int, phase: complex) -> Observable:
+    # Observable c E_ij + conj(c) E_ji for the unit phase c.
+    _check_pair(dim, i, j)
+    e_ii, e_jj = _unit_matrix(dim, i, i), _unit_matrix(dim, j, j)
+    off = phase * _unit_matrix(dim, i, j) + np.conj(phase) * _unit_matrix(dim, j, i)
+    plus = 0.5 * (e_ii + off + e_jj)
+    minus = 0.5 * (e_ii - off + e_jj)
+    if dim == 2:
+        return Observable((1.0, -1.0), np.stack([plus, minus]))
+    rest = np.eye(dim, dtype=complex) - e_ii - e_jj
+    return Observable((1.0, -1.0, 0.0), np.stack([plus, minus, rest]))
+
+
 def pair_observable_x(dim: int, i: int, j: int) -> Observable:
     """Observable E_ij + E_ji for the real part of entry (i, j), 1-based.
 
@@ -176,15 +208,7 @@ def pair_observable_x(dim: int, i: int, j: int) -> Observable:
     rest; the 0 outcome is omitted when dim == 2.  Its expectation in a state
     rho is 2 Re rho_ij.
     """
-    _check_pair(dim, i, j)
-    e_ii, e_jj = _unit_matrix(dim, i, i), _unit_matrix(dim, j, j)
-    e_ij, e_ji = _unit_matrix(dim, i, j), _unit_matrix(dim, j, i)
-    plus = 0.5 * (e_ii + e_ij + e_ji + e_jj)
-    minus = 0.5 * (e_ii - e_ij - e_ji + e_jj)
-    if dim == 2:
-        return Observable((1.0, -1.0), np.stack([plus, minus]))
-    rest = np.eye(dim, dtype=complex) - e_ii - e_jj
-    return Observable((1.0, -1.0, 0.0), np.stack([plus, minus, rest]))
+    return _pair_observable(dim, i, j, 1)
 
 
 def pair_observable_y(dim: int, i: int, j: int) -> Observable:
@@ -193,15 +217,7 @@ def pair_observable_y(dim: int, i: int, j: int) -> Observable:
     Same outcome structure as the real-part observable; the expectation is
     2 Im rho_ij, with Prob(+1) - Prob(-1) = 2 Im rho_ij.
     """
-    _check_pair(dim, i, j)
-    e_ii, e_jj = _unit_matrix(dim, i, i), _unit_matrix(dim, j, j)
-    e_ij, e_ji = _unit_matrix(dim, i, j), _unit_matrix(dim, j, i)
-    plus = 0.5 * (e_ii + 1j * e_ij - 1j * e_ji + e_jj)
-    minus = 0.5 * (e_ii - 1j * e_ij + 1j * e_ji + e_jj)
-    if dim == 2:
-        return Observable((1.0, -1.0), np.stack([plus, minus]))
-    rest = np.eye(dim, dtype=complex) - e_ii - e_jj
-    return Observable((1.0, -1.0, 0.0), np.stack([plus, minus, rest]))
+    return _pair_observable(dim, i, j, 1j)
 
 
 def diag_observable_z(dim: int, i: int) -> Observable:

@@ -11,6 +11,7 @@ execute it.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -212,12 +213,17 @@ def _chunk_task(payload):
     return _metric_block(phi, state, metrics)
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    # A forking pool starts all its processes at once: clamp before it exists.
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryRecord:
     """Execute a trajectory and summarize each schedule point.
 
-    ``workers`` > 1 spreads the sampling chunks over a process pool; the
-    chunk streams and the aggregation order are fixed, so the record is
-    identical for any worker count.
+    ``workers`` > 1 spreads the sampling chunks over a process pool, at most
+    one process per chunk and per CPU; the chunk streams and the aggregation
+    order are fixed, so the record is identical for any worker count.
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1")
@@ -242,10 +248,11 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
                     m,
                 )
             )
-    if workers == 1:
+    processes = _pool_size(workers, len(tasks))
+    if processes == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk_task, tasks))
     n_points = len(config.schedule)
     chunks_per_point = -(-config.trials // CHUNK_TRIALS)

@@ -7,6 +7,18 @@ from qtomo.cli import main, matrix_from_json, matrix_to_json
 from qtomo.simulation import ConfigError
 
 
+IDENTITY_ROWS = json.dumps(np.eye(3).tolist())
+# --directions values that are not a 3x3 array of numbers.
+MALFORMED_DIRECTIONS = (
+    '"x"',
+    '{"a": 1}',
+    '[["a", 0, 0], [0, 1, 0], [0, 0, 1]]',
+    "[[1, 0, 0], [0, 1, 0]]",
+    "[[1, 0, 0], [0, 1], [0, 0, 1]]",
+    "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]",
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -140,6 +152,26 @@ class TestEstimate:
         code, _, _ = run(capsys, "estimate", "--counts", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("label", ["z_01", "x_2_1", "z_2"])
+    def test_label_outside_plan_exit_2(self, capsys, tmp_path, label):
+        rows = {"z_1": [0, 1], "x_1_2": [1, 0], "y_1_2": [1, 0], label: [1, 0]}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"dim": 2, "repetitions": 1, "counts": rows}))
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 2
+        assert repr(label) in err
+
+    def test_accepts_povm_check_labels(self, capsys, tmp_path):
+        # Expected counts at the maximally mixed state, keyed by the labels
+        # povm-check prints, estimate that state exactly.
+        probs = run_json(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", "3")
+        counts = {label: [4 * p for p in row] for label, row in probs["probabilities"].items()}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"dim": 3, "repetitions": 4, "counts": counts}))
+        payload = run_json(capsys, "estimate", "--counts", str(path))
+        phi = matrix_from_json(payload["unconstrained"])
+        assert np.abs(phi - np.eye(3) / 3).max() < 1e-12
+
     def test_out_file(self, capsys, tmp_path):
         counts = {
             "dim": 2,
@@ -186,6 +218,15 @@ class TestSimulate:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, sim_config, tmp_path, workers):
+        code, _, err = run(
+            capsys, "simulate", "--config", sim_config(), "--out", str(tmp_path),
+            "--workers", workers,
+        )
+        assert code == 2
+        assert "workers" in err
+
     def test_seed_override_changes_output(self, capsys, sim_config, tmp_path):
         cfg = sim_config()
         a = tmp_path / "a"
@@ -224,6 +265,23 @@ class TestSimulate:
     def test_missing_config_exit_4(self, capsys):
         code, _, _ = run(capsys, "simulate", "--config", "/nonexistent/cfg.json")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scheme": "three-direction", "directions": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]},
+            {"scheme": "three-direction", "directions": [[1, 0, 0], [0, 1, 0]]},
+            {"state": {"bloch": ["a", 0, 0]}},
+            {"state": {"bloch": [[0.1], [0], [0]]}},
+            {"state": {"random": {"dim": 2, "eigenvalues": [0.5, {"a": 1}]}}},
+            {"schedule": [float("inf")]},
+        ],
+    )
+    def test_malformed_numbers_exit_2(self, capsys, sim_config, overrides, tmp_path):
+        cfg = sim_config(**overrides)
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error" in err
 
     def test_random_state_config(self, capsys, sim_config, tmp_path):
         cfg = sim_config(
@@ -271,6 +329,24 @@ class TestMse:
             dirs,
         )
         assert payload["mse"][0][0] == pytest.approx((1 - 0.36) / 100, abs=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["comp", "standard", "minimal"])
+    def test_directions_only_for_three_direction(self, capsys, scheme):
+        code, _, err = run(
+            capsys, "mse", "--scheme", scheme, "--theta", "0.3,0.4,0.5", "--copies", "300",
+            "--directions", IDENTITY_ROWS,
+        )
+        assert code == 2
+        assert "three-direction" in err
+
+    @pytest.mark.parametrize("directions", MALFORMED_DIRECTIONS)
+    def test_malformed_directions_exit_2(self, capsys, directions):
+        code, _, err = run(
+            capsys, "mse", "--scheme", "three-direction", "--theta", "0,0,0", "--copies", "300",
+            "--directions", directions,
+        )
+        assert code == 2
+        assert "--directions" in err
 
     def test_divisibility_exit_2(self, capsys):
         code, _, _ = run(capsys, "mse", "--scheme", "comp", "--theta", "0,0,0", "--copies", "100")
@@ -352,6 +428,52 @@ class TestPovmCheck:
     def test_invalid_state_exit_3(self, capsys):
         code, _, _ = run(capsys, "povm-check", "--scheme", "minimal", "--theta", "1.5,0,0")
         assert code == 3
+
+    def test_three_direction_skew_rows(self, capsys):
+        rows = [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]
+        payload = run_json(
+            capsys, "povm-check", "--scheme", "three-direction", "--theta", "0.3,0.4,0.5",
+            "--directions", json.dumps(rows),
+        )
+        assert payload["checks"] == {"unit_rows": True, "invertible": True}
+        theta = np.array([0.3, 0.4, 0.5])
+        for a, u in enumerate(rows):
+            plus = (1 + np.dot(u, theta)) / 2
+            got = payload["probabilities"][f"direction_{a + 1}"]
+            assert got == pytest.approx([plus, 1 - plus], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ],
+        ids=["singular", "non-unit"],
+    )
+    def test_invalid_direction_rows_exit_3(self, capsys, rows):
+        code, _, _ = run(
+            capsys, "povm-check", "--scheme", "three-direction", "--directions", json.dumps(rows)
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize("scheme", ["standard", "minimal", "klevel-pairs"])
+    def test_directions_only_for_three_direction(self, capsys, scheme):
+        code, _, err = run(capsys, "povm-check", "--scheme", scheme, "--directions", IDENTITY_ROWS)
+        assert code == 2
+        assert "three-direction" in err
+
+    @pytest.mark.parametrize("directions", MALFORMED_DIRECTIONS)
+    def test_malformed_directions_exit_2(self, capsys, directions):
+        code, _, err = run(
+            capsys, "povm-check", "--scheme", "three-direction", "--directions", directions
+        )
+        assert code == 2
+        assert "--directions" in err
+
+    @pytest.mark.parametrize("dim", ["-1", "0", "1"])
+    def test_dim_below_two_exit_2(self, capsys, dim):
+        code, _, _ = run(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", dim)
+        assert code == 2
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtomo import simulation
 from qtomo.linalg import InvariantError, hs_distance
 from qtomo.simulation import (
     CHUNK_TRIALS,
@@ -160,6 +161,32 @@ class TestRunTrajectory:
         for metric in cfg.metrics:
             assert np.array_equal(serial.means[metric], parallel.means[metric])
             assert np.array_equal(serial.stderrs[metric], parallel.stderrs[metric])
+
+    @pytest.mark.parametrize(
+        "workers, tasks, cpus, expected",
+        [
+            (10**9, 7, 64, 7),
+            (10**9, 10**6, 64, 64),
+            (10**9, 5, None, 1),
+            (3, 1, 64, 1),
+            (2, 9, 8, 2),
+        ],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, workers, tasks, cpus, expected):
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert simulation._pool_size(workers, tasks) == expected
+
+    def test_single_process_runs_in_process(self, monkeypatch):
+        # One chunk: a huge worker request must not reach the pool at all.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig(
+            state=MIXED_QUBIT, scheme="standard", schedule=(5,), trials=10, seed=1
+        )
+        record = run_trajectory(cfg, workers=10**9)
+        assert np.array_equal(record.means["det-mean"], run_trajectory(cfg).means["det-mean"])
 
     def test_invalid_worker_count(self):
         cfg = ExperimentConfig(
