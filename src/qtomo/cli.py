@@ -280,7 +280,7 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
         ):
             raise ConfigError(f"counts for {label!r} must be an array of numbers")
         table[labels[label]] = np.asarray(row, dtype=float)
-    missing = [label for label in labels if labels[label] not in table]
+    missing = [label for label, key in labels.items() if key not in table]
     if missing:
         raise ConfigError(f"counts are missing observables: {missing}")
     return plan, table
