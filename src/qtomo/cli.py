@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,6 +60,22 @@ def matrix_to_json(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, complex)]
 
 
+def _is_number(value) -> bool:
+    """The CLI's one rule for a number: a finite int or float, not a bool
+    (JSON's ``true``), not a string and not an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ConfigError("matrix must be a nonempty JSON array of rows")
@@ -68,11 +85,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if not isinstance(row, list) or len(row) != k:
             raise ConfigError(f"matrix row {i} must be an array of {k} entries")
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
                 raise ConfigError(f"matrix entry ({i}, {j}) must be a [re, im] number pair")
             out[i, j] = complex(pair[0], pair[1])
     return out
@@ -90,13 +103,19 @@ def _load_json(text: str, origin: str):
 
 def _number_array(obj, origin: str, shape: tuple) -> np.ndarray:
     """A JSON array of numbers of the given shape, as floats."""
-    try:
-        array = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin} must be an array of numbers: {exc}") from exc
-    if array.shape != shape:
+
+    def fits(node, dims) -> bool:
+        if not dims:
+            return _is_number(node)
+        return (
+            isinstance(node, list)
+            and len(node) == dims[0]
+            and all(fits(item, dims[1:]) for item in node)
+        )
+
+    if not fits(obj, shape):
         raise ConfigError(f"{origin} must be an array of numbers of shape {shape}")
-    return array
+    return np.asarray(obj, dtype=float)
 
 
 def _directions_option(args) -> np.ndarray | None:
@@ -119,9 +138,12 @@ def _parse_theta(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError("theta must be three comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        theta = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"theta entries must be numbers: {exc}") from exc
+    if not np.isfinite(theta).all():
+        raise ConfigError("theta entries must be finite")
+    return theta
 
 
 def _require_keys(obj: dict, allowed: set, origin: str):
@@ -262,7 +284,7 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
     for key in ("dim", "repetitions", "counts"):
         if key not in obj:
             raise ConfigError(f"counts input is missing {key!r}")
-    if not isinstance(obj["dim"], int) or not isinstance(obj["repetitions"], int):
+    if not _is_integer(obj["dim"]) or not _is_integer(obj["repetitions"]):
         raise ConfigError("dim and repetitions must be integers")
     try:
         plan = MeasurementPlan(obj["dim"], obj["repetitions"])
@@ -275,9 +297,7 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
     for label, row in obj["counts"].items():
         if label not in labels:
             raise ConfigError(f"unrecognized count label {label!r}")
-        if not isinstance(row, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-        ):
+        if not isinstance(row, list) or not all(map(_is_number, row)):
             raise ConfigError(f"counts for {label!r} must be an array of numbers")
         table[labels[label]] = np.asarray(row, dtype=float)
     missing = [label for label, key in labels.items() if key not in table]
@@ -319,7 +339,7 @@ def _state_from_json(obj):
     if not isinstance(entry, dict) or "dim" not in entry:
         raise ConfigError('random state must be an object with "dim"')
     _require_keys(entry, {"dim", "eigenvalues"}, "random state")
-    if not isinstance(entry["dim"], int) or entry["dim"] < 2:
+    if not _is_integer(entry["dim"]) or entry["dim"] < 2:
         raise ConfigError("random state dim must be an integer >= 2")
     eig = entry.get("eigenvalues")
     if eig is not None:
@@ -336,7 +356,7 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         if key not in obj:
             raise ConfigError(f"config is missing {key!r}")
     state, dim = _state_from_json(obj["state"])
-    if not isinstance(obj["schedule"], list):
+    if not isinstance(obj["schedule"], list) or not all(map(_is_integer, obj["schedule"])):
         raise ConfigError("schedule must be an array of integers")
     metrics = obj.get("metrics")
     if metrics is None:
@@ -348,13 +368,13 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         directions = _number_array(directions, "directions", (3, 3))
     trials = args.trials if args.trials is not None else obj.get("trials", 1000)
     seed = args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED)
-    if not isinstance(trials, int) or not isinstance(seed, int):
+    if not _is_integer(trials) or not _is_integer(seed):
         raise ConfigError("trials and seed must be integers")
     try:
         config = ExperimentConfig(
             state=state,
             scheme=obj["scheme"] if isinstance(obj["scheme"], str) else "",
-            schedule=tuple(int(v) for v in obj["schedule"]),
+            schedule=tuple(obj["schedule"]),
             trials=trials,
             seed=seed,
             metrics=tuple(metrics),

@@ -12,6 +12,7 @@ from .states import require_trace_one
 __all__ = [
     "unconstrained_estimate",
     "project_nonneg_simplex",
+    "project_nonneg_simplex_rows",
     "constrained_estimate",
     "qubit_constrain_bloch",
     "three_direction_estimate",
@@ -58,13 +59,59 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
+def project_nonneg_simplex_rows(values, tol: float = 1e-9):
+    """Closest points of the probability simplex to a stack of unit-sum rows.
+
+    Euclidean projection by iterative redistribution, run on all rows
+    together: in each sweep, every row that still has a negative entry zeros
+    those entries and spreads their total uniformly over its surviving
+    entries (entries zeroed earlier never rejoin).  Terminates in at most
+    k - 1 sweeps for rows of length k.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        The (m, k) projected rows (exact zeros where entries were clipped)
+        and the per-row number of redistribution sweeps; a row with 0 sweeps
+        had no negative entry and is returned unchanged.
+    """
+    y = np.array(values, dtype=float)
+    if y.ndim != 2 or y.shape[1] < 1:
+        raise InvariantError("expected a 2-d array of nonempty rows")
+    sums = y.sum(axis=1)
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= tol))[0]
+    if bad.size:
+        first = int(bad[0])
+        raise InvariantError(
+            f"row {first} sums to {float(sums[first])!r}, expected 1 within {tol:.1e}"
+        )
+    alive = np.ones(y.shape, dtype=bool)
+    steps = np.zeros(y.shape[0], dtype=int)
+    while True:
+        neg = alive & (y < 0.0)
+        rows = np.nonzero(neg.any(axis=1))[0]
+        if rows.size == 0:
+            return y, steps
+        neg = neg[rows]
+        sub = y[rows]
+        # A running sum adds each row's negatives in index order at any row
+        # length; ``sum`` would regroup them pairwise in rows of 8 or more.
+        shortfall = np.cumsum(np.where(neg, sub, 0.0), axis=1)[:, -1:]
+        sub[neg] = 0.0
+        alive[rows] &= ~neg
+        live = alive[rows]
+        # Each row's running sum stays 1, so a positive entry survives in it.
+        sub += np.where(live, shortfall / live.sum(axis=1, keepdims=True), 0.0)
+        y[rows] = sub
+        steps[rows] += 1
+
+
 def project_nonneg_simplex(values, tol: float = 1e-9):
     """Closest point of the probability simplex to a unit-sum real vector.
 
-    Euclidean projection by iterative redistribution: zero the negative
-    entries, then spread their total uniformly over the surviving entries
-    (entries zeroed earlier never rejoin), and repeat until nonnegative.
-    Terminates in at most len(values) - 1 sweeps.
+    The one-row case of ``project_nonneg_simplex_rows``: zero the negative
+    entries, spread their total uniformly over the surviving entries, and
+    repeat until nonnegative, in at most len(values) - 1 sweeps.
 
     Returns
     -------
@@ -73,23 +120,13 @@ def project_nonneg_simplex(values, tol: float = 1e-9):
         the number of redistribution sweeps performed; 0 means the input was
         already nonnegative and is returned unchanged.
     """
-    y = np.asarray(values, dtype=float).copy()
+    y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise InvariantError("expected a nonempty 1-d vector")
     if abs(float(y.sum()) - 1.0) > tol:
         raise InvariantError(f"entries sum to {y.sum()!r}, expected 1 within {tol:.1e}")
-    alive = np.ones(y.size, dtype=bool)
-    steps = 0
-    while True:
-        neg = alive & (y < 0.0)
-        if not neg.any():
-            return y, steps
-        shortfall = float(y[neg].sum())
-        y[neg] = 0.0
-        alive &= ~neg
-        # The running sum stays 1, so at least one positive entry survives.
-        y[alive] += shortfall / int(alive.sum())
-        steps += 1
+    rows, steps = project_nonneg_simplex_rows(y[None, :], tol)
+    return rows[0], int(steps[0])
 
 
 def constrained_estimate(matrix):

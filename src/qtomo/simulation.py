@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import project_nonneg_simplex
+from .estimators import project_nonneg_simplex_rows
 from .linalg import PSD_ATOL, InvariantError
 from .measurement import CHUNK_TRIALS, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
@@ -179,10 +179,10 @@ def _metric_block(phi, state, metrics):
     constrained = None
     if needs_constrained:
         constrained = phi.copy()
-        for idx in np.nonzero(eigvals[:, 0] < 0.0)[0]:
-            clipped, _ = project_nonneg_simplex(eigvals[idx])
-            u = eigvecs[idx]
-            constrained[idx] = (u * clipped) @ u.conj().T
+        rows = np.nonzero(eigvals[:, 0] < 0.0)[0]
+        clipped, _ = project_nonneg_simplex_rows(eigvals[rows])
+        u = eigvecs[rows]
+        constrained[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written along a different route than the
 library code: entrywise loops instead of norms, sort-based and bisection
-projections instead of iterative redistribution, and eigenvalue-based
-fidelity instead of the qubit closed form.
+projections instead of iterative redistribution, a per-entry loop instead
+of the masked batch redistribution, alternating projections
+between matrix sets instead of an eigenvalue-space projection, and
+eigenvalue-based fidelity instead of the qubit closed form.
 """
 
 import numpy as np
@@ -43,6 +45,32 @@ def project_simplex_sort(v) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def project_simplex_loop(v):
+    """The paper's redistribution, one vector and one entry at a time.
+
+    Each sweep zeros the negative entries still in play and spreads their
+    total, summed left to right, over the entries still in play.  Returns
+    the projected vector and the sweep count.
+    """
+    y = [float(x) for x in v]
+    alive = [True] * len(y)
+    steps = 0
+    while True:
+        neg = [i for i, x in enumerate(y) if alive[i] and x < 0.0]
+        if not neg:
+            return np.array(y), steps
+        shortfall = 0.0
+        for i in neg:
+            shortfall += y[i]
+            y[i] = 0.0
+            alive[i] = False
+        share = shortfall / sum(alive)
+        for i, live in enumerate(alive):
+            if live:
+                y[i] += share
+        steps += 1
+
+
 def project_simplex_bisect(v, iterations: int = 200) -> np.ndarray:
     """Euclidean projection via bisection on the dual threshold."""
     v = np.asarray(v, dtype=float)
@@ -54,6 +82,35 @@ def project_simplex_bisect(v, iterations: int = 200) -> np.ndarray:
         else:
             hi = mid
     return np.maximum(v - 0.5 * (lo + hi), 0.0)
+
+
+def project_density_dykstra(h, tol: float = 1e-14, max_iterations: int = 100_000):
+    """Closest density matrix to a Hermitian matrix, by Dykstra's algorithm.
+
+    Alternates the projection onto the PSD cone (clip negative eigenvalues
+    to zero) with the projection onto the trace-one hyperplane (shift by a
+    multiple of the identity), carrying Dykstra's correction for each set,
+    until an iterate moves by at most ``tol`` in Frobenius norm.  The
+    iterates converge to the projection onto the intersection of the two
+    sets (Boyle & Dykstra, 1986).
+    """
+    h = np.asarray(h, dtype=complex)
+    dim = h.shape[0]
+    x = h.copy()
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_iterations):
+        w, u = np.linalg.eigh(x + p)
+        y = (u * np.clip(w, 0.0, None)) @ u.conj().T
+        p = x + p - y
+        shifted = y + q
+        x_next = shifted + (1.0 - np.trace(shifted).real) / dim * np.eye(dim)
+        q = shifted - x_next
+        moved = np.linalg.norm(x_next - x)
+        x = x_next
+        if moved <= tol:
+            return x
+    raise RuntimeError("Dykstra iteration did not converge")
 
 
 def random_trace_one_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0):

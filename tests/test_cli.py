@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ MALFORMED_DIRECTIONS = (
     "[[1, 0, 0], [0, 1, 0]]",
     "[[1, 0, 0], [0, 1], [0, 0, 1]]",
     "[[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]",
+    '[["1", 0, 0], [0, 1, 0], [0, 0, 1]]',
+    "[[true, 0, 0], [0, true, 0], [0, 0, true]]",
+    "[[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]",
 )
+# --theta values with an entry that parses as a float but is not finite.
+NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
 
 
 def run(capsys, *argv):
@@ -137,6 +143,20 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--counts", str(path))
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize(
+        "repetitions, y_row",
+        [("true", "[1, 0]"), ("1", "[1e400, 0]")],
+    )
+    def test_non_number_counts_exit_2(self, capsys, tmp_path, repetitions, y_row):
+        path = tmp_path / "counts.json"
+        path.write_text(
+            f'{{"dim": 2, "repetitions": {repetitions}, '
+            f'"counts": {{"z_1": [0, 1], "x_1_2": [1, 0], "y_1_2": {y_row}}}}}'
+        )
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 2
+        assert "must be" in err
 
     def test_unknown_label_exit_2(self, capsys, tmp_path):
         path = tmp_path / "counts.json"
@@ -275,6 +295,17 @@ class TestSimulate:
             {"state": {"bloch": [[0.1], [0], [0]]}},
             {"state": {"random": {"dim": 2, "eigenvalues": [0.5, {"a": 1}]}}},
             {"schedule": [float("inf")]},
+            {"state": {"bloch": ["0.1", 0, 0]}},
+            {"state": {"bloch": [True, 0, 0]}},
+            {"state": {"bloch": [10**400, 0, 0]}},
+            {"state": {"random": {"dim": 2, "eigenvalues": ["0.5", 0.5]}}},
+            {"state": {"random": {"dim": 2, "eigenvalues": [True, False]}}},
+            {"state": {"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+            {"schedule": [20, 40.5]},
+            {"schedule": [True, 40]},
+            {"schedule": ["20", 40]},
+            {"trials": True},
+            {"seed": False},
         ],
     )
     def test_malformed_numbers_exit_2(self, capsys, sim_config, overrides, tmp_path):
@@ -282,6 +313,22 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("state", '{"bloch": [1e400, 0, 0]}'),
+            ("state", '{"matrix": [[[1e400, 0], [0, 0]], [[0, 0], [0, 0]]]}'),
+            ("schedule", "[20, 1e400]"),
+        ],
+    )
+    def test_float_overflow_exit_2(self, capsys, sim_config, key, raw, tmp_path):
+        # Written as raw text: json.dumps cannot produce 1e400.
+        cfg = Path(sim_config(**{key: "RAW"}))
+        cfg.write_text(cfg.read_text().replace('"RAW"', raw))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "must be" in err
 
     def test_random_state_config(self, capsys, sim_config, tmp_path):
         cfg = sim_config(
@@ -362,6 +409,14 @@ class TestMse:
         code, _, _ = run(capsys, "mse", "--scheme", "standard", "--theta", "a,b,c", "--copies", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("theta", NON_FINITE_THETA)
+    def test_non_finite_theta_exit_2(self, capsys, theta):
+        code, _, err = run(
+            capsys, "mse", "--scheme", "standard", "--theta", theta, "--copies", "300"
+        )
+        assert code == 2
+        assert "finite" in err
+
 
 class TestCompare:
     def test_single_theta_json(self, capsys):
@@ -399,6 +454,12 @@ class TestCompare:
     def test_copies_divisibility(self, capsys):
         code, _, _ = run(capsys, "compare", "--theta", "0,0,0", "--copies", "31")
         assert code == 2
+
+    @pytest.mark.parametrize("theta", NON_FINITE_THETA)
+    def test_non_finite_theta_exit_2(self, capsys, theta):
+        code, _, err = run(capsys, "compare", "--theta", theta, "--copies", "300")
+        assert code == 2
+        assert "finite" in err
 
 
 class TestPovmCheck:
@@ -469,6 +530,12 @@ class TestPovmCheck:
         )
         assert code == 2
         assert "--directions" in err
+
+    @pytest.mark.parametrize("theta", NON_FINITE_THETA)
+    def test_non_finite_theta_exit_2(self, capsys, theta):
+        code, _, err = run(capsys, "povm-check", "--scheme", "standard", "--theta", theta)
+        assert code == 2
+        assert "finite" in err
 
     @pytest.mark.parametrize("dim", ["-1", "0", "1"])
     def test_dim_below_two_exit_2(self, capsys, dim):

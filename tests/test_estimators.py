@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtomo.estimators import (
     constrained_estimate,
     minimal_estimate,
     project_nonneg_simplex,
+    project_nonneg_simplex_rows,
     qubit_constrain_bloch,
     standard_estimate,
     three_direction_estimate,
@@ -23,7 +26,9 @@ from qtomo.measurement import (
 from qtomo.states import bloch_to_matrix, matrix_to_bloch, random_density
 
 from oracles import (
+    project_density_dykstra,
     project_simplex_bisect,
+    project_simplex_loop,
     project_simplex_sort,
     random_ball_point,
     random_trace_one_hermitian,
@@ -137,6 +142,101 @@ class TestSimplexProjection:
                 assert best <= np.linalg.norm(x - candidate) + 1e-12
 
 
+@st.composite
+def unit_sum_rows(draw):
+    """An (m, k) batch of unit-sum rows, k from 1 to 12, each row either
+    nonnegative or shifted from arbitrary entries (often indefinite)."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    entry = st.floats(-2.0, 2.0, allow_subnormal=False)
+    rows = []
+    for _ in range(m):
+        raw = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+        if draw(st.booleans()):
+            weights = np.abs(raw) + 1e-3
+            rows.append(weights / weights.sum())
+        else:
+            rows.append(raw + (1.0 - raw.sum()) / k)
+    return np.array(rows)
+
+
+ROWS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+class TestSimplexProjectionRows:
+    @ROWS
+    @given(unit_sum_rows())
+    def test_rows_match_sort_oracle(self, x):
+        projected, _ = project_nonneg_simplex_rows(x)
+        for row, out in zip(x, projected):
+            assert np.abs(out - project_simplex_sort(row)).max() < 1e-12
+
+    @ROWS
+    @given(unit_sum_rows())
+    def test_output_on_simplex(self, x):
+        projected, _ = project_nonneg_simplex_rows(x)
+        assert projected.shape == x.shape
+        assert projected.min() >= 0.0
+        assert np.abs(projected.sum(axis=1) - 1.0).max() < 1e-12
+
+    @ROWS
+    @given(unit_sum_rows())
+    def test_idempotent(self, x):
+        once, _ = project_nonneg_simplex_rows(x)
+        twice, steps = project_nonneg_simplex_rows(once)
+        assert np.array_equal(twice, once)
+        assert not steps.any()
+
+    @ROWS
+    @given(unit_sum_rows())
+    def test_sweeps_bounded_and_untouched_rows_exact(self, x):
+        projected, steps = project_nonneg_simplex_rows(x)
+        assert steps.shape == (x.shape[0],)
+        assert steps.max() <= x.shape[1] - 1
+        untouched = ~(x < 0.0).any(axis=1)
+        assert np.array_equal(steps == 0, untouched)
+        assert np.array_equal(projected[untouched], x[untouched])
+
+    @ROWS
+    @given(unit_sum_rows(), st.data())
+    def test_bad_row_sum_rejected(self, x, data):
+        bad = data.draw(st.integers(0, x.shape[0] - 1))
+        x[bad:, 0] += 0.5
+        with pytest.raises(InvariantError, match=f"row {bad} sums to"):
+            project_nonneg_simplex_rows(x)
+
+    @ROWS
+    @given(unit_sum_rows())
+    def test_rows_equal_per_vector_loop(self, x):
+        # Same arithmetic in the same order as the one-vector loop: equal bits.
+        projected, steps = project_nonneg_simplex_rows(x)
+        for row, out, n in zip(x, projected, steps):
+            expect, expect_steps = project_simplex_loop(row)
+            assert np.array_equal(out, expect)
+            assert n == expect_steps
+
+    def test_worked_examples_in_one_batch(self):
+        x = [[0.5, -0.5, 1.0], [1 / 6, -1 / 2, 8 / 6], [0.2, 0.3, 0.5]]
+        projected, steps = project_nonneg_simplex_rows(x)
+        expect = [[0.25, 0.0, 0.75], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]]
+        assert np.abs(projected - expect).max() < 1e-15
+        assert steps.tolist() == [1, 2, 0]
+
+    def test_empty_batch(self):
+        projected, steps = project_nonneg_simplex_rows(np.empty((0, 3)))
+        assert projected.shape == (0, 3)
+        assert steps.shape == (0,)
+
+    @pytest.mark.parametrize("x", [[0.5, 0.5], [[[1.0]]], np.empty((2, 0))])
+    def test_shape_validated(self, x):
+        with pytest.raises(InvariantError, match="2-d array of nonempty rows"):
+            project_nonneg_simplex_rows(x)
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(InvariantError, match="row 1 sums to nan"):
+            project_nonneg_simplex_rows([[1.0, 0.0], [np.nan, 0.0]])
+
+
 class TestConstrainedEstimate:
     def test_density_input_returned_unchanged(self):
         rho = random_density(3, np.random.default_rng(42))
@@ -172,6 +272,21 @@ class TestConstrainedEstimate:
             for _ in range(30):
                 other = random_density(dim, rng)
                 assert best <= hs_distance(h, other) + 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_matches_dykstra_matrix_oracle(self, dim):
+        # The whole matrix projection against alternating projections
+        # between the PSD cone and the trace-one hyperplane.
+        rng = np.random.default_rng(430 + dim)
+        checked = 0
+        while checked < 20:
+            h = random_trace_one_hermitian(dim, rng)
+            if np.linalg.eigvalsh(h)[0] >= 0.0:
+                continue
+            out, steps = constrained_estimate(h)
+            assert steps >= 1
+            assert np.abs(out - project_density_dykstra(h)).max() < 1e-10
+            checked += 1
 
     def test_qubit_matches_radial_bloch_projection(self):
         rng = np.random.default_rng(420)

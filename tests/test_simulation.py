@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qtomo import simulation
+from qtomo.estimators import constrained_estimate
 from qtomo.linalg import InvariantError, hs_distance
+from qtomo.measurement import linear_scheme, stream_rng
 from qtomo.simulation import (
     CHUNK_TRIALS,
     METRICS,
@@ -272,6 +274,22 @@ class TestRunTrajectory:
         )
         rec = run_trajectory(cfg)
         assert 0.9 < rec.means["fidelity-constrained"][0] <= 1.0
+
+
+    @pytest.mark.parametrize("dim, shots", [(3, 5), (6, 400)])
+    def test_constrained_metric_matches_estimator_per_trial(self, dim, shots):
+        # The batched projection in a chunk against the one-matrix estimator.
+        state = random_density(dim, np.random.default_rng(30 + dim))
+        scheme = linear_scheme("klevel-pairs", dim)
+        draws = scheme.sample(scheme.probabilities(state), shots, 300, stream_rng(31, dim))
+        phi = scheme.to_matrix(draws)
+        values = simulation._metric_block(phi, state, ("hs-constrained",))["hs-constrained"]
+        projected = 0
+        for trial, value in zip(phi, values):
+            sigma, steps = constrained_estimate(trial)
+            assert value == pytest.approx(hs_distance(sigma, state), abs=1e-12)
+            projected += steps > 0
+        assert 0 < projected < len(phi)
 
 
 class TestDecayRate:
