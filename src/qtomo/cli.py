@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .error_analysis import (
+    _check_total,
     average_mse_over_ball,
-    compare_standard_vs_complementary,
-    compare_traces_min_vs_comp,
+    compare_batch,
     mse_minimal,
     mse_standard,
     mse_three_direction,
@@ -156,12 +156,13 @@ def _require_keys(obj: dict, allowed: set, origin: str):
 # Output helpers
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, chunks):
+    """Write the strings of ``chunks`` in order; they may come from a generator."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -175,17 +176,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
+def _csv_lines(header, rows):
+    """The header line, then one CSV line per row, newlines included."""
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 def _emit_json(payload, out: str | None) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        _atomic_write(Path(out), text + "\n")
+        _atomic_write(Path(out), [text + "\n"])
     else:
         print(text)
     return 0
@@ -197,8 +198,8 @@ def _svg_line_chart(x, y, title: str, xlabel: str, ylabel: str) -> str:
     left, right, top, bottom = 70.0, 20.0, 40.0, 50.0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(y.min()), float(y.max())
+    x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    y_lo, y_hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -323,6 +324,8 @@ def _cmd_estimate(args) -> int:
     return _emit_json(payload, args.out)
 
 
+# Shots per setting reach the multinomial sampler as a C long.
+_MAX_SCHEDULE = int(np.iinfo(np.int64).max)
 _STATE_KEYS = {"bloch", "matrix", "random"}
 _CONFIG_KEYS = {"state", "scheme", "schedule", "trials", "seed", "metrics", "directions", "out", "svg"}
 
@@ -358,6 +361,8 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
     state, dim = _state_from_json(obj["state"])
     if not isinstance(obj["schedule"], list) or not all(map(_is_integer, obj["schedule"])):
         raise ConfigError("schedule must be an array of integers")
+    if any(a > _MAX_SCHEDULE for a in obj["schedule"]):
+        raise ConfigError(f"schedule entries must be at most {_MAX_SCHEDULE}")
     metrics = obj.get("metrics")
     if metrics is None:
         metrics = [m for m in METRICS if dim == 2 or m != "fidelity-unconstrained"]
@@ -399,7 +404,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(options["out"])
     csv_path = out_dir / "trajectory.csv"
     header = ("n", "metric", "mean", "stderr", "trials", "seed")
-    _atomic_write(csv_path, _csv_text(header, record.rows()))
+    _atomic_write(csv_path, _csv_lines(header, record.rows()))
     written = [str(csv_path)]
     if options["svg"]:
         for metric in config.metrics:
@@ -411,7 +416,7 @@ def _cmd_simulate(args) -> int:
                 xlabel="copies n",
                 ylabel=metric,
             )
-            _atomic_write(svg_path, chart)
+            _atomic_write(svg_path, [chart])
             written.append(str(svg_path))
     for path in written:
         print(path)
@@ -444,30 +449,59 @@ def _cmd_mse(args) -> int:
     return _emit_json(payload, args.out)
 
 
-def _compare_row(theta, n):
-    diff, dominated = compare_standard_vs_complementary(theta, n)
-    trace_comp, trace_min, trace_ok = compare_traces_min_vs_comp(theta, n)
-    min_eig = float(np.linalg.eigvalsh(diff)[0])
-    return diff, dominated, min_eig, trace_comp, trace_min, trace_ok
+_GRID_HEADER = (
+    "theta1",
+    "theta2",
+    "theta3",
+    "standard_minus_comp_min_eig",
+    "comp_dominates_standard",
+    "trace_comp",
+    "trace_min",
+    "trace_comp_le_trace_min",
+)
+
+
+def _grid_rows(axis, n, min_eigs):
+    """CSV rows of the cube points in the closed unit ball, one t1 plane at a
+    time, in the order of a triple loop over ``axis``; each plane's smallest
+    eigenvalues are appended to ``min_eigs`` unless it is None."""
+    for t1 in axis:
+        plane = np.stack(np.meshgrid([t1], axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        # vecdot reduces each row like the 1-d dot behind np.linalg.norm.
+        plane = plane[np.sqrt(np.vecdot(plane, plane)) <= 1.0 + 1e-12]
+        if not len(plane):
+            continue
+        c = compare_batch(plane, n)
+        if min_eigs is not None:
+            min_eigs.append(c.min_eig)
+        yield from zip(
+            *plane.T.tolist(),
+            c.min_eig.tolist(),
+            c.dominated.astype(int).tolist(),
+            c.trace_comp.tolist(),
+            c.trace_min.tolist(),
+            c.trace_ok.astype(int).tolist(),
+        )
 
 
 def _cmd_compare(args) -> int:
     n = args.copies
     if n % 3:
         raise ConfigError("comparisons need copies divisible by 3")
+    _check_total(n)
     if args.theta is not None:
         theta = _parse_theta(args.theta)
-        diff, dominated, min_eig, trace_comp, trace_min, trace_ok = _compare_row(theta, n)
+        c = compare_batch(theta[None], n)
         avg, avg_det = average_mse_over_ball(np.eye(3))
         payload = {
             "theta": [float(v) for v in theta],
             "copies": n,
-            "standard_minus_comp": [[float(v) for v in row] for row in diff],
-            "standard_minus_comp_min_eig": min_eig,
-            "comp_dominates_standard": bool(dominated),
-            "trace_comp": trace_comp,
-            "trace_min": trace_min,
-            "trace_comp_le_trace_min": bool(trace_ok),
+            "standard_minus_comp": [[float(v) for v in row] for row in c.diff[0]],
+            "standard_minus_comp_min_eig": float(c.min_eig[0]),
+            "comp_dominates_standard": bool(c.dominated[0]),
+            "trace_comp": float(c.trace_comp[0]),
+            "trace_min": float(c.trace_min[0]),
+            "trace_comp_le_trace_min": bool(c.trace_ok[0]),
             "ball_average_mse_orthogonal": [[float(v) for v in row] for row in avg],
             "ball_average_det_orthogonal": avg_det,
         }
@@ -476,49 +510,20 @@ def _cmd_compare(args) -> int:
     if grid < 2:
         raise ConfigError("grid must be at least 2 points per axis")
     axis = np.linspace(-1.0, 1.0, grid)
-    rows = []
-    for t1 in axis:
-        for t2 in axis:
-            for t3 in axis:
-                theta = np.array([t1, t2, t3])
-                if float(np.linalg.norm(theta)) > 1.0 + 1e-12:
-                    continue
-                _, dominated, min_eig, trace_comp, trace_min, trace_ok = _compare_row(theta, n)
-                rows.append(
-                    (
-                        float(t1),
-                        float(t2),
-                        float(t3),
-                        min_eig,
-                        int(dominated),
-                        trace_comp,
-                        trace_min,
-                        int(trace_ok),
-                    )
-                )
-    header = (
-        "theta1",
-        "theta2",
-        "theta3",
-        "standard_minus_comp_min_eig",
-        "comp_dominates_standard",
-        "trace_comp",
-        "trace_min",
-        "trace_comp_le_trace_min",
-    )
     out_dir = Path(args.out if args.out is not None else ".")
     csv_path = out_dir / "comparison.csv"
-    _atomic_write(csv_path, _csv_text(header, rows))
+    min_eigs = [np.empty(0)] if args.svg else None
+    _atomic_write(csv_path, _csv_lines(_GRID_HEADER, _grid_rows(axis, n, min_eigs)))
     if args.svg:
-        eigs = np.sort(np.array([r[3] for r in rows]))
+        eigs = np.sort(np.concatenate(min_eigs))
         chart = _svg_line_chart(
-            np.arange(len(rows)),
+            np.arange(len(eigs)),
             eigs,
             title="min eig of V_standard - V_comp, sorted over the grid",
             xlabel="grid point (sorted)",
             ylabel="min eigenvalue",
         )
-        _atomic_write(out_dir / "comparison.svg", chart)
+        _atomic_write(out_dir / "comparison.svg", [chart])
         print(out_dir / "comparison.svg")
     print(csv_path)
     return 0

@@ -8,11 +8,13 @@ closed forms below are exact for every n, not asymptotic.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .linalg import InvariantError
 from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
-from .states import bloch_to_matrix, is_bloch_state
+from .states import bloch_to_matrix
 
 __all__ = [
     "BALL_SECOND_MOMENT",
@@ -24,19 +26,34 @@ __all__ = [
     "average_mse_over_ball",
     "compare_standard_vs_complementary",
     "compare_traces_min_vs_comp",
+    "Comparison",
+    "compare_batch",
 ]
 
 # E[theta_i theta_j] = (1/5) delta_ij when theta is uniform on the unit ball.
 BALL_SECOND_MOMENT = 0.2
 # Coefficient of (T^T T)^{-1} in the ball-averaged MSE: 1 - 1/5.
 AVERAGE_MSE_COEFF = 1.0 - BALL_SECOND_MOMENT
+_AXES = np.arange(3)
+
+
+def _check_thetas(thetas) -> np.ndarray:
+    """An (m, 3) stack of Bloch vectors, each in the closed unit ball within 1e-9."""
+    t = np.asarray(thetas, dtype=float)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise InvariantError(f"Bloch vectors must be stacked as (m, 3), got shape {t.shape}")
+    # vecdot reduces each row in the same order as the 1-d dot behind
+    # np.linalg.norm, so a stacked row gets the bits of the one-vector call.
+    if not np.all(np.sqrt(np.vecdot(t, t)) <= 1.0 + 1e-9):
+        raise InvariantError("theta must lie in the closed unit Bloch ball")
+    return t
 
 
 def _check_theta(theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
-    if not is_bloch_state(t, tol=1e-9):
-        raise InvariantError("theta must lie in the closed unit Bloch ball")
-    return t
+    if t.shape != (3,):
+        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
+    return _check_thetas(t[None])[0]
 
 
 def _check_total(total: int, divisor: int = 1) -> int:
@@ -63,10 +80,16 @@ def mse_three_direction(theta, directions, repetitions: int) -> np.ndarray:
     return (inv * variances) @ inv.T / int(repetitions)
 
 
-def _mse_complementary(theta: np.ndarray, total: float) -> np.ndarray:
+def _complementary_rows(t: np.ndarray, total: float) -> np.ndarray:
     # Coordinate-axis special case of the three-direction formula, written
-    # in total copies n = 3r.
-    return np.diag(3.0 * (1.0 - theta**2)) / total
+    # in total copies n = 3r, for each row of an (m, 3) stack.
+    out = np.zeros((len(t), 3, 3))
+    out[:, _AXES, _AXES] = 3.0 * (1.0 - t**2) / total
+    return out
+
+
+def _standard_rows(t: np.ndarray, n: int) -> np.ndarray:
+    return (3.0 * np.eye(3) - t[:, :, None] * t[:, None, :]) / n
 
 
 def mse_standard(theta, total: int) -> np.ndarray:
@@ -76,7 +99,7 @@ def mse_standard(theta, total: int) -> np.ndarray:
     """
     t = _check_theta(theta)
     n = _check_total(total)
-    return (3.0 * np.eye(3) - np.outer(t, t)) / n
+    return _standard_rows(t[None], n)[0]
 
 
 def mse_minimal(theta, total: int) -> np.ndarray:
@@ -147,6 +170,30 @@ def average_mse_over_ball(directions):
     return avg, float(np.linalg.det(avg))
 
 
+class Comparison(NamedTuple):
+    """Closed-form scheme comparison at each row of an (m, 3) stack of theta."""
+
+    diff: np.ndarray  # (m, 3, 3) V_standard - V_comp
+    min_eig: np.ndarray  # smallest eigenvalue of each diff
+    dominated: np.ndarray  # diff is PSD within 1e-12 of V_standard's Frobenius norm
+    trace_comp: np.ndarray  # Tr V_comp
+    trace_min: np.ndarray  # Tr V_min
+    trace_ok: np.ndarray  # Tr V_comp <= Tr V_min within 1e-12
+
+
+def compare_batch(thetas, total: int) -> Comparison:
+    """Both scheme comparisons at every row of an (m, 3) stack of theta.
+
+    Row i holds what ``compare_standard_vs_complementary`` and
+    ``compare_traces_min_vs_comp`` return at ``thetas[i]``, bit for bit,
+    plus the smallest eigenvalue of the difference; one ``eigvalsh`` call
+    covers the whole stack.  Requires n divisible by 3.
+    """
+    t = _check_thetas(thetas)
+    n = _check_total(total, divisor=3)
+    return Comparison(*_standard_minus_comp(t, n), *_trace_rows(t, n))
+
+
 def compare_standard_vs_complementary(theta, total: int):
     """Difference V_standard - V_complementary at equal copy budget n.
 
@@ -158,8 +205,8 @@ def compare_standard_vs_complementary(theta, total: int):
     """
     t = _check_theta(theta)
     n = _check_total(total)
-    diff = mse_standard(t, n) - _mse_complementary(t, float(n))
-    return diff, _psd_flag(diff)
+    diff, _, dominated = _standard_minus_comp(t[None], n)
+    return diff[0], bool(dominated[0])
 
 
 def compare_traces_min_vs_comp(theta, total: int):
@@ -177,12 +224,27 @@ def compare_traces_min_vs_comp(theta, total: int):
     """
     t = _check_theta(theta)
     n = _check_total(total, divisor=3)
-    norm_sq = float(t @ t)
+    trace_comp, trace_min, trace_ok = _trace_rows(t[None], n)
+    return float(trace_comp[0]), float(trace_min[0]), bool(trace_ok[0])
+
+
+def _standard_minus_comp(t: np.ndarray, n: int):
+    """V_standard - V_comp at each row, its smallest eigenvalue, and whether
+    that is at least -1e-12 times the Frobenius norm of V_standard.
+
+    The slack scales with V_standard, not the difference: near theta = 0 the
+    diagonal of the difference cancels to rounding of V_standard, and a
+    difference-relative slack would call that rounding indefinite.
+    """
+    standard = _standard_rows(t, n)
+    diff = standard - _complementary_rows(t, float(n))
+    smallest = np.linalg.eigvalsh(diff)[:, 0]
+    flat = standard.reshape(len(t), 9)
+    return diff, smallest, smallest >= -1e-12 * np.sqrt(np.vecdot(flat, flat))
+
+
+def _trace_rows(t: np.ndarray, n: int):
+    norm_sq = np.vecdot(t, t)
     trace_comp = 3.0 * (3.0 - norm_sq) / n
     trace_min = (9.0 - norm_sq) / n
     return trace_comp, trace_min, trace_comp <= trace_min + 1e-12
-
-
-def _psd_flag(matrix: np.ndarray) -> bool:
-    smallest = float(np.linalg.eigvalsh(matrix)[0])
-    return smallest >= -1e-12 * float(np.linalg.norm(matrix))

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtomo.cli import main, matrix_from_json, matrix_to_json
+from qtomo.cli import _atomic_write, main, matrix_from_json, matrix_to_json
 from qtomo.simulation import ConfigError
 
 
@@ -306,6 +307,8 @@ class TestSimulate:
             {"schedule": ["20", 40]},
             {"trials": True},
             {"seed": False},
+            {"schedule": [10**23]},
+            {"schedule": [20, 2**63]},
         ],
     )
     def test_malformed_numbers_exit_2(self, capsys, sim_config, overrides, tmp_path):
@@ -455,11 +458,67 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--theta", "0,0,0", "--copies", "31")
         assert code == 2
 
+    @pytest.mark.parametrize("copies", ["0", "-3"])
+    @pytest.mark.parametrize("grid", ["2", "5"])
+    def test_grid_copies_below_one_exit_3(self, capsys, tmp_path, copies, grid):
+        # Checked before anything is written, also when no grid point lies
+        # in the ball (grid 2).
+        out = tmp_path / "never"
+        code, _, err = run(
+            capsys, "compare", "--grid", grid, "--copies", copies, "--out", str(out)
+        )
+        assert code == 3
+        assert "at least 1" in err
+        assert not out.exists()
+
+    def test_grid_without_ball_points(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "compare", "--grid", "2", "--copies", "3", "--out", str(tmp_path), "--svg"
+        )
+        assert code == 0
+        assert (tmp_path / "comparison.csv").read_text().count("\n") == 1
+        assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
+
+    def test_grid_memory_does_not_grow_with_the_cube(self, capsys, tmp_path):
+        # Rows are written one t1 plane at a time. Holding all 33,401 rows
+        # of grid 41 and then the whole CSV text peaks at about 21 MiB.
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, "compare", "--grid", "41", "--copies", "300", "--out", str(tmp_path)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("theta", NON_FINITE_THETA)
     def test_non_finite_theta_exit_2(self, capsys, theta):
         code, _, err = run(capsys, "compare", "--theta", theta, "--copies", "300")
         assert code == 2
         assert "finite" in err
+
+
+class TestAtomicWrite:
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "sub" / "out.txt"
+        _atomic_write(path, (part for part in ["a,", "b\n", "c\n"]))
+        assert path.read_text() == "a,b\nc\n"
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_failing_chunk_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            _atomic_write(path, chunks())
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestPovmCheck:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtomo.error_analysis import (
     AVERAGE_MSE_COEFF,
     average_mse_over_ball,
+    compare_batch,
     compare_standard_vs_complementary,
     compare_traces_min_vs_comp,
     empirical_mse,
@@ -213,3 +216,109 @@ class TestComparisons:
     def test_divisibility_checked(self):
         with pytest.raises(InvariantError):
             compare_traces_min_vs_comp([0.0, 0.0, 0.0], 100)
+
+
+@st.composite
+def ball_stacks(draw):
+    """An (m, 3) stack of Bloch vectors: zero, inside the ball, or scaled onto
+    the unit sphere (within rounding of the unit norm)."""
+    m = draw(st.integers(1, 12))
+    entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    rows = []
+    for _ in range(m):
+        v = np.array(draw(st.lists(entry, min_size=3, max_size=3)))
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            radius = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+            v = v / norm * radius
+        rows.append(v)
+    return np.array(rows)
+
+
+COPIES = st.integers(1, 10**6).map(lambda a: 3 * a)
+BATCH = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestCompareBatch:
+    @BATCH
+    @given(ball_stacks(), COPIES)
+    def test_rows_equal_scalar_functions(self, thetas, n):
+        c = compare_batch(thetas, n)
+        for i, theta in enumerate(thetas):
+            diff, dominated = compare_standard_vs_complementary(theta, n)
+            trace_comp, trace_min, trace_ok = compare_traces_min_vs_comp(theta, n)
+            assert _bits(c.diff[i]) == _bits(diff)
+            assert _bits(c.min_eig[i]) == _bits(np.linalg.eigvalsh(diff)[0])
+            assert bool(c.dominated[i]) is dominated
+            assert _bits(c.trace_comp[i]) == _bits(trace_comp)
+            assert _bits(c.trace_min[i]) == _bits(trace_min)
+            assert bool(c.trace_ok[i]) is trace_ok
+
+    @BATCH
+    @given(ball_stacks(), COPIES)
+    def test_rows_equal_one_vector_formulas(self, thetas, n):
+        # The closed forms evaluated one theta at a time with 1-d dot and
+        # norm, as the grid sweep did before it was batched.
+        c = compare_batch(thetas, n)
+        for i, t in enumerate(thetas):
+            standard = (3.0 * np.eye(3) - np.outer(t, t)) / n
+            diff = standard - np.diag(3.0 * (1.0 - t**2)) / float(n)
+            smallest = float(np.linalg.eigvalsh(diff)[0])
+            norm_sq = float(t @ t)
+            assert _bits(c.diff[i]) == _bits(diff)
+            assert _bits(c.min_eig[i]) == _bits(smallest)
+            assert c.dominated[i] == (smallest >= -1e-12 * float(np.linalg.norm(standard)))
+            assert _bits(c.trace_comp[i]) == _bits(3.0 * (3.0 - norm_sq) / n)
+            assert _bits(c.trace_min[i]) == _bits((9.0 - norm_sq) / n)
+
+    @BATCH
+    @given(ball_stacks(), COPIES)
+    def test_claims_hold_on_every_row(self, thetas, n):
+        c = compare_batch(thetas, n)
+        assert c.dominated.all()
+        assert c.trace_ok.all()
+
+    @BATCH
+    @given(ball_stacks(), st.data())
+    def test_point_outside_ball_rejected(self, thetas, data):
+        row = data.draw(st.integers(0, len(thetas) - 1))
+        direction = np.array(data.draw(st.sampled_from([(1.0, 0.0, 0.0), (0.6, -0.8, 0.0)])))
+        thetas[row] = direction * data.draw(st.floats(1.0 + 1e-8, 2.0))
+        with pytest.raises(InvariantError, match="closed unit Bloch ball"):
+            compare_batch(thetas, 300)
+
+    def test_return_types_of_one_point_functions(self):
+        diff, dominated = compare_standard_vs_complementary([0.3, 0.4, 0.5], 300)
+        traces = compare_traces_min_vs_comp([0.3, 0.4, 0.5], 300)
+        assert diff.shape == (3, 3) and type(dominated) is bool
+        assert [type(v) for v in traces] == [float, float, bool]
+
+    @pytest.mark.parametrize("tiny", [1e-9, -1.1102230246251565e-16, 5e-86])
+    def test_dominated_near_origin(self, tiny):
+        # The diagonal of V_standard - V_comp cancels to rounding here and the
+        # off-diagonal -theta_i theta_j / n survives, so the computed
+        # difference is indefinite at the level of V_standard's rounding.
+        # -1.1e-16 is the middle of np.linspace(-1, 1, 99), the centre of
+        # the `compare --grid 99` cube.
+        c = compare_batch(np.full((1, 3), tiny), 300)
+        assert c.min_eig[0] < 0.0
+        assert c.dominated[0]
+
+    def test_empty_stack(self):
+        c = compare_batch(np.empty((0, 3)), 300)
+        assert c.diff.shape == (0, 3, 3)
+        assert all(field.shape == (0,) for field in c[1:])
+
+    @pytest.mark.parametrize("thetas", [[0.0, 0.0, 0.0], np.zeros((2, 2)), np.zeros((1, 3, 1))])
+    def test_shape_validated(self, thetas):
+        with pytest.raises(InvariantError, match=r"stacked as \(m, 3\)"):
+            compare_batch(thetas, 300)
+
+    @pytest.mark.parametrize("n, message", [(0, "at least 1"), (-3, "at least 1"), (100, "by 3")])
+    def test_copies_validated(self, n, message):
+        with pytest.raises(InvariantError, match=message):
+            compare_batch(np.zeros((1, 3)), n)

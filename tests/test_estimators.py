@@ -307,6 +307,47 @@ class TestConstrainedEstimate:
             constrained_estimate(np.array([[0.5, 0.4], [0.1, 0.5]]))
 
 
+@st.composite
+def trace_one_hermitians(draw):
+    """A k x k trace-one Hermitian, k from 2 to 6, from arbitrary entries:
+    PSD for some draws, indefinite for most."""
+    k = draw(st.integers(2, 6))
+    entry = st.floats(-1.0, 1.0, allow_subnormal=False)
+    parts = np.array(draw(st.lists(entry, min_size=2 * k * k, max_size=2 * k * k)))
+    a = (parts[: k * k] + 1j * parts[k * k :]).reshape(k, k)
+    h = 0.5 * (a + a.conj().T)
+    return h + np.eye(k) * (1.0 - np.trace(h).real) / k
+
+
+class TestConstrainedEstimateProperties:
+    @ROWS
+    @given(trace_one_hermitians())
+    def test_output_is_psd(self, h):
+        out, _ = constrained_estimate(h)
+        assert is_psd(out, tol=1e-12)
+
+    @ROWS
+    @given(trace_one_hermitians())
+    def test_output_has_unit_trace(self, h):
+        out, steps = constrained_estimate(h)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert 0 <= steps <= h.shape[0] - 1
+
+    @ROWS
+    @given(trace_one_hermitians())
+    def test_idempotent(self, h):
+        # A projected output's zero eigenvalues come back from eigh as
+        # rounding-level values of either sign, and the projection triggers
+        # on any negative eigenvalue, so projecting again may take a sweep;
+        # it must not move the matrix beyond rounding.
+        once, steps = constrained_estimate(h)
+        twice, again = constrained_estimate(once)
+        assert np.abs(twice - once).max() < 1e-12
+        assert again <= h.shape[0] - 1
+        if steps == 0:
+            assert again == 0 and np.array_equal(twice, h)
+
+
 class TestQubitConstrainBloch:
     def test_inside_ball_unchanged(self):
         t = np.array([0.1, -0.2, 0.3])

@@ -10,14 +10,21 @@ consumed, is unchanged.  The one looser value is the qubit
 fidelity-constrained metric: it takes the square root of determinants of
 rank-one projected estimates, which are zero up to rounding, so ulp-level
 changes in the read-out move it by up to about 1e-9.
+
+The ``comparison.csv`` hashes and the ``compare --theta`` payload were
+recorded at commit 0e2daf5, the last commit that evaluated the comparison
+grid one point at a time, by running the same commands in a separate
+checkout of it.  They must match byte for byte.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qtomo.cli import main
 from qtomo.error_analysis import empirical_mse
 from qtomo.simulation import CHUNK_TRIALS, ExperimentConfig, RandomState, run_trajectory
 from qtomo.states import bloch_to_matrix
@@ -161,3 +168,42 @@ def test_empirical_mse_matches_pinned_values(case):
         scheme, MSE_THETA, MSE_COPIES, MSE_TRIALS, MSE_SEED, directions=directions
     )
     np.testing.assert_allclose(got, MSE[case], rtol=RTOL, atol=0.0)
+
+
+# (grid, copies) -> sha256 of comparison.csv
+GRID_SHA256 = {
+    (41, 300): "c53581963825f40bfd0076de8ee47d5256d418ca79c345caf568328d16fd03b3",
+    (7, 30): "4fc2e872af1999b1d0602670c9c84c9c7dcf91130695501a19ef6d51db4167f9",
+    (40, 3): "fedd40c2a4c20f439b3b6dc7d5206ee8805b312ed1e60f0d6dbc1261b0d69b55",
+}
+COMPARE_THETA = {
+    "ball_average_det_orthogonal": 0.5120000000000001,
+    "ball_average_mse_orthogonal": [[0.8, 0.0, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 0.8]],
+    "comp_dominates_standard": True,
+    "copies": 300,
+    "standard_minus_comp": [
+        [0.0005999999999999998, -0.00039999999999999996, -0.0005],
+        [-0.00039999999999999996, 0.0010666666666666672, -0.0006666666666666668],
+        [-0.0005, -0.0006666666666666668, 0.001666666666666667],
+    ],
+    "standard_minus_comp_min_eig": -1.7356495060686468e-19,
+    "theta": [0.3, 0.4, 0.5],
+    "trace_comp": 0.025,
+    "trace_comp_le_trace_min": True,
+    "trace_min": 0.028333333333333332,
+}
+
+
+@pytest.mark.parametrize("grid, copies", sorted(GRID_SHA256))
+def test_comparison_grid_bytes(grid, copies, tmp_path):
+    argv = ["compare", "--grid", str(grid), "--copies", str(copies), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = (tmp_path / "comparison.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GRID_SHA256[grid, copies]
+
+
+def test_compare_theta_payload(capsys):
+    assert main(["compare", "--theta", "0.3,0.4,0.5", "--copies", "300"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == COMPARE_THETA
+    assert out == json.dumps(COMPARE_THETA, indent=2, sort_keys=True) + "\n"
