@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .error_analysis import (
-    _check_total,
     average_mse_over_ball,
     compare_batch,
     mse_minimal,
@@ -45,7 +44,7 @@ from .simulation import (
     RandomState,
     run_trajectory,
 )
-from .states import bloch_to_matrix, require_trace_one
+from .states import bloch_to_matrix, in_bloch_ball, require_trace_one
 
 DEFAULT_SEED = 42
 
@@ -467,8 +466,7 @@ def _grid_rows(axis, n, min_eigs):
     eigenvalues are appended to ``min_eigs`` unless it is None."""
     for t1 in axis:
         plane = np.stack(np.meshgrid([t1], axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        # vecdot reduces each row like the 1-d dot behind np.linalg.norm.
-        plane = plane[np.sqrt(np.vecdot(plane, plane)) <= 1.0 + 1e-12]
+        plane = plane[in_bloch_ball(plane)]
         if not len(plane):
             continue
         c = compare_batch(plane, n)
@@ -488,7 +486,9 @@ def _cmd_compare(args) -> int:
     n = args.copies
     if n % 3:
         raise ConfigError("comparisons need copies divisible by 3")
-    _check_total(n)
+    if n < 1:
+        # Checked before the grid's output directory is made.
+        raise InvariantError("the number of copies must be at least 1")
     if args.theta is not None:
         theta = _parse_theta(args.theta)
         c = compare_batch(theta[None], n)

@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InvariantError
+from .linalg import InvariantError, row_dots
 from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
-from .states import bloch_to_matrix
+from .states import bloch_to_matrix, in_bloch_ball, is_bloch_state
 
 __all__ = [
     "BALL_SECOND_MOMENT",
@@ -40,20 +40,16 @@ _AXES = np.arange(3)
 def _check_thetas(thetas) -> np.ndarray:
     """An (m, 3) stack of Bloch vectors, each in the closed unit ball within 1e-9."""
     t = np.asarray(thetas, dtype=float)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise InvariantError(f"Bloch vectors must be stacked as (m, 3), got shape {t.shape}")
-    # vecdot reduces each row in the same order as the 1-d dot behind
-    # np.linalg.norm, so a stacked row gets the bits of the one-vector call.
-    if not np.all(np.sqrt(np.vecdot(t, t)) <= 1.0 + 1e-9):
+    if not np.all(in_bloch_ball(t, tol=1e-9)):
         raise InvariantError("theta must lie in the closed unit Bloch ball")
     return t
 
 
 def _check_theta(theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
-    if t.shape != (3,):
-        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return _check_thetas(t[None])[0]
+    if not is_bloch_state(t, tol=1e-9):
+        raise InvariantError("theta must lie in the closed unit Bloch ball")
+    return t
 
 
 def _check_total(total: int, divisor: int = 1) -> int:
@@ -240,11 +236,11 @@ def _standard_minus_comp(t: np.ndarray, n: int):
     diff = standard - _complementary_rows(t, float(n))
     smallest = np.linalg.eigvalsh(diff)[:, 0]
     flat = standard.reshape(len(t), 9)
-    return diff, smallest, smallest >= -1e-12 * np.sqrt(np.vecdot(flat, flat))
+    return diff, smallest, smallest >= -1e-12 * np.sqrt(row_dots(flat))
 
 
 def _trace_rows(t: np.ndarray, n: int):
-    norm_sq = np.vecdot(t, t)
+    norm_sq = row_dots(t)
     trace_comp = 3.0 * (3.0 - norm_sq) / n
     trace_min = (9.0 - norm_sq) / n
     return trace_comp, trace_min, trace_comp <= trace_min + 1e-12

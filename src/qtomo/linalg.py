@@ -24,6 +24,7 @@ __all__ = [
     "hermitian_eig",
     "is_psd",
     "determinant",
+    "row_dots",
     "hs_distance",
     "fidelity",
 ]
@@ -155,6 +156,17 @@ def is_psd(matrix, tol: float = PSD_ATOL) -> bool:
     h = require_hermitian(matrix)
     smallest = float(np.linalg.eigvalsh(h)[0])
     return smallest >= -tol
+
+
+def row_dots(rows) -> np.ndarray:
+    """Each row of a real (m, d) array dotted with itself.
+
+    Row i is reduced by the same 1-d dot as ``np.dot(rows[i], rows[i])``
+    and ``np.linalg.norm``, so it carries their bits; ``einsum`` and a
+    summed square regroup the additions and do not.
+    """
+    a = np.asarray(rows, dtype=float)
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
 def determinant(matrix) -> float:

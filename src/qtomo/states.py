@@ -10,6 +10,7 @@ from .linalg import (
     InvariantError,
     is_psd,
     require_hermitian,
+    row_dots,
 )
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "bloch_to_matrix",
     "matrix_to_bloch",
     "is_bloch_state",
+    "in_bloch_ball",
     "require_trace_one",
     "require_density",
     "haar_unitary",
@@ -66,7 +68,18 @@ def is_bloch_state(theta, tol: float = BLOCH_ATOL) -> bool:
     t = np.asarray(theta, dtype=float)
     if t.shape != (3,):
         raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return float(np.linalg.norm(t)) <= 1.0 + tol
+    return bool(in_bloch_ball(t[None], tol)[0])
+
+
+def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:
+    """Whether each row of an (m, 3) stack lies in the closed unit ball.
+
+    A row's norm has the bits of ``np.linalg.norm`` of that row alone.
+    """
+    t = np.asarray(thetas, dtype=float)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise InvariantError(f"Bloch vectors must be stacked as (m, 3), got shape {t.shape}")
+    return np.sqrt(row_dots(t)) <= 1.0 + tol
 
 
 def require_trace_one(matrix, tol: float = TRACE_ATOL) -> np.ndarray:

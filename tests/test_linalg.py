@@ -10,6 +10,7 @@ from qtomo.linalg import (
     hs_distance,
     is_psd,
     require_hermitian,
+    row_dots,
 )
 from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
@@ -113,6 +114,20 @@ class TestPsdAndDeterminant:
         phi = np.array([[0.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
         assert determinant(phi) == pytest.approx(-0.5, abs=1e-15)
         assert not is_psd(phi)
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_bits_of_the_one_row_dot(self, d):
+        rng = rng_for(22 + d)
+        rows = rng.standard_normal((500, d)) * rng.choice([1e-150, 1e-8, 1.0, 1e8], (500, 1))
+        got = row_dots(rows)
+        assert got.tobytes() == np.array([np.dot(r, r) for r in rows]).tobytes()
+        norms = np.array([np.linalg.norm(r) for r in rows])
+        assert np.sqrt(got).tobytes() == norms.tobytes()
+
+    def test_empty_stack(self):
+        assert row_dots(np.empty((0, 3))).shape == (0,)
 
 
 class TestHsDistance:

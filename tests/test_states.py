@@ -7,6 +7,7 @@ from qtomo.states import (
     SIGMA_0,
     bloch_to_matrix,
     haar_unitary,
+    in_bloch_ball,
     is_bloch_state,
     matrix_to_bloch,
     random_density,
@@ -72,6 +73,14 @@ class TestBlochMaps:
         assert is_bloch_state([0.3, 0.4, 0.5])
         assert is_bloch_state([1.0, 0.0, 0.0])
         assert not is_bloch_state([1.0, 0.1, 0.0])
+
+    def test_in_bloch_ball_rows(self):
+        thetas = [[0.3, 0.4, 0.5], [1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.0 + 1e-10, 0.0, 0.0]]
+        assert in_bloch_ball(thetas).tolist() == [True, True, False, False]
+        assert in_bloch_ball(thetas, tol=1e-9).tolist() == [True, True, False, True]
+        assert in_bloch_ball(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(InvariantError, match=r"stacked as \(m, 3\)"):
+            in_bloch_ball([0.3, 0.4, 0.5])
 
 
 class TestValidators:
