@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import InvariantError, hermitian_eig
+from .linalg import EigenDecompositionError, InvariantError
 from .measurement import MeasurementPlan, linear_scheme
 from .states import require_trace_one
 
@@ -13,6 +13,7 @@ __all__ = [
     "unconstrained_estimate",
     "project_nonneg_simplex",
     "project_nonneg_simplex_rows",
+    "constrained_rows",
     "constrained_estimate",
     "qubit_constrain_bloch",
     "three_direction_estimate",
@@ -129,30 +130,40 @@ def project_nonneg_simplex(values, tol: float = 1e-9):
     return rows[0], int(steps[0])
 
 
-def constrained_estimate(matrix):
-    """Closest density matrix to a trace-one Hermitian, in Hilbert-Schmidt norm.
+def constrained_rows(phi):
+    """Closest density matrices to an (m, k, k) stack of trace-one
+    Hermitians, in Hilbert-Schmidt norm.
 
-    Diagonalize, project the eigenvalue vector onto the probability simplex,
-    and rebuild in the same eigenbasis.  When the input is already PSD it is
-    returned as is (zero sweeps), so constrained and unconstrained estimates
-    coincide exactly in that case.
-
-    Returns
-    -------
-    (numpy.ndarray, int)
-        The density matrix and the number of redistribution sweeps.
+    One batched ``eigh``; each row with a negative eigenvalue has its
+    eigenvalues projected by ``project_nonneg_simplex_rows`` and is rebuilt
+    as ``(u * w) @ u^H`` in its eigenbasis.  The other rows are returned
+    unchanged, with 0 sweeps.  Returns the projected stack, the per-row
+    sweep counts and the input's eigenvalues, ascending, as (m, k) rows;
+    raises ``EigenDecompositionError`` if the eigensolver fails.
     """
-    h = require_trace_one(matrix)
-    spectrum = hermitian_eig(h)
-    clipped, steps = project_nonneg_simplex(spectrum.eigenvalues)
-    if steps == 0:
-        return h, 0
-    u = spectrum.eigenvectors
-    out = (u * clipped) @ u.conj().T
-    out = 0.5 * (out + out.conj().T)
-    idx = np.arange(out.shape[0])
-    out[idx, idx] = out[idx, idx].real
-    return out, steps
+    try:
+        eigvals, eigvecs = np.linalg.eigh(phi)
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+    out = phi.copy()
+    steps = np.zeros(phi.shape[0], dtype=int)
+    rows = np.nonzero(eigvals[:, 0] < 0.0)[0]
+    clipped, steps[rows] = project_nonneg_simplex_rows(eigvals[rows])
+    u = eigvecs[rows]
+    out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return out, steps, eigvals
+
+
+def constrained_estimate(matrix):
+    """Closest density matrix to a trace-one Hermitian, in Hilbert-Schmidt
+    norm: the one-matrix case of ``constrained_rows``.
+
+    Returns the density matrix and the number of redistribution sweeps.  An
+    input that is already PSD is returned as is with 0 sweeps, so the
+    constrained and unconstrained estimates then coincide exactly.
+    """
+    out, steps, _ = constrained_rows(require_trace_one(matrix)[None])
+    return out[0], int(steps[0])
 
 
 def qubit_constrain_bloch(theta) -> np.ndarray:

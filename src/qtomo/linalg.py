@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small Hermitian matrices.
 
 Operators are plain square ``numpy`` arrays of ``complex128``.  The helpers
-here validate structure (Hermiticity, positive semidefiniteness), expose the
-spectral decomposition the estimators are built on, and provide the two
-figures of merit used throughout: Hilbert-Schmidt distance and fidelity.
+here validate structure (Hermiticity, positive semidefiniteness), offer a
+checked spectral decomposition, and provide the two figures of merit used
+throughout: Hilbert-Schmidt distance and fidelity, also per row of a stack.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "determinant",
     "row_dots",
     "hs_distance",
+    "fidelity_rows",
     "fidelity",
 ]
 
@@ -184,13 +185,18 @@ def hs_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _psd_sqrt(matrix, tol: float) -> np.ndarray:
-    w, u = np.linalg.eigh(matrix)
-    if w[0] < -tol:
-        raise InvariantError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
-        )
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+def fidelity_rows(mats, rho) -> np.ndarray:
+    """Fidelity of each matrix in an (m, k, k) stack with a density matrix:
+    ``fidelity`` without its checks or clamp, so 2x2 rows may be indefinite
+    while larger ones should be PSD."""
+    if rho.shape[0] == 2:
+        cross = np.einsum("mij,ji->m", mats, rho).real
+        dets = np.linalg.det(mats).real * float(np.linalg.det(rho).real)
+        return cross + 2.0 * np.sqrt(dets.astype(complex)).real
+    w, u = np.linalg.eigh(rho)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    inner = np.linalg.eigvalsh(root @ mats @ root)
+    return np.sqrt(np.clip(inner, 0.0, None)).sum(axis=1) ** 2
 
 
 def fidelity(a, b, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> float:
@@ -204,7 +210,8 @@ def fidelity(a, b, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> 
 
     is used instead (principal branch of the complex square root).  The
     closed form stays defined when a 2x2 input is indefinite, in which case
-    the value may exceed 1; larger dimensions require PSD inputs.
+    the value may exceed 1; larger dimensions require PSD inputs, and their
+    value is clamped to [0, 1].  The value is row 0 of ``fidelity_rows``.
 
     Raises
     ------
@@ -220,13 +227,7 @@ def fidelity(a, b, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> 
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > trace_tol:
             raise InvariantError(f"{name} argument has trace {tr!r}, expected 1")
-    if a.shape[0] == 2:
-        cross = float(np.trace(a @ b).real)
-        dets = complex(np.linalg.det(a).real * np.linalg.det(b).real)
-        return cross + 2.0 * float(np.sqrt(dets).real)
-    root = _psd_sqrt(a, psd_tol)
-    if not is_psd(b, psd_tol):
+    if a.shape[0] > 2 and not (is_psd(a, psd_tol) and is_psd(b, psd_tol)):
         raise InvariantError("fidelity beyond dimension 2 requires PSD inputs")
-    w = np.linalg.eigvalsh(root @ b @ root)
-    value = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(value, 0.0), 1.0)
+    value = float(fidelity_rows(b[None], a)[0])
+    return value if a.shape[0] == 2 else min(max(value, 0.0), 1.0)

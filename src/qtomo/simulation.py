@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import project_nonneg_simplex_rows
-from .linalg import PSD_ATOL, InvariantError
+from .estimators import constrained_rows
+from .linalg import PSD_ATOL, InvariantError, fidelity_rows
 from .measurement import CHUNK_TRIALS, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -165,24 +165,13 @@ def _validate_scheme_state(config: ExperimentConfig, state: np.ndarray):
         )
 
 
-def _fidelity2_block(mats, rho):
-    cross = np.einsum("mij,ji->m", mats, rho).real
-    dets = np.linalg.det(mats).real * float(np.linalg.det(rho).real)
-    return cross + 2.0 * np.sqrt(dets.astype(complex)).real
-
-
 def _metric_block(phi, state, metrics):
     """Per-trial metric values for a block of unconstrained estimates."""
-    m, k = phi.shape[0], phi.shape[1]
-    eigvals, eigvecs = np.linalg.eigh(phi)
-    needs_constrained = any(s in metrics for s in ("hs-constrained", "fidelity-constrained"))
-    constrained = None
-    if needs_constrained:
-        constrained = phi.copy()
-        rows = np.nonzero(eigvals[:, 0] < 0.0)[0]
-        clipped, _ = project_nonneg_simplex_rows(eigvals[rows])
-        u = eigvecs[rows]
-        constrained[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
+    constrained = eigvals = None
+    if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
+        constrained, _, eigvals = constrained_rows(phi)
+    elif "psd-fraction" in metrics:
+        eigvals = np.linalg.eigh(phi)[0]
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":
@@ -190,15 +179,9 @@ def _metric_block(phi, state, metrics):
         elif metric == "hs-constrained":
             values[metric] = np.linalg.norm(constrained - state, axis=(1, 2))
         elif metric == "fidelity-unconstrained":
-            values[metric] = _fidelity2_block(phi, state)
+            values[metric] = fidelity_rows(phi, state)
         elif metric == "fidelity-constrained":
-            if k == 2:
-                values[metric] = _fidelity2_block(constrained, state)
-            else:
-                w, u = np.linalg.eigh(state)
-                root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-                inner = np.linalg.eigvalsh(root @ constrained @ root)
-                values[metric] = np.sqrt(np.clip(inner, 0.0, None)).sum(axis=1) ** 2
+            values[metric] = fidelity_rows(constrained, state)
         elif metric == "psd-fraction":
             values[metric] = (eigvals[:, 0] >= -PSD_ATOL).astype(float)
         else:

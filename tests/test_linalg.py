@@ -6,6 +6,7 @@ from qtomo.linalg import (
     InvariantError,
     determinant,
     fidelity,
+    fidelity_rows,
     hermitian_eig,
     hs_distance,
     is_psd,
@@ -165,12 +166,13 @@ class TestFidelity:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_range_and_symmetry(self, dim):
         rng = rng_for(41 + dim)
-        for _ in range(10):
-            a = random_density(dim, rng)
-            b = random_density(dim, rng)
+        pairs = [(random_density(dim, rng), random_density(dim, rng)) for _ in range(10)]
+        stack = np.array([b for _, b in pairs])
+        for i, (a, b) in enumerate(pairs):
             f = fidelity(a, b)
             assert 0.0 <= f <= 1.0
             assert f == pytest.approx(fidelity(b, a), abs=1e-10)
+            assert fidelity_rows(stack, a)[i] == pytest.approx(f, abs=1e-12)
 
     def test_qubit_closed_form_matches_eigen_route(self):
         rng = rng_for(50)

@@ -15,6 +15,11 @@ The ``comparison.csv`` hashes and the ``compare --theta`` payload were
 recorded at commit 0e2daf5, the last commit that evaluated the comparison
 grid one point at a time, by running the same commands in a separate
 checkout of it.  They must match byte for byte.
+
+The ``trajectory.csv`` hashes were recorded at commit 4b885b5, the last
+commit whose simulation projected and scored its estimates with code of its
+own, by running ``simulate`` on each demo config at two seeds in a separate
+checkout of it.  They must match byte for byte.
 """
 
 import hashlib
@@ -207,3 +212,25 @@ def test_compare_theta_payload(capsys):
     out = capsys.readouterr().out
     assert json.loads(out) == COMPARE_THETA
     assert out == json.dumps(COMPARE_THETA, indent=2, sort_keys=True) + "\n"
+
+
+# (config, seed) -> sha256 of trajectory.csv at trials = CHUNK_TRIALS + 4
+TRAJECTORY_SHA256 = {
+    ("pure_state_determinant", 42): "2eb5004d68c42d059c081692e12d37354a8414477252f12d2fc4665acb7ce31f",
+    ("pure_state_determinant", 7): "56941ef4df5f66ee2a48ea5a65ea8018573339ed5e8eae9aec6ae1fa4b2d3d95",
+    ("qubit_minimal_povm", 42): "1f6a400b7d74d4b1c04043e46f17a5918d2398edad389d50bbad794d9e1d8431",
+    ("qubit_minimal_povm", 7): "78b5427875f4617b22e9a9552a7d25c27c25f244e8619099dc77ff1e40303f14",
+    ("qubit_three_direction", 42): "c179f707aac7d3141e51828de50a9c1fc723efdfd04b4b47ae0ea824ee5731d1",
+    ("qubit_three_direction", 7): "95b4a6d39c555e037b315737a852fa6d2de0482308fac0aa0217b08cd21b2b24",
+    ("three_level_error", 42): "ec72a9c7cd13b29d6cab7291ccbed10322b337a9ba25c496927e60364cb82091",
+    ("three_level_error", 7): "a26e0faea33fd9205c2fcdbbda5b84d6c410e7f45986ad191cf7aa863341e69c",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TRAJECTORY_SHA256))
+def test_trajectory_csv_bytes(name, seed, tmp_path):
+    argv = ["simulate", "--config", str(CONFIGS / f"{name}.json"), "--seed", str(seed)]
+    argv += ["--trials", str(CHUNK_TRIALS + 4), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name, seed]
