@@ -1,11 +1,12 @@
 """Point estimators: entrywise unconstrained estimate, its least-squares
-projection onto density matrices, and the three qubit scheme estimators."""
+projection onto density matrices (``constrained_rows`` for a stack, the one
+projection path), and the three qubit scheme estimators."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EigenDecompositionError, InvariantError
+from .linalg import EigenDecompositionError, InvariantError, psd_mask
 from .measurement import MeasurementPlan, linear_scheme
 from .states import require_trace_one
 
@@ -108,18 +109,12 @@ def project_nonneg_simplex_rows(values, tol: float = 1e-9):
 
 
 def project_nonneg_simplex(values, tol: float = 1e-9):
-    """Closest point of the probability simplex to a unit-sum real vector.
+    """Closest point of the probability simplex to a unit-sum real vector:
+    the one-row case of ``project_nonneg_simplex_rows``.
 
-    The one-row case of ``project_nonneg_simplex_rows``: zero the negative
-    entries, spread their total uniformly over the surviving entries, and
-    repeat until nonnegative, in at most len(values) - 1 sweeps.
-
-    Returns
-    -------
-    (numpy.ndarray, int)
-        The projected vector (exact zeros where entries were clipped) and
-        the number of redistribution sweeps performed; 0 means the input was
-        already nonnegative and is returned unchanged.
+    Returns the projected vector (exact zeros where entries were clipped)
+    and the number of redistribution sweeps, at most len(values) - 1; 0
+    means the input was already nonnegative and is returned unchanged.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 1:
@@ -134,12 +129,13 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    One batched ``eigh``; each row with a negative eigenvalue has its
-    eigenvalues projected by ``project_nonneg_simplex_rows`` and is rebuilt
-    as ``(u * w) @ u^H`` in its eigenbasis.  The other rows are returned
-    unchanged, with 0 sweeps.  Returns the projected stack, the per-row
-    sweep counts and the input's eigenvalues, ascending, as (m, k) rows;
-    raises ``EigenDecompositionError`` if the eigensolver fails.
+    One batched ``eigh``; each row that is not PSD by ``linalg.psd_mask``
+    (smallest eigenvalue below -1e-9) has its eigenvalues projected by
+    ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
+    its eigenbasis; the other rows are returned unchanged, with 0 sweeps.
+    Returns the projected stack, the per-row sweep counts and the input's
+    eigenvalues, ascending, as (m, k) rows; raises
+    ``EigenDecompositionError`` if the eigensolver fails.
     """
     try:
         eigvals, eigvecs = np.linalg.eigh(phi)
@@ -147,7 +143,7 @@ def constrained_rows(phi):
         raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
     out = phi.copy()
     steps = np.zeros(phi.shape[0], dtype=int)
-    rows = np.nonzero(eigvals[:, 0] < 0.0)[0]
+    rows = np.nonzero(~psd_mask(eigvals))[0]
     clipped, steps[rows] = project_nonneg_simplex_rows(eigvals[rows])
     u = eigvecs[rows]
     out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
@@ -159,10 +155,11 @@ def constrained_estimate(matrix):
     norm: the one-matrix case of ``constrained_rows``.
 
     Returns the density matrix and the number of redistribution sweeps.  An
-    input that is already PSD is returned as is with 0 sweeps, so the
-    constrained and unconstrained estimates then coincide exactly.
+    input that is already PSD (within 1e-9) is returned as is with 0 sweeps,
+    so the constrained and unconstrained estimates then coincide exactly.
     """
-    out, steps, _ = constrained_rows(require_trace_one(matrix)[None])
+    require_trace_one(matrix)
+    out, steps, _ = constrained_rows(np.asarray(matrix, dtype=complex)[None])
     return out[0], int(steps[0])
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "require_square",
     "require_hermitian",
     "hermitian_eig",
+    "psd_mask",
     "is_psd",
     "determinant",
     "row_dots",
@@ -146,17 +147,18 @@ def hermitian_eig(matrix, tol: float = HERMITIAN_ATOL) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=u)
 
 
-def is_psd(matrix, tol: float = PSD_ATOL) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite.
-
-    True when the smallest eigenvalue is >= ``-tol``.  ``tol`` must be
-    nonnegative.
-    """
+def psd_mask(eigenvalues, tol: float = PSD_ATOL) -> np.ndarray:
+    """The one PSD rule: which rows of ascending eigenvalues belong to a
+    positive semidefinite matrix, i.e. have a smallest eigenvalue >= ``-tol``.
+    ``tol`` must be nonnegative."""
     if tol < 0:
         raise InvariantError("PSD tolerance must be nonnegative")
-    h = require_hermitian(matrix)
-    smallest = float(np.linalg.eigvalsh(h)[0])
-    return smallest >= -tol
+    return np.asarray(eigenvalues)[..., 0] >= -tol
+
+
+def is_psd(matrix, tol: float = PSD_ATOL) -> bool:
+    """Whether a Hermitian matrix is positive semidefinite by ``psd_mask``."""
+    return bool(psd_mask(np.linalg.eigvalsh(require_hermitian(matrix)), tol))
 
 
 def row_dots(rows) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import PSD_ATOL, InvariantError, fidelity_rows
+from .linalg import InvariantError, fidelity_rows, psd_mask
 from .measurement import CHUNK_TRIALS, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -183,7 +183,7 @@ def _metric_block(phi, state, metrics):
         elif metric == "fidelity-constrained":
             values[metric] = fidelity_rows(constrained, state)
         elif metric == "psd-fraction":
-            values[metric] = (eigvals[:, 0] >= -PSD_ATOL).astype(float)
+            values[metric] = psd_mask(eigvals).astype(float)
         else:
             values[metric] = np.linalg.det(phi).real
     return values

@@ -124,19 +124,32 @@ class TestEstimate:
         sigma = matrix_from_json(payload["constrained"])
         assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
 
-    def test_psd_agrees_with_projection(self, capsys, tmp_path):
-        # The smallest eigenvalue is about -1e-10: inside any PSD slack, but
-        # negative, so the projection takes one sweep.
+    def estimate_near_pure(self, capsys, tmp_path, x_row):
+        # phi = [[1, g], [g, 0]] with g half the x gap: its smallest
+        # eigenvalue is about -g^2.
         counts = {
             "dim": 2,
             "repetitions": 1,
-            "counts": {"z_1": [1, 0], "x_1_2": [0.50001, 0.49999], "y_1_2": [0.5, 0.5]},
+            "counts": {"z_1": [1, 0], "x_1_2": x_row, "y_1_2": [0.5, 0.5]},
         }
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(counts))
-        payload = run_json(capsys, "estimate", "--counts", str(path))
+        return run_json(capsys, "estimate", "--counts", str(path))
+
+    def test_psd_agrees_with_projection(self, capsys, tmp_path):
+        # The smallest eigenvalue is about -1e-8, past the PSD slack of 1e-9,
+        # so the estimate is not PSD and the projection takes one sweep.
+        payload = self.estimate_near_pure(capsys, tmp_path, [0.5001, 0.4999])
         assert payload["steps"] == 1
         assert payload["psd"] is False
+
+    def test_psd_within_slack_is_not_projected(self, capsys, tmp_path):
+        # The smallest eigenvalue is about -1e-12: negative, but inside the
+        # PSD slack, so the estimate counts as PSD and is returned as is.
+        payload = self.estimate_near_pure(capsys, tmp_path, [0.500001, 0.499999])
+        assert payload["steps"] == 0
+        assert payload["psd"] is True
+        assert payload["constrained"] == payload["unconstrained"]
 
     def test_malformed_counts_exit_2(self, capsys, tmp_path):
         path = tmp_path / "counts.json"

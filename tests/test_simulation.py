@@ -294,6 +294,23 @@ class TestRunTrajectory:
         assert 0 < np.count_nonzero(steps) < len(phi)
 
 
+    @pytest.mark.parametrize("metrics", [("psd-fraction",), ("hs-constrained", "psd-fraction")])
+    def test_psd_fraction_counts_the_unprojected_trials(self, metrics):
+        # The first chunk of the qubit_minimal_povm demo at n = 30, seed 42:
+        # 51 of its trials have a smallest eigenvalue in [-1e-9, 0), rounding
+        # noise on rank-one estimates.  They count as PSD, so they must not
+        # be projected, whichever metrics the chunk computes.
+        state = bloch_to_matrix([0.3, 0.4, 0.5])
+        scheme = linear_scheme("minimal")
+        rng = stream_rng(42, simulation._NS_SAMPLE, 0, 0)
+        phi = scheme.to_matrix(scheme.sample(scheme.probabilities(state), 30, CHUNK_TRIALS, rng))
+        psd = simulation._metric_block(phi, state, metrics)["psd-fraction"]
+        _, steps, eigvals = constrained_rows(phi)
+        smallest = eigvals[:, 0]
+        assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 51
+        assert np.array_equal(psd == 1.0, steps == 0)
+
+
 class TestDecayRate:
     def test_requires_invertible_state(self):
         with pytest.raises(InvariantError):
