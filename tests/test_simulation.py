@@ -293,7 +293,6 @@ class TestRunTrajectory:
             assert trial_steps == steps_row
         assert 0 < np.count_nonzero(steps) < len(phi)
 
-
     @pytest.mark.parametrize("metrics", [("psd-fraction",), ("hs-constrained", "psd-fraction")])
     def test_psd_fraction_counts_the_unprojected_trials(self, metrics):
         # The first chunk of the qubit_minimal_povm demo at n = 30, seed 42:
