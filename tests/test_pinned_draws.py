@@ -16,6 +16,11 @@ recorded at commit 0e2daf5, the last commit that evaluated the comparison
 grid one point at a time, by running the same commands in a separate
 checkout of it.  They must match byte for byte.
 
+The ``povm-check`` payload hashes were recorded at commit c68a002, the last
+commit whose ``klevel-pairs`` check recomputed every observable's structure
+gaps, by running the same commands in a separate checkout of it.  They must
+match byte for byte.
+
 The ``trajectory.csv`` hashes were recorded at commit 4b885b5, the last
 commit whose simulation projected and scored its estimates with code of its
 own, by running ``simulate`` on each demo config at two seeds in a separate
@@ -238,3 +243,27 @@ def test_trajectory_csv_bytes(name, seed, tmp_path):
     assert main(argv) == 0
     data = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name, seed]
+
+
+# povm-check arguments -> sha256 of the JSON payload written with --out
+POVM_CHECK_SHA256 = {
+    ("--scheme", "klevel-pairs", "--dim", "4"): (
+        "0529a855fd04c89eb5624ea91906d05a60d396df6af7ea61053ee8234b897974"
+    ),
+    ("--scheme", "minimal", "--theta", "0,0,0.5"): (
+        "10cb5159b2093d2b1d3cfdb43f078ad45065cfb8004a495e599948eb1ac857e6"
+    ),
+    ("--scheme", "standard"): (
+        "260e96e8dcfbdd1f414f15490787689a38b5d8e2ddfeb52dee0d4bc63415740e"
+    ),
+    ("--scheme", "three-direction", "--directions", "[[1,0,0],[0.6,0.8,0],[0,0.6,0.8]]"): (
+        "f5317afc1d6dcdf3844009f6e28bf12db152a5d9c3f993d0336e2b0b7ac3d512"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(POVM_CHECK_SHA256), ids=lambda args: args[1])
+def test_povm_check_payload_bytes(args, tmp_path):
+    out = tmp_path / "check.json"
+    assert main(["povm-check", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POVM_CHECK_SHA256[args]
