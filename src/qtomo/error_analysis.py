@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import InvariantError, row_dots
 from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
-from .states import bloch_to_matrix, in_bloch_ball, is_bloch_state
+from .states import bloch_to_matrix, in_bloch_ball
 
 __all__ = [
     "BALL_SECOND_MOMENT",
@@ -47,9 +47,9 @@ def _check_thetas(thetas) -> np.ndarray:
 
 def _check_theta(theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
-    if not is_bloch_state(t, tol=1e-9):
-        raise InvariantError("theta must lie in the closed unit Bloch ball")
-    return t
+    if t.shape != (3,):
+        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
+    return _check_thetas(t[None])[0]
 
 
 def _check_total(total: int, divisor: int = 1) -> int:

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EigenDecompositionError, InvariantError, psd_mask
+from .linalg import TRACE_ATOL, EigenDecompositionError, InvariantError, psd_mask, require_trace_one
 from .measurement import MeasurementPlan, linear_scheme
-from .states import require_trace_one
 
 __all__ = [
     "unconstrained_estimate",
@@ -61,8 +60,9 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
-def project_nonneg_simplex_rows(values, tol: float = 1e-9):
-    """Closest points of the probability simplex to a stack of unit-sum rows.
+def project_nonneg_simplex_rows(values):
+    """Closest points of the probability simplex to a stack of rows that sum
+    to one within ``TRACE_ATOL``.
 
     Euclidean projection by iterative redistribution, run on all rows
     together: in each sweep, every row that still has a negative entry zeros
@@ -81,11 +81,11 @@ def project_nonneg_simplex_rows(values, tol: float = 1e-9):
     if y.ndim != 2 or y.shape[1] < 1:
         raise InvariantError("expected a 2-d array of nonempty rows")
     sums = y.sum(axis=1)
-    bad = np.nonzero(~(np.abs(sums - 1.0) <= tol))[0]
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= TRACE_ATOL))[0]
     if bad.size:
         first = int(bad[0])
         raise InvariantError(
-            f"row {first} sums to {float(sums[first])!r}, expected 1 within {tol:.1e}"
+            f"row {first} sums to {float(sums[first])!r}, expected 1 within {TRACE_ATOL:.1e}"
         )
     alive = np.ones(y.shape, dtype=bool)
     steps = np.zeros(y.shape[0], dtype=int)
@@ -108,7 +108,7 @@ def project_nonneg_simplex_rows(values, tol: float = 1e-9):
         steps[rows] += 1
 
 
-def project_nonneg_simplex(values, tol: float = 1e-9):
+def project_nonneg_simplex(values):
     """Closest point of the probability simplex to a unit-sum real vector:
     the one-row case of ``project_nonneg_simplex_rows``.
 
@@ -119,9 +119,7 @@ def project_nonneg_simplex(values, tol: float = 1e-9):
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise InvariantError("expected a nonempty 1-d vector")
-    if abs(float(y.sum()) - 1.0) > tol:
-        raise InvariantError(f"entries sum to {y.sum()!r}, expected 1 within {tol:.1e}")
-    rows, steps = project_nonneg_simplex_rows(y[None, :], tol)
+    rows, steps = project_nonneg_simplex_rows(y[None, :])
     return rows[0], int(steps[0])
 
 

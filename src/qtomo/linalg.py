@@ -24,6 +24,7 @@ __all__ = [
     "hermitian_eig",
     "psd_mask",
     "is_psd",
+    "require_trace_one",
     "determinant",
     "row_dots",
     "hs_distance",
@@ -34,9 +35,9 @@ __all__ = [
 # Hermiticity is checked entrywise; inputs beyond this are rejected, never
 # silently symmetrized.
 HERMITIAN_ATOL = 1e-12
-# Default slack on eigenvalues when deciding positive semidefiniteness.
+# Slack on eigenvalues when deciding positive semidefiniteness.
 PSD_ATOL = 1e-9
-# Default slack on unit-trace checks.
+# Slack on unit-trace and unit-sum checks.
 TRACE_ATOL = 1e-9
 # A spectral decomposition must reproduce its input to this relative accuracy.
 _RECONSTRUCTION_RTOL = 1e-10
@@ -81,16 +82,14 @@ def require_square(matrix) -> np.ndarray:
     return m
 
 
-def require_hermitian(matrix, tol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(matrix) -> np.ndarray:
     """Validate Hermiticity entrywise and return the matrix as complex128.
 
     Parameters
     ----------
     matrix : array_like
-        Square matrix to validate.
-    tol : float
-        Largest tolerated entrywise deviation between the matrix and its
-        conjugate transpose.
+        Square matrix to validate; no entry may deviate from its conjugate
+        transpose by more than ``HERMITIAN_ATOL``.
 
     Returns
     -------
@@ -100,22 +99,22 @@ def require_hermitian(matrix, tol: float = HERMITIAN_ATOL) -> np.ndarray:
     Raises
     ------
     InvariantError
-        If the matrix is not square or not Hermitian within ``tol``.
+        If the matrix is not square or not Hermitian within ``HERMITIAN_ATOL``.
     """
     m = require_square(matrix)
     gap = np.abs(m - m.conj().T).max()
-    if gap > tol:
+    if gap > HERMITIAN_ATOL:
         raise InvariantError(
-            f"matrix is not Hermitian: max |H - H*| = {gap:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |H - H*| = {gap:.3e} exceeds {HERMITIAN_ATOL:.1e}"
         )
     out = m.copy()
-    # Diagonal imaginary parts are below tol by the check above; store zeros.
+    # Diagonal imaginary parts are below the slack by the check above; store zeros.
     idx = np.arange(out.shape[0])
     out[idx, idx] = out[idx, idx].real
     return out
 
 
-def hermitian_eig(matrix, tol: float = HERMITIAN_ATOL) -> Spectrum:
+def hermitian_eig(matrix) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix.
 
     Uses an iterative orthogonal-similarity solver and verifies the result:
@@ -129,7 +128,7 @@ def hermitian_eig(matrix, tol: float = HERMITIAN_ATOL) -> Spectrum:
         Real eigenvalues in descending order with matching eigenvector
         columns.
     """
-    h = require_hermitian(matrix, tol)
+    h = require_hermitian(matrix)
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -147,18 +146,25 @@ def hermitian_eig(matrix, tol: float = HERMITIAN_ATOL) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=u)
 
 
-def psd_mask(eigenvalues, tol: float = PSD_ATOL) -> np.ndarray:
+def psd_mask(eigenvalues) -> np.ndarray:
     """The one PSD rule: which rows of ascending eigenvalues belong to a
-    positive semidefinite matrix, i.e. have a smallest eigenvalue >= ``-tol``.
-    ``tol`` must be nonnegative."""
-    if tol < 0:
-        raise InvariantError("PSD tolerance must be nonnegative")
-    return np.asarray(eigenvalues)[..., 0] >= -tol
+    positive semidefinite matrix, i.e. have a smallest eigenvalue >=
+    ``-PSD_ATOL``."""
+    return np.asarray(eigenvalues)[..., 0] >= -PSD_ATOL
 
 
-def is_psd(matrix, tol: float = PSD_ATOL) -> bool:
+def is_psd(matrix) -> bool:
     """Whether a Hermitian matrix is positive semidefinite by ``psd_mask``."""
-    return bool(psd_mask(np.linalg.eigvalsh(require_hermitian(matrix)), tol))
+    return bool(psd_mask(np.linalg.eigvalsh(require_hermitian(matrix))))
+
+
+def require_trace_one(matrix) -> np.ndarray:
+    """Validate a Hermitian matrix with trace one (within ``TRACE_ATOL``)."""
+    m = require_hermitian(matrix)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise InvariantError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
+    return m
 
 
 def row_dots(rows) -> np.ndarray:
@@ -201,7 +207,7 @@ def fidelity_rows(mats, rho) -> np.ndarray:
     return np.sqrt(np.clip(inner, 0.0, None)).sum(axis=1) ** 2
 
 
-def fidelity(a, b, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> float:
+def fidelity(a, b) -> float:
     """Fidelity between two trace-one Hermitian matrices.
 
     For positive semidefinite inputs this is the square of
@@ -218,18 +224,14 @@ def fidelity(a, b, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> 
     Raises
     ------
     InvariantError
-        On dimension mismatch, trace away from one beyond ``trace_tol``, or
-        (for dimension > 2) inputs that are not PSD within ``psd_tol``.
+        On dimension mismatch, trace away from one beyond ``TRACE_ATOL``, or
+        (for dimension > 2) inputs that are not PSD by ``psd_mask``.
     """
-    a = require_hermitian(a)
-    b = require_hermitian(b)
+    a = require_trace_one(a)
+    b = require_trace_one(b)
     if a.shape != b.shape:
         raise InvariantError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    for name, m in (("first", a), ("second", b)):
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > trace_tol:
-            raise InvariantError(f"{name} argument has trace {tr!r}, expected 1")
-    if a.shape[0] > 2 and not (is_psd(a, psd_tol) and is_psd(b, psd_tol)):
+    if a.shape[0] > 2 and not (is_psd(a) and is_psd(b)):
         raise InvariantError("fidelity beyond dimension 2 requires PSD inputs")
     value = float(fidelity_rows(b[None], a)[0])
     return value if a.shape[0] == 2 else min(max(value, 0.0), 1.0)

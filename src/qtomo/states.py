@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    PSD_ATOL,
-    TRACE_ATOL,
-    InvariantError,
-    is_psd,
-    require_hermitian,
-    row_dots,
-)
+from .linalg import TRACE_ATOL, InvariantError, is_psd, require_trace_one, row_dots
 
 __all__ = [
     "SIGMA_0",
@@ -55,20 +48,20 @@ def bloch_to_matrix(theta) -> np.ndarray:
     return 0.5 * (SIGMA_0 + np.tensordot(t, PAULI, axes=1))
 
 
-def matrix_to_bloch(matrix, trace_tol: float = TRACE_ATOL) -> np.ndarray:
+def matrix_to_bloch(matrix) -> np.ndarray:
     """Bloch coordinates ``theta_i = Tr(M sigma_i)`` of a 2x2 trace-one Hermitian."""
-    m = require_trace_one(matrix, trace_tol)
+    m = require_trace_one(matrix)
     if m.shape != (2, 2):
         raise InvariantError(f"Bloch coordinates need a 2x2 matrix, got {m.shape}")
     return np.einsum("aij,ji->a", PAULI, m).real
 
 
-def is_bloch_state(theta, tol: float = BLOCH_ATOL) -> bool:
-    """Whether a Bloch vector lies in the closed unit ball (within ``tol``)."""
+def is_bloch_state(theta) -> bool:
+    """Whether a Bloch vector lies in the closed unit ball (within ``BLOCH_ATOL``)."""
     t = np.asarray(theta, dtype=float)
     if t.shape != (3,):
         raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return bool(in_bloch_ball(t[None], tol)[0])
+    return bool(in_bloch_ball(t[None])[0])
 
 
 def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:
@@ -82,19 +75,10 @@ def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:
     return np.sqrt(row_dots(t)) <= 1.0 + tol
 
 
-def require_trace_one(matrix, tol: float = TRACE_ATOL) -> np.ndarray:
-    """Validate a Hermitian matrix with trace one (within ``tol``)."""
-    m = require_hermitian(matrix)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol:
-        raise InvariantError(f"trace is {tr!r}, expected 1 within {tol:.1e}")
-    return m
-
-
-def require_density(matrix, trace_tol: float = TRACE_ATOL, psd_tol: float = PSD_ATOL) -> np.ndarray:
+def require_density(matrix) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD."""
-    m = require_trace_one(matrix, trace_tol)
-    if not is_psd(m, psd_tol):
+    m = require_trace_one(matrix)
+    if not is_psd(m):
         raise InvariantError("matrix is not positive semidefinite")
     return m
 

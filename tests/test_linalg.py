@@ -99,12 +99,8 @@ class TestPsdAndDeterminant:
         assert not is_psd(np.diag([1.5, -0.5]).astype(complex))
 
     def test_boundary_tolerance(self):
-        assert is_psd(np.diag([1.0, -1e-10]), tol=1e-9)
-        assert not is_psd(np.diag([1.0, -1e-6]), tol=1e-9)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InvariantError):
-            is_psd(np.eye(2), tol=-1.0)
+        assert is_psd(np.diag([1.0, -1e-10]))
+        assert not is_psd(np.diag([1.0, -1e-6]))
 
     def test_determinant_is_eigenvalue_product(self):
         h = random_trace_one_hermitian(4, rng_for(21))
