@@ -36,7 +36,14 @@ from .error_analysis import (
 )
 from .estimators import constrained_estimate, unconstrained_estimate
 from .linalg import InvariantError, hs_distance
-from .measurement import _STRUCTURE_ATOL, MeasurementPlan, linear_scheme, structure_gaps
+from .measurement import (
+    _STRUCTURE_ATOL,
+    SCHEMES,
+    MeasurementPlan,
+    is_integer,
+    linear_scheme,
+    structure_gaps,
+)
 from .simulation import (
     METRICS,
     ConfigError,
@@ -68,11 +75,6 @@ def _is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _is_integer(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -284,7 +286,7 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
     for key in ("dim", "repetitions", "counts"):
         if key not in obj:
             raise ConfigError(f"counts input is missing {key!r}")
-    if not _is_integer(obj["dim"]) or not _is_integer(obj["repetitions"]):
+    if not is_integer(obj["dim"]) or not is_integer(obj["repetitions"]):
         raise ConfigError("dim and repetitions must be integers")
     try:
         plan = MeasurementPlan(obj["dim"], obj["repetitions"])
@@ -341,7 +343,7 @@ def _state_from_json(obj):
     if not isinstance(entry, dict) or "dim" not in entry:
         raise ConfigError('random state must be an object with "dim"')
     _require_keys(entry, {"dim", "eigenvalues"}, "random state")
-    if not _is_integer(entry["dim"]) or entry["dim"] < 2:
+    if not is_integer(entry["dim"]) or entry["dim"] < 2:
         raise ConfigError("random state dim must be an integer >= 2")
     eig = entry.get("eigenvalues")
     if eig is not None:
@@ -358,7 +360,7 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         if key not in obj:
             raise ConfigError(f"config is missing {key!r}")
     state, dim = _state_from_json(obj["state"])
-    if not isinstance(obj["schedule"], list) or not all(map(_is_integer, obj["schedule"])):
+    if not isinstance(obj["schedule"], list) or not all(map(is_integer, obj["schedule"])):
         raise ConfigError("schedule must be an array of integers")
     if any(a > _MAX_SCHEDULE for a in obj["schedule"]):
         raise ConfigError(f"schedule entries must be at most {_MAX_SCHEDULE}")
@@ -372,7 +374,7 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         directions = _number_array(directions, "directions", (3, 3))
     trials = args.trials if args.trials is not None else obj.get("trials", 1000)
     seed = args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED)
-    if not _is_integer(trials) or not _is_integer(seed):
+    if not is_integer(trials) or not is_integer(seed):
         raise ConfigError("trials and seed must be integers")
     try:
         config = ExperimentConfig(
@@ -617,11 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_chk = sub.add_parser("povm-check", help="structural checks of a measurement scheme")
-    p_chk.add_argument(
-        "--scheme",
-        default="minimal",
-        choices=("standard", "minimal", "three-direction", "klevel-pairs"),
-    )
+    p_chk.add_argument("--scheme", default="minimal", choices=SCHEMES)
     p_chk.add_argument("--dim", type=int, default=2, help="dimension for klevel-pairs")
     p_chk.add_argument("--theta", help="evaluate probabilities at this Bloch vector")
     p_chk.add_argument("--matrix", help="evaluate probabilities at this density matrix JSON")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import InvariantError, row_dots
-from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
+from .measurement import CHUNK_TRIALS, _direction_matrix, is_integer, linear_scheme, stream_rng
 from .states import bloch_to_matrix, in_bloch_ball
 
 __all__ = [
@@ -53,6 +53,8 @@ def _check_theta(theta) -> np.ndarray:
 
 
 def _check_total(total: int, divisor: int = 1) -> int:
+    if not is_integer(total):
+        raise InvariantError("the number of copies must be an integer")
     n = int(total)
     if n < 1:
         raise InvariantError("the number of copies must be at least 1")
@@ -68,8 +70,8 @@ def mse_three_direction(theta, directions, repetitions: int) -> np.ndarray:
     per-direction binomial variances of the +-1 outcomes.
     """
     t = _check_theta(theta)
-    if int(repetitions) < 1:
-        raise InvariantError("repetitions must be at least 1")
+    if not (is_integer(repetitions) and repetitions >= 1):
+        raise InvariantError("repetitions must be an integer of at least 1")
     dirmat = _direction_matrix(directions)
     variances = 1.0 - (dirmat @ t) ** 2
     inv = np.linalg.inv(dirmat)
@@ -139,8 +141,8 @@ def empirical_mse(
         Row matrix for the three-direction scheme; identity when omitted.
     """
     t = _check_theta(theta)
-    if trials < 100:
-        raise InvariantError("at least 100 trials are required for a stable average")
+    if not (is_integer(trials) and trials >= 100):
+        raise InvariantError("trials must be an integer of at least 100 for a stable average")
     linear = linear_scheme(scheme, directions=directions)
     settings = len(linear.settings)
     shots = _check_total(total, divisor=settings) // settings

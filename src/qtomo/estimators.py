@@ -29,7 +29,7 @@ def _counts_row(counts, key, size: int, repetitions: int) -> np.ndarray:
         raise InvariantError(f"missing counts for observable {key}") from None
     if row.shape != (size,):
         raise InvariantError(f"counts for {key} must have {size} outcomes, got {row.shape}")
-    if np.any(row < 0):
+    if not np.all(row >= 0):
         raise InvariantError(f"counts for {key} must be nonnegative")
     if abs(float(row.sum()) - repetitions) > 1e-9:
         raise InvariantError(
@@ -193,7 +193,7 @@ def three_direction_estimate(frequencies, directions) -> np.ndarray:
     nu = np.asarray(frequencies, dtype=float)
     if nu.shape != (3,):
         raise InvariantError(f"expected 3 frequencies, got shape {nu.shape}")
-    if np.any(nu < 0) or np.any(nu > 1):
+    if not np.all((nu >= 0) & (nu <= 1)):
         raise InvariantError("frequencies must lie in [0, 1]")
     scheme = linear_scheme("three-direction", directions=directions)
     return scheme.estimate(np.stack([nu, 1.0 - nu], axis=1))[0]
@@ -221,7 +221,7 @@ def _povm_frequencies(counts, size: int) -> np.ndarray:
     c = np.asarray(counts, dtype=float)
     if c.shape != (size,):
         raise InvariantError(f"expected {size} outcome counts, got shape {c.shape}")
-    if np.any(c < 0):
+    if not np.all(c >= 0):
         raise InvariantError("counts must be nonnegative")
     total = float(c.sum())
     if total < 1:

@@ -33,6 +33,7 @@ __all__ = [
     "MeasurementPlan",
     "TETRAHEDRON",
     "stream_rng",
+    "is_integer",
     "structure_gaps",
     "pair_observable_x",
     "pair_observable_y",
@@ -45,6 +46,7 @@ __all__ = [
     "relative_frequency",
     "sample_plan_counts",
     "CHUNK_TRIALS",
+    "SCHEMES",
     "LinearScheme",
     "linear_scheme",
 ]
@@ -82,6 +84,12 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def is_integer(value) -> bool:
+    """The one rule for a count, size or seed: a Python or numpy integer,
+    never a bool (nor JSON's ``true``), a float or a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -103,9 +111,11 @@ def structure_gaps(ops, *conditions: str) -> dict[str, float]:
     |E_s - E_s^dagger|; ``"sums_to_identity"``, max |sum_s E_s - I|;
     ``"orthogonal"`` (idempotent, mutually orthogonal projectors), max
     |E_s E_t - delta_st E_s|; ``"psd"``, minus the smallest eigenvalue of any
-    E_s.  Only the named gaps are computed.
+    E_s.  Only the named gaps are computed; entries must be finite.
     """
     e = np.asarray(ops, dtype=complex)
+    if not np.all(np.isfinite(e)):
+        raise InvariantError("operator entries must be finite")
     return {name: float(_GAPS[name](e)) for name in conditions}
 
 
@@ -239,7 +249,7 @@ def direction_observable(direction) -> Observable:
     u = np.asarray(direction, dtype=float)
     if u.shape != (3,):
         raise InvariantError(f"direction must have shape (3,), got {u.shape}")
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= 1e-9:
         raise InvariantError("direction must be a unit vector")
     spin = np.tensordot(u, PAULI, axes=1)
     plus = 0.5 * (SIGMA_0 + spin)
@@ -299,7 +309,7 @@ def sample_counts(probs, repetitions: int, rng: np.random.Generator) -> np.ndarr
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise InvariantError("probability vector must be 1-d with at least 2 outcomes")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
         raise InvariantError("probabilities must be nonnegative and sum to 1")
     if repetitions < 1:
         raise InvariantError("repetitions must be at least 1")
@@ -452,7 +462,7 @@ def _direction_matrix(directions) -> np.ndarray:
     if t.shape != (3, 3):
         raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
     norms = np.linalg.norm(t, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not np.abs(norms - 1.0).max() <= 1e-9:
         raise InvariantError("direction rows must be unit vectors")
     if abs(float(np.linalg.det(t))) <= 1e-12:
         raise InvariantError("direction matrix is singular")
@@ -460,6 +470,8 @@ def _direction_matrix(directions) -> np.ndarray:
 
 
 _BLOCH = slice(0, 3)
+# The names ``linear_scheme`` accepts.
+SCHEMES = ("klevel-pairs", "three-direction", "standard", "minimal")
 
 
 def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:

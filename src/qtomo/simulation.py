@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import constrained_rows
 from .linalg import InvariantError, fidelity_rows, psd_mask
-from .measurement import CHUNK_TRIALS, linear_scheme, stream_rng
+from .measurement import CHUNK_TRIALS, SCHEMES, is_integer, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "pure_state_det_mean",
 ]
 
-SCHEMES = ("klevel-pairs", "three-direction", "standard", "minimal")
 METRICS = (
     "hs-unconstrained",
     "hs-constrained",
@@ -84,7 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        sched = tuple(int(v) for v in self.schedule)
+        sched = tuple(self.schedule)
+        if not all(map(is_integer, sched)):
+            raise ConfigError("schedule entries must be integers")
+        sched = tuple(int(v) for v in sched)
         if not sched:
             raise ConfigError("schedule must be nonempty")
         if any(v < 1 for v in sched):
@@ -92,6 +94,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
+        if not (is_integer(self.trials) and is_integer(self.seed)):
+            raise ConfigError("trials and seed must be integers")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         if self.trials < 1:
@@ -340,7 +344,7 @@ def pure_state_det_mean(repetitions: int, trials: int, seed: int):
     config = ExperimentConfig(
         state=bloch_to_matrix([1.0, 0.0, 0.0]),
         scheme="klevel-pairs",
-        schedule=(int(repetitions),),
+        schedule=(repetitions,),
         trials=trials,
         seed=seed,
         metrics=("det-mean",),

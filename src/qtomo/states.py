@@ -129,7 +129,7 @@ def random_density(
         w = np.asarray(eigenvalues, dtype=float)
         if w.shape != (dim,):
             raise InvariantError(f"expected {dim} eigenvalues, got shape {w.shape}")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise InvariantError("fixed spectrum must be nonnegative")
         if abs(float(w.sum()) - 1.0) > TRACE_ATOL:
             raise InvariantError(f"fixed spectrum sums to {w.sum()!r}, expected 1")

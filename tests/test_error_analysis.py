@@ -98,6 +98,19 @@ class TestClosedForms:
         with pytest.raises(InvariantError):
             mse_minimal([2.0, 0.0, 0.0], 100)
 
+    @pytest.mark.parametrize("count", [300.7, 300.0, 2.5, True, "300"])
+    def test_counts_must_be_integers(self, count):
+        # Non-integers are rejected, never truncated.
+        theta = [0.3, 0.4, 0.5]
+        for call in (mse_standard, mse_minimal, compare_traces_min_vs_comp):
+            with pytest.raises(InvariantError, match="integer"):
+                call(theta, count)
+        with pytest.raises(InvariantError, match="integer"):
+            compare_batch([theta], count)
+        with pytest.raises(InvariantError, match="integer"):
+            mse_three_direction(theta, np.eye(3), count)
+        assert np.array_equal(mse_standard(theta, np.int64(300)), mse_standard(theta, 300))
+
 
 class TestEmpiricalMse:
     def test_reproducible(self):
@@ -134,6 +147,9 @@ class TestEmpiricalMse:
             empirical_mse("three-direction", [0, 0, 0], 31, 1000, seed=0)
         with pytest.raises(InvariantError):
             empirical_mse("standard", [0, 0, 0], 30, 1000, seed=0, directions=np.eye(3))
+        for trials in (1000.5, 1000.0):
+            with pytest.raises(InvariantError, match="integer"):
+                empirical_mse("standard", [0, 0, 0], 30, trials, seed=0)
 
 
 class TestBallAverage:

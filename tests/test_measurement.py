@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
+from qtomo.estimators import (
+    minimal_estimate,
+    standard_estimate,
+    three_direction_estimate,
+    unconstrained_estimate,
+)
 from qtomo.linalg import InvariantError
 from qtomo.measurement import (
     TETRAHEDRON,
@@ -9,6 +16,7 @@ from qtomo.measurement import (
     Povm,
     diag_observable_z,
     direction_observable,
+    linear_scheme,
     minimal_povm,
     outcome_probabilities,
     pair_observable_x,
@@ -19,6 +27,7 @@ from qtomo.measurement import (
     standard_povm,
     stream_rng,
 )
+from qtomo.simulation import ExperimentConfig, run_trajectory
 from qtomo.states import PAULI, bloch_to_matrix, random_density
 
 from oracles import random_ball_point
@@ -248,3 +257,41 @@ class TestMeasurementPlan:
     def test_sample_plan_counts_dim_mismatch(self):
         with pytest.raises(InvariantError):
             sample_plan_counts(MeasurementPlan(3, 2), np.eye(2) / 2, stream_rng(0, 0))
+
+
+NAN = float("nan")
+NAN_DIRECTIONS = [[NAN, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+NAN_COUNTS = {("z", 1): [NAN, 1.0], ("x", 1, 2): [1.0, 0.0], ("y", 1, 2): [1.0, 0.0]}
+NAN_INPUTS = {
+    "direction_observable": lambda: direction_observable([NAN, 0.0, 0.0]),
+    "linear_scheme": lambda: linear_scheme("three-direction", directions=NAN_DIRECTIONS),
+    "mse_three_direction": lambda: mse_three_direction([0.1, 0.0, 0.0], NAN_DIRECTIONS, 1),
+    "average_mse_over_ball": lambda: average_mse_over_ball(NAN_DIRECTIONS),
+    "Observable": lambda: Observable((1.0, -1.0), np.full((2, 2, 2), NAN)),
+    "Povm": lambda: Povm(np.full((2, 2, 2), NAN)),
+    "Povm-3x3": lambda: Povm(np.array([np.diag([1.0, NAN, 1.0])] * 3)),
+    "three_direction_estimate": lambda: three_direction_estimate([NAN, 0.5, 0.5], np.eye(3)),
+    "standard_estimate": lambda: standard_estimate([NAN, 1, 1, 1, 1, 1]),
+    "minimal_estimate": lambda: minimal_estimate([NAN, 1, 1, 1]),
+    "random_density": lambda: random_density(2, stream_rng(0, 0), [NAN, 1.0]),
+    "unconstrained_estimate": lambda: unconstrained_estimate(MeasurementPlan(2, 1), NAN_COUNTS),
+    "run_trajectory": lambda: run_trajectory(
+        ExperimentConfig(
+            state=bloch_to_matrix([0.0, 0.0, 0.5]),
+            scheme="three-direction",
+            schedule=(2,),
+            trials=3,
+            seed=1,
+            directions=NAN_DIRECTIONS,
+        )
+    ),
+    "sample_counts": lambda: sample_counts([NAN, 1.0], 10, stream_rng(0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_nan_input_raises(name):
+    # Each check is written so that NaN fails it: a NaN passes ``gap > tol``
+    # and ``x < 0`` alike.
+    with pytest.raises(InvariantError):
+        NAN_INPUTS[name]()

@@ -56,6 +56,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             self.base(trials=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(schedule=(10.7, 20.2)),
+            dict(schedule=(True, 5)),
+            dict(trials=100.9),
+            dict(trials=True),
+            dict(seed=1.5),
+            dict(seed=False),
+            dict(schedule=("5", "10")),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, overrides):
+        # Non-integers are rejected, never truncated.
+        with pytest.raises(ConfigError, match="integers"):
+            self.base(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        cfg = self.base(schedule=np.array([5, 10]), trials=np.int64(100), seed=np.uint64(1))
+        assert cfg.schedule == (5, 10) and cfg.trials == 100 and cfg.seed == 1
+        assert all(type(v) is int for v in (*cfg.schedule, cfg.trials, cfg.seed))
+
     def test_seed_range(self):
         with pytest.raises(ConfigError):
             self.base(seed=-1)
@@ -358,6 +380,10 @@ class TestPureStateDetMean:
 
     def test_reproducible(self):
         assert pure_state_det_mean(6, 2000, 7) == pure_state_det_mean(6, 2000, 7)
+
+    def test_repetitions_not_truncated(self):
+        with pytest.raises(ConfigError, match="integers"):
+            pure_state_det_mean(6.5, 2000, 7)
 
 
 def test_distance_metrics_consistent_with_direct_computation():
