@@ -1,16 +1,30 @@
-"""Documented code runs: the README's python blocks and every demo script."""
+"""Documented code runs: the README's python blocks, the ``qtomo`` lines of
+the READMEs' shell blocks, and every demo script."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from qtomo.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_TIMEOUT_S = 300
+
+
+def _cli_lines():
+    for doc in ("README.md", "demos/README.md"):
+        for block in re.findall(r"```sh\n(.*?)```", (ROOT / doc).read_text(), flags=re.DOTALL):
+            yield from (line for line in block.splitlines() if line.startswith("qtomo "))
+
+
+CLI_LINES = list(_cli_lines())
 
 
 def test_readme_python_blocks_run():
@@ -21,6 +35,36 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_cli_lines_found():
+    # Eight in README.md, one in demos/README.md.
+    assert len(CLI_LINES) == 9
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_line_runs(line, tmp_path, monkeypatch, capsys):
+    """Each documented command exits 0 in a scratch directory holding the
+    README's ``counts.json``, with repository paths made absolute and every
+    ``--out`` moved under that directory; every path it prints exists, and
+    a command without ``--out`` prints one JSON document."""
+    readme = (ROOT / "README.md").read_text()
+    counts = re.search(r"`counts.json` like\n\n```json\n(.*?)```", readme, flags=re.DOTALL)
+    (tmp_path / "counts.json").write_text(counts.group(1))
+    argv = shlex.split(line)[1:]
+    for i, arg in enumerate(argv):
+        if i and argv[i - 1] == "--out":
+            argv[i] = str(tmp_path / Path(arg).relative_to(Path(arg).anchor))
+        elif (ROOT / arg).is_file():
+            argv[i] = str(ROOT / arg)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if "--out" in argv:
+        printed = out.splitlines()
+        assert printed and all(Path(path).is_file() for path in printed), printed
+    else:
+        json.loads(out)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
