@@ -221,8 +221,8 @@ def _povm_frequencies(counts, size: int) -> np.ndarray:
     c = np.asarray(counts, dtype=float)
     if c.shape != (size,):
         raise InvariantError(f"expected {size} outcome counts, got shape {c.shape}")
-    if not np.all(c >= 0):
-        raise InvariantError("counts must be nonnegative")
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise InvariantError("counts must be finite and nonnegative")
     total = float(c.sum())
     if total < 1:
         raise InvariantError("counts must contain at least one shot")

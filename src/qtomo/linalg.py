@@ -108,7 +108,7 @@ def require_hermitian(matrix) -> np.ndarray:
             f"matrix is not Hermitian: max |H - H*| = {gap:.3e} exceeds {HERMITIAN_ATOL:.1e}"
         )
     out = m.copy()
-    # Diagonal imaginary parts are below the slack by the check above; store zeros.
+    # Diagonal imaginary parts are below HERMITIAN_ATOL by the check above; store zeros.
     idx = np.arange(out.shape[0])
     out[idx, idx] = out[idx, idx].real
     return out
@@ -231,7 +231,7 @@ def fidelity(a, b) -> float:
     b = require_trace_one(b)
     if a.shape != b.shape:
         raise InvariantError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] > 2 and not (is_psd(a) and is_psd(b)):
+    if a.shape[0] > 2 and not psd_mask(np.linalg.eigvalsh(np.stack([a, b]))).all():
         raise InvariantError("fidelity beyond dimension 2 requires PSD inputs")
     value = float(fidelity_rows(b[None], a)[0])
     return value if a.shape[0] == 2 else min(max(value, 0.0), 1.0)

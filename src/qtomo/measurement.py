@@ -311,19 +311,19 @@ def sample_counts(probs, repetitions: int, rng: np.random.Generator) -> np.ndarr
         raise InvariantError("probability vector must be 1-d with at least 2 outcomes")
     if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
         raise InvariantError("probabilities must be nonnegative and sum to 1")
-    if repetitions < 1:
-        raise InvariantError("repetitions must be at least 1")
+    if not (is_integer(repetitions) and repetitions >= 1):
+        raise InvariantError("repetitions must be an integer of at least 1")
     return rng.multinomial(repetitions, p / p.sum())
 
 
 def relative_frequency(counts, outcome: int) -> float:
     """Fraction of shots that landed on the given outcome index."""
-    c = np.asarray(counts)
-    total = int(c.sum())
+    c = np.asarray(counts, dtype=float)
+    if not np.all(c >= 0):
+        raise InvariantError("counts must be nonnegative")
+    total = float(c.sum())
     if total < 1:
         raise InvariantError("counts must contain at least one shot")
-    if np.any(c < 0):
-        raise InvariantError("counts must be nonnegative")
     return float(c[outcome]) / total
 
 
@@ -338,10 +338,10 @@ class MeasurementPlan:
     repetitions: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvariantError("dimension must be at least 2")
-        if self.repetitions < 1:
-            raise InvariantError("repetitions must be at least 1")
+        if not (is_integer(self.dim) and self.dim >= 2):
+            raise InvariantError("dimension must be an integer of at least 2")
+        if not (is_integer(self.repetitions) and self.repetitions >= 1):
+            raise InvariantError("repetitions must be an integer of at least 1")
 
     @cached_property
     def keys(self) -> tuple[tuple, ...]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TRACE_ATOL, InvariantError, is_psd, require_trace_one, row_dots
+from .linalg import TRACE_ATOL, InvariantError, psd_mask, require_trace_one, row_dots
 
 __all__ = [
     "SIGMA_0",
@@ -78,7 +78,7 @@ def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:
 def require_density(matrix) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD."""
     m = require_trace_one(matrix)
-    if not is_psd(m):
+    if not psd_mask(np.linalg.eigvalsh(m)):
         raise InvariantError("matrix is not positive semidefinite")
     return m
 

@@ -427,3 +427,5 @@ class TestPovmEstimates:
             minimal_estimate([0, 0, 0, 0])
         with pytest.raises(InvariantError):
             minimal_estimate([-1, 1, 1, 1])
+        with pytest.raises(InvariantError, match="finite"):
+            standard_estimate([np.inf, 1, 1, 1, 1, 1])

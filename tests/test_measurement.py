@@ -211,6 +211,9 @@ class TestSampling:
             sample_counts([1.2, -0.2], 10, rng)
         with pytest.raises(InvariantError):
             sample_counts([0.5, 0.5], 0, rng)
+        for repetitions in (2.5, 2.0, True):
+            with pytest.raises(InvariantError, match="integer"):
+                sample_counts([0.5, 0.5], repetitions, rng)
 
     def test_sample_counts_law(self):
         # Frequencies concentrate around the probabilities.
@@ -224,6 +227,8 @@ class TestSampling:
             relative_frequency([0, 0], 0)
         with pytest.raises(InvariantError):
             relative_frequency([-1, 2], 0)
+        # Fractional counts are not truncated to an integer total.
+        assert relative_frequency([1.0, 0.5], 0) == 1.0 / 1.5
 
 
 class TestMeasurementPlan:
@@ -243,6 +248,10 @@ class TestMeasurementPlan:
             MeasurementPlan(1, 5)
         with pytest.raises(InvariantError):
             MeasurementPlan(2, 0)
+        for dim, repetitions in ((2, 2.5), (2, True), (2.0, 3), (np.float64(3), 1)):
+            with pytest.raises(InvariantError, match="integer"):
+                MeasurementPlan(dim, repetitions)
+        assert MeasurementPlan(np.int64(3), np.int32(2)).total_copies == 16
 
     def test_sample_plan_counts_complete_and_deterministic(self):
         rho = random_density(3, np.random.default_rng(12))
@@ -286,6 +295,7 @@ NAN_INPUTS = {
         )
     ),
     "sample_counts": lambda: sample_counts([NAN, 1.0], 10, stream_rng(0, 0)),
+    "relative_frequency": lambda: relative_frequency([NAN, 1.0], 0),
 }
 
 
