@@ -29,6 +29,12 @@ re-recorded once the projection followed the PSD rule's 1e-9 slack: it no
 longer projects estimates whose smallest eigenvalue is a rounding-level
 negative, which moves their ``fidelity-constrained`` lines at n = 30 and
 n = 90 by about 1e-11.  All must match byte for byte.
+
+The ``trajectory.csv`` hashes of the random ten-level config were recorded
+at commit 8de00ce, the last commit whose chunks without a constrained
+metric took their eigenvalues from a full ``eigh``, by running the same
+``simulate`` command in a separate checkout of it.  They must match byte
+for byte.
 """
 
 import hashlib
@@ -236,13 +242,40 @@ TRAJECTORY_SHA256 = {
 }
 
 
+# A random ten-level state sampled at three sizes with no constrained metric,
+# so psd-fraction is decided without projecting.
+K10_CONFIG = {
+    "state": {"random": {"dim": 10}},
+    "scheme": "klevel-pairs",
+    "schedule": [10, 100, 1000],
+    "metrics": ["hs-unconstrained", "psd-fraction", "det-mean"],
+}
+# seed -> sha256 of trajectory.csv for K10_CONFIG at trials = CHUNK_TRIALS + 4
+K10_TRAJECTORY_SHA256 = {
+    42: "659d10e1dfc8b8970d6ff73a447327573a3c3ffc031180ad11cbcdec5e1ac671",
+    7: "df613742b72225b4cb99cc524609083570552a869ff2b5ad4805ec10d9ec7155",
+}
+
+
+def _simulate_csv(config_path: Path, seed: int, out: Path) -> bytes:
+    argv = ["simulate", "--config", str(config_path), "--seed", str(seed)]
+    argv += ["--trials", str(CHUNK_TRIALS + 4), "--out", str(out)]
+    assert main(argv) == 0
+    return (out / "trajectory.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name, seed", sorted(TRAJECTORY_SHA256))
 def test_trajectory_csv_bytes(name, seed, tmp_path):
-    argv = ["simulate", "--config", str(CONFIGS / f"{name}.json"), "--seed", str(seed)]
-    argv += ["--trials", str(CHUNK_TRIALS + 4), "--out", str(tmp_path)]
-    assert main(argv) == 0
-    data = (tmp_path / "trajectory.csv").read_bytes()
+    data = _simulate_csv(CONFIGS / f"{name}.json", seed, tmp_path)
     assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(K10_TRAJECTORY_SHA256))
+def test_k10_psd_only_trajectory_csv_bytes(seed, tmp_path):
+    config_path = tmp_path / "k10.json"
+    config_path.write_text(json.dumps(K10_CONFIG))
+    data = _simulate_csv(config_path, seed, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == K10_TRAJECTORY_SHA256[seed]
 
 
 # povm-check arguments -> sha256 of the JSON payload written with --out
