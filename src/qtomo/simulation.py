@@ -170,12 +170,18 @@ def _validate_scheme_state(config: ExperimentConfig, state: np.ndarray):
 
 
 def _metric_block(phi, state, metrics):
-    """Per-trial metric values for a block of unconstrained estimates."""
+    """Per-trial metric values for a block of unconstrained estimates.
+
+    A block solves at most one eigenproblem: a constrained metric brings the
+    one ``eigh`` inside ``constrained_rows``, whose eigenvalues also decide
+    ``psd-fraction``; ``psd-fraction`` alone takes eigenvalues only, from
+    ``eigvalsh``; the other metrics need no eigensolve.
+    """
     constrained = eigvals = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
         constrained, _, eigvals = constrained_rows(phi)
     elif "psd-fraction" in metrics:
-        eigvals = np.linalg.eigh(phi)[0]
+        eigvals = np.linalg.eigvalsh(phi)
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":

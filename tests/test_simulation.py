@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from qtomo.states import bloch_to_matrix, random_density
 
 MIXED_QUBIT = bloch_to_matrix([0.3, 0.2, 0.1])
 FIGURE_SPECTRUM = (0.1186, 0.2871, 0.5943)
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 class TestConfigValidation:
@@ -330,6 +334,75 @@ class TestRunTrajectory:
         smallest = eigvals[:, 0]
         assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 51
         assert np.array_equal(psd == 1.0, steps == 0)
+
+
+class TestEigenStage:
+    """Each chunk solves only the eigenproblem its metrics read."""
+
+    PSD_ONLY = ("hs-unconstrained", "psd-fraction", "det-mean")
+
+    @staticmethod
+    def count_chunk_eigensolves(monkeypatch):
+        # Only calls made while a chunk runs count: the outcome distributions
+        # are computed once per run, validating the true state per setting.
+        calls = {"chunks": 0, "eigh": 0, "eigvalsh": 0}
+        in_chunk = [False]
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += in_chunk[0]
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        chunk_task = simulation._chunk_task
+
+        def counted_chunk(payload):
+            calls["chunks"] += 1
+            in_chunk[0] = True
+            try:
+                return chunk_task(payload)
+            finally:
+                in_chunk[0] = False
+
+        monkeypatch.setattr(simulation, "_chunk_task", counted_chunk)
+        return calls
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    @pytest.mark.parametrize("metrics", [PSD_ONLY, ("det-mean",)], ids=["psd", "det"])
+    def test_chunks_solve_only_what_their_metrics_read(self, monkeypatch, dim, metrics):
+        cfg = ExperimentConfig(
+            state=RandomState(dim),
+            scheme="klevel-pairs",
+            schedule=(10, 100),
+            trials=CHUNK_TRIALS + 4,
+            seed=42,
+            metrics=metrics,
+        )
+        calls = self.count_chunk_eigensolves(monkeypatch)
+        run_trajectory(cfg)
+        chunks = 2 * len(cfg.schedule)
+        eigvalsh = chunks if "psd-fraction" in metrics else 0
+        assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_both_branches_decide_psd_alike(self, seed):
+        # eigvalsh on the psd-only branch, eigh inside constrained_rows on
+        # the other: the same sampled trials must count as PSD on both.
+        obj = json.loads((CONFIGS / "three_level_error.json").read_text())
+        spec = obj["state"]["random"]
+        kwargs = dict(
+            state=RandomState(spec["dim"], tuple(spec["eigenvalues"])),
+            scheme=obj["scheme"],
+            schedule=tuple(obj["schedule"]),
+            trials=CHUNK_TRIALS + 4,
+            seed=seed,
+        )
+        assert "hs-constrained" in obj["metrics"]
+        both = run_trajectory(ExperimentConfig(metrics=tuple(obj["metrics"]), **kwargs))
+        alone = run_trajectory(ExperimentConfig(metrics=("psd-fraction",), **kwargs))
+        assert 0.0 < both.means["psd-fraction"][0] < 1.0
+        assert np.array_equal(alone.means["psd-fraction"], both.means["psd-fraction"])
 
 
 class TestDecayRate:
