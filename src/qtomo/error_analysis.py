@@ -143,6 +143,8 @@ def empirical_mse(
     t = _check_theta(theta)
     if not (is_integer(trials) and trials >= 100):
         raise InvariantError("trials must be an integer of at least 100 for a stable average")
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise InvariantError("seed must be an integer in [0, 2**64)")
     linear = linear_scheme(scheme, directions=directions)
     settings = len(linear.settings)
     shots = _check_total(total, divisor=settings) // settings

@@ -19,6 +19,7 @@ __all__ = [
     "HERMITIAN_ATOL",
     "PSD_ATOL",
     "TRACE_ATOL",
+    "is_integer",
     "require_square",
     "require_hermitian",
     "hermitian_eig",
@@ -68,6 +69,12 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def is_integer(value) -> bool:
+    """The one rule for a count, size or seed: a Python or numpy integer,
+    never a bool (nor JSON's ``true``), a float or a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def require_square(matrix) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import InvariantError, require_square
+from .linalg import InvariantError, is_integer, require_square
 from .states import PAULI, SIGMA_0, require_density
 
 __all__ = [
@@ -82,12 +82,6 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
     streams exist.  This is what makes multi-worker runs reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def is_integer(value) -> bool:
-    """The one rule for a count, size or seed: a Python or numpy integer,
-    never a bool (nor JSON's ``true``), a float or a string."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

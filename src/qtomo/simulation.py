@@ -61,6 +61,10 @@ class RandomState:
     dim: int
     eigenvalues: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if not (is_integer(self.dim) and self.dim >= 2):
+            raise ConfigError("random state dim must be an integer >= 2")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -218,8 +222,8 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     one process per chunk and per CPU; the chunk streams and the aggregation
     order are fixed, so the record is identical for any worker count.
     """
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
+    if not (is_integer(workers) and workers >= 1):
+        raise ConfigError("workers must be an integer of at least 1")
     state = config.resolve_state()
     _validate_scheme_state(config, state)
     scheme = linear_scheme(config.scheme, state.shape[0], config.directions)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TRACE_ATOL, InvariantError, psd_mask, require_trace_one, row_dots
+from .linalg import TRACE_ATOL, InvariantError, is_integer, psd_mask, require_trace_one, row_dots
 
 __all__ = [
     "SIGMA_0",
@@ -89,8 +89,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The R factor's diagonal phases are divided out so the distribution is
     exactly the Haar measure rather than the raw QR output.
     """
-    if dim < 2:
-        raise InvariantError("dimension must be at least 2")
+    if not (is_integer(dim) and dim >= 2):
+        raise InvariantError("dimension must be an integer of at least 2")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -108,7 +108,7 @@ def random_density(
     Parameters
     ----------
     dim : int
-        Dimension, at least 2.
+        Dimension, an integer of at least 2.
     rng : numpy.random.Generator
         Source of randomness; callers own seeding and stream splitting.
     eigenvalues : array_like, optional
@@ -121,8 +121,8 @@ def random_density(
     numpy.ndarray
         ``U diag(w) U*`` for a Haar-random unitary U.
     """
-    if dim < 2:
-        raise InvariantError("dimension must be at least 2")
+    if not (is_integer(dim) and dim >= 2):
+        raise InvariantError("dimension must be an integer of at least 2")
     if eigenvalues is None:
         w = rng.dirichlet(np.ones(dim))
     else:

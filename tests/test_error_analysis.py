@@ -150,6 +150,9 @@ class TestEmpiricalMse:
         for trials in (1000.5, 1000.0):
             with pytest.raises(InvariantError, match="integer"):
                 empirical_mse("standard", [0, 0, 0], 30, trials, seed=0)
+        for seed in (1.5, 1.0, True, -1, 2**64):
+            with pytest.raises(InvariantError, match="seed must be an integer"):
+                empirical_mse("standard", [0, 0, 0], 30, 1000, seed=seed)
 
 
 class TestBallAverage:

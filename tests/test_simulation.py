@@ -123,6 +123,11 @@ class TestConfigValidation:
         spectrum = np.sort(np.linalg.eigvalsh(a))
         assert np.abs(spectrum - np.sort(FIGURE_SPECTRUM)).max() < 1e-9
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, 1])
+    def test_random_state_dim_must_be_integer_of_at_least_2(self, dim):
+        with pytest.raises(ConfigError, match="dim must be an integer"):
+            self.base(state=RandomState(dim))
+
     def test_resolve_state_validates_matrix(self):
         cfg = self.base(state=np.diag([1.4, -0.4]).astype(complex))
         with pytest.raises(InvariantError):
@@ -220,8 +225,9 @@ class TestRunTrajectory:
         cfg = ExperimentConfig(
             state=MIXED_QUBIT, scheme="standard", schedule=(5,), trials=10, seed=1
         )
-        with pytest.raises(ConfigError):
-            run_trajectory(cfg, workers=0)
+        for workers in (0, -1, 1.5, 1.0, True):
+            with pytest.raises(ConfigError, match="workers must be an integer"):
+                run_trajectory(cfg, workers=workers)
 
     def test_single_shot_pure_state_det_is_exact(self):
         cfg = ExperimentConfig(

@@ -148,8 +148,11 @@ class TestRandomDensity:
         assert np.array_equal(a, b)
 
     def test_dimension_validation(self):
-        with pytest.raises(InvariantError):
-            random_density(1, np.random.default_rng(0))
+        for dim in (1, 2.5, 2.0, True):
+            with pytest.raises(InvariantError, match="dimension must be an integer of at least 2"):
+                random_density(dim, np.random.default_rng(0))
+            with pytest.raises(InvariantError, match="dimension must be an integer of at least 2"):
+                haar_unitary(dim, np.random.default_rng(0))
 
     def test_uniform_spectrum_covers_simplex(self):
         # Coarse sanity: eigenvalue means over many draws approach the
