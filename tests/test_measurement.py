@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
 from qtomo.estimators import (
@@ -10,6 +12,7 @@ from qtomo.estimators import (
 )
 from qtomo.linalg import InvariantError
 from qtomo.measurement import (
+    SCHEMES,
     TETRAHEDRON,
     MeasurementPlan,
     Observable,
@@ -305,3 +308,45 @@ def test_nan_input_raises(name):
     # and ``x < 0`` alike.
     with pytest.raises(InvariantError):
         NAN_INPUTS[name]()
+
+
+UNIT_CUBE = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+# A point of the closed unit ball: the cube pulled in radially, so the
+# sphere of pure states is drawn too.
+BALL_STATES = UNIT_CUBE.map(lambda v: bloch_to_matrix(v / max(1.0, np.linalg.norm(v))))
+
+
+@st.composite
+def _direction_rows(draw):
+    rows = np.array([draw(UNIT_CUBE) for _ in range(3)])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    assume(norms.min() > 0.1)
+    rows /= norms
+    assume(abs(np.linalg.det(rows)) >= 0.1)
+    return rows
+
+
+# Per scheme: (true state, linear_scheme keyword arguments).
+UNBIASED_CASES = {
+    "klevel-pairs": st.builds(
+        lambda k, seed: (random_density(k, np.random.default_rng(seed)), {"dim": k}),
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+    ),
+    "three-direction": st.tuples(
+        BALL_STATES, _direction_rows().map(lambda rows: {"directions": rows})
+    ),
+    "standard": st.tuples(BALL_STATES, st.just({})),
+    "minimal": st.tuples(BALL_STATES, st.just({})),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_every_linear_scheme_is_unbiased(name, data):
+    # At the exact outcome probabilities the read-out returns the state.
+    rho, kwargs = data.draw(UNBIASED_CASES[name])
+    scheme = linear_scheme(name, **kwargs)
+    phi = scheme.to_matrix(scheme.estimate(scheme.probabilities(rho)))
+    assert np.abs(phi[0] - rho).max() <= 1e-12
