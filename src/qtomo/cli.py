@@ -35,23 +35,10 @@ from .error_analysis import (
     mse_three_direction,
 )
 from .estimators import constrained_estimate, unconstrained_estimate
-from .linalg import InvariantError, hs_distance
-from .measurement import (
-    _STRUCTURE_ATOL,
-    SCHEMES,
-    MeasurementPlan,
-    is_integer,
-    linear_scheme,
-    structure_gaps,
-)
-from .simulation import (
-    METRICS,
-    ConfigError,
-    ExperimentConfig,
-    RandomState,
-    run_trajectory,
-)
-from .states import bloch_to_matrix, in_bloch_ball, require_trace_one
+from .linalg import InvariantError, hs_distance, is_integer, require_trace_one
+from .measurement import _STRUCTURE_ATOL, SCHEMES, MeasurementPlan, linear_scheme, structure_gaps
+from .simulation import ConfigError, ExperimentConfig, RandomState, run_trajectory
+from .states import bloch_to_matrix, in_bloch_ball
 
 DEFAULT_SEED = 42
 
@@ -78,18 +65,12 @@ def _is_number(value) -> bool:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """A k x k matrix from k rows of k [re, im] pairs; the bits of every
+    number, -0.0 included, are kept."""
     if not isinstance(obj, list) or not obj:
         raise ConfigError("matrix must be a nonempty JSON array of rows")
     k = len(obj)
-    out = np.empty((k, k), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != k:
-            raise ConfigError(f"matrix row {i} must be an array of {k} entries")
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-                raise ConfigError(f"matrix entry ({i}, {j}) must be a [re, im] number pair")
-            out[i, j] = complex(pair[0], pair[1])
-    return out
+    return _number_array(obj, "matrix", (k, k, 2)).view(complex)[..., 0]
 
 
 def _load_json(text: str, origin: str):
@@ -286,8 +267,6 @@ def _counts_from_json(obj) -> tuple[MeasurementPlan, dict]:
     for key in ("dim", "repetitions", "counts"):
         if key not in obj:
             raise ConfigError(f"counts input is missing {key!r}")
-    if not is_integer(obj["dim"]) or not is_integer(obj["repetitions"]):
-        raise ConfigError("dim and repetitions must be integers")
     try:
         plan = MeasurementPlan(obj["dim"], obj["repetitions"])
     except InvariantError as exc:
@@ -325,8 +304,6 @@ def _cmd_estimate(args) -> int:
     return _emit_json(payload, args.out)
 
 
-# Shots per setting reach the multinomial sampler as a C long.
-_MAX_SCHEDULE = int(np.iinfo(np.int64).max)
 _STATE_KEYS = {"bloch", "matrix", "random"}
 _CONFIG_KEYS = {"state", "scheme", "schedule", "trials", "seed", "metrics", "directions", "out", "svg"}
 
@@ -335,10 +312,9 @@ def _state_from_json(obj):
     if not isinstance(obj, dict) or len(set(obj) & _STATE_KEYS) != 1 or set(obj) - _STATE_KEYS:
         raise ConfigError('state must be an object with exactly one of "bloch", "matrix", "random"')
     if "bloch" in obj:
-        return bloch_to_matrix(_number_array(obj["bloch"], "bloch state", (3,))), 2
+        return bloch_to_matrix(_number_array(obj["bloch"], "bloch state", (3,)))
     if "matrix" in obj:
-        m = matrix_from_json(obj["matrix"])
-        return m, m.shape[0]
+        return matrix_from_json(obj["matrix"])
     entry = obj["random"]
     if not isinstance(entry, dict) or "dim" not in entry:
         raise ConfigError('random state must be an object with "dim"')
@@ -348,7 +324,7 @@ def _state_from_json(obj):
     eig = entry.get("eigenvalues")
     if eig is not None:
         eig = tuple(_number_array(eig, "random state eigenvalues", (entry["dim"],)).tolist())
-    return RandomState(dim=entry["dim"], eigenvalues=eig), entry["dim"]
+    return RandomState(dim=entry["dim"], eigenvalues=eig)
 
 
 def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
@@ -359,44 +335,29 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
     for key in ("state", "scheme", "schedule"):
         if key not in obj:
             raise ConfigError(f"config is missing {key!r}")
-    state, dim = _state_from_json(obj["state"])
-    if not isinstance(obj["schedule"], list) or not all(map(is_integer, obj["schedule"])):
-        raise ConfigError("schedule must be an array of integers")
-    if any(a > _MAX_SCHEDULE for a in obj["schedule"]):
-        raise ConfigError(f"schedule entries must be at most {_MAX_SCHEDULE}")
+    state = _state_from_json(obj["state"])
     metrics = obj.get("metrics")
-    if metrics is None:
-        metrics = [m for m in METRICS if dim == 2 or m != "fidelity-unconstrained"]
-    elif not isinstance(metrics, list):
+    if metrics is not None and not isinstance(metrics, list):
         raise ConfigError("metrics must be an array of metric names")
     directions = obj.get("directions")
     if directions is not None:
         directions = _number_array(directions, "directions", (3, 3))
-    trials = args.trials if args.trials is not None else obj.get("trials", 1000)
-    seed = args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED)
-    if not is_integer(trials) or not is_integer(seed):
-        raise ConfigError("trials and seed must be integers")
-    try:
-        config = ExperimentConfig(
-            state=state,
-            scheme=obj["scheme"] if isinstance(obj["scheme"], str) else "",
-            schedule=tuple(obj["schedule"]),
-            trials=trials,
-            seed=seed,
-            metrics=tuple(metrics),
-            directions=directions,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
-    options = {
-        "out": args.out if args.out is not None else obj.get("out", "."),
-        "svg": bool(args.svg or obj.get("svg", False)),
-    }
-    if not isinstance(options["out"], str):
+    config = ExperimentConfig(
+        state=state,
+        scheme=obj["scheme"] if isinstance(obj["scheme"], str) else "",
+        schedule=obj["schedule"],
+        trials=args.trials if args.trials is not None else obj.get("trials", 1000),
+        seed=args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED),
+        metrics=metrics,
+        directions=directions,
+    )
+    out = args.out if args.out is not None else obj.get("out", ".")
+    if not isinstance(out, str):
         raise ConfigError("out must be a path string")
-    return config, options
+    svg = obj.get("svg", False)
+    if not isinstance(svg, bool):
+        raise ConfigError("svg must be true or false")
+    return config, {"out": out, "svg": args.svg or svg}
 
 
 def _cmd_simulate(args) -> int:

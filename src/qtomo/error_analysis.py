@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InvariantError, row_dots
-from .measurement import CHUNK_TRIALS, _direction_matrix, is_integer, linear_scheme, stream_rng
+from .linalg import InvariantError, is_integer, row_dots
+from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
 from .states import bloch_to_matrix, in_bloch_ball
 
 __all__ = [
@@ -45,11 +45,16 @@ def _check_thetas(thetas) -> np.ndarray:
     return t
 
 
-def _check_theta(theta) -> np.ndarray:
+def _one_row(theta) -> np.ndarray:
+    """A single Bloch vector as a (1, 3) stack; its ball test is left to the caller."""
     t = np.asarray(theta, dtype=float)
     if t.shape != (3,):
         raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return _check_thetas(t[None])[0]
+    return t[None]
+
+
+def _check_theta(theta) -> np.ndarray:
+    return _check_thetas(_one_row(theta))[0]
 
 
 def _check_total(total: int, divisor: int = 1) -> int:
@@ -185,9 +190,10 @@ def compare_batch(thetas, total: int) -> Comparison:
     """Both scheme comparisons at every row of an (m, 3) stack of theta.
 
     Row i holds what ``compare_standard_vs_complementary`` and
-    ``compare_traces_min_vs_comp`` return at ``thetas[i]``, bit for bit,
-    plus the smallest eigenvalue of the difference; one ``eigvalsh`` call
-    covers the whole stack.  Requires n divisible by 3.
+    ``compare_traces_min_vs_comp`` return at ``thetas[i]``, plus the
+    smallest eigenvalue of the difference; one ``eigvalsh`` call covers the
+    whole stack.  Every row must lie in the closed unit ball within 1e-9,
+    and n must be an integer of at least 1 divisible by 3.
     """
     t = _check_thetas(thetas)
     n = _check_total(total, divisor=3)
@@ -198,15 +204,14 @@ def compare_standard_vs_complementary(theta, total: int):
     """Difference V_standard - V_complementary at equal copy budget n.
 
     The complementary scheme is the three-direction scheme along the
-    coordinate axes with r = n / 3.  Returns the difference matrix and a
-    flag for whether it is PSD, i.e. whether the axis POVM is dominated at
-    this theta.  The difference works out to (2 diag(theta_i^2) -
-    offdiag(theta_i theta_j)) / n, which is PSD for every theta.
+    coordinate axes with r = n / 3, so n must be divisible by 3.  Returns
+    the difference matrix and a flag for whether it is PSD, i.e. whether the
+    axis POVM is dominated at this theta.  The difference works out to
+    (2 diag(theta_i^2) - offdiag(theta_i theta_j)) / n, which is PSD for
+    every theta.  This is row 0 of ``compare_batch``.
     """
-    t = _check_theta(theta)
-    n = _check_total(total)
-    diff, _, dominated = _standard_minus_comp(t[None], n)
-    return diff[0], bool(dominated[0])
+    c = compare_batch(_one_row(theta), total)
+    return c.diff[0], bool(c.dominated[0])
 
 
 def compare_traces_min_vs_comp(theta, total: int):
@@ -215,17 +220,16 @@ def compare_traces_min_vs_comp(theta, total: int):
     Tr V_comp = 3 (3 - |theta|^2) / n and Tr V_min = (9 - |theta|^2) / n, so
     the complementary scheme never loses on total error; the full matrix
     difference V_min - V_comp is indefinite for generic theta, so neither
-    scheme dominates entrywise.  Requires n divisible by 3.
+    scheme dominates entrywise.  Requires n divisible by 3.  This is row 0
+    of ``compare_batch``.
 
     Returns
     -------
     (float, float, bool)
         (Tr V_comp, Tr V_min, Tr V_comp <= Tr V_min within 1e-12).
     """
-    t = _check_theta(theta)
-    n = _check_total(total, divisor=3)
-    trace_comp, trace_min, trace_ok = _trace_rows(t[None], n)
-    return float(trace_comp[0]), float(trace_min[0]), bool(trace_ok[0])
+    c = compare_batch(_one_row(theta), total)
+    return float(c.trace_comp[0]), float(c.trace_min[0]), bool(c.trace_ok[0])
 
 
 def _standard_minus_comp(t: np.ndarray, n: int):

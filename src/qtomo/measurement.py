@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import InvariantError, is_integer, require_square
+from .linalg import InvariantError, is_integer
 from .states import PAULI, SIGMA_0, require_density
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "MeasurementPlan",
     "TETRAHEDRON",
     "stream_rng",
-    "is_integer",
     "structure_gaps",
     "pair_observable_x",
     "pair_observable_y",
@@ -186,8 +185,8 @@ def _unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
 
 
 def _check_pair(dim: int, i: int, j: int):
-    if dim < 2:
-        raise InvariantError("dimension must be at least 2")
+    if not (all(map(is_integer, (dim, i, j))) and dim >= 2):
+        raise InvariantError("dimension and indices must be integers, the dimension at least 2")
     if not (1 <= i < j <= dim):
         raise InvariantError(f"need 1 <= i < j <= {dim}, got i={i}, j={j}")
 
@@ -226,8 +225,8 @@ def pair_observable_y(dim: int, i: int, j: int) -> Observable:
 
 def diag_observable_z(dim: int, i: int) -> Observable:
     """Two-outcome observable E_ii (1-based): outcome 1 with probability rho_ii."""
-    if dim < 2:
-        raise InvariantError("dimension must be at least 2")
+    if not (all(map(is_integer, (dim, i))) and dim >= 2):
+        raise InvariantError("dimension and index must be integers, the dimension at least 2")
     if not (1 <= i <= dim):
         raise InvariantError(f"need 1 <= i <= {dim}, got i={i}")
     e_ii = _unit_matrix(dim, i, i)
@@ -271,20 +270,14 @@ def minimal_povm() -> Povm:
     return Povm(np.stack(effects))
 
 
-def outcome_probabilities(measurement, rho) -> np.ndarray:
-    """Outcome distribution Tr(rho P_s) of an observable or POVM in ``rho``.
-
-    Values within 1e-12 below zero are clipped to zero and the vector is
-    renormalized to sum exactly to one; anything more negative raises, since
-    it signals an invalid state rather than rounding noise.
-    """
+def _distribution(measurement, state: np.ndarray) -> np.ndarray:
+    # outcome_probabilities for a state that has passed require_density.
     if isinstance(measurement, Observable):
         ops = measurement.projectors
     elif isinstance(measurement, Povm):
         ops = measurement.effects
     else:
         raise InvariantError(f"unsupported measurement type {type(measurement).__name__}")
-    state = require_density(rho)
     if state.shape[0] != ops.shape[1]:
         raise InvariantError(
             f"dimension mismatch: state is {state.shape[0]}-level, measurement is "
@@ -296,6 +289,18 @@ def outcome_probabilities(measurement, rho) -> np.ndarray:
         raise InvariantError(f"outcome probability {low:.3e} below rounding tolerance")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def outcome_probabilities(measurement, rho) -> np.ndarray:
+    """Outcome distribution Tr(rho P_s) of an observable or POVM in ``rho``,
+    a density matrix of the measurement's dimension.
+
+    Values within 1e-12 below zero are clipped to zero and the vector is
+    renormalized to sum exactly to one; anything more negative raises, since
+    it signals an invalid state rather than rounding noise.  This is
+    ``LinearScheme.probabilities`` for one setting.
+    """
+    return _distribution(measurement, require_density(rho))
 
 
 def sample_counts(probs, repetitions: int, rng: np.random.Generator) -> np.ndarray:
@@ -379,16 +384,11 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
     """Outcome counts for every observable in the plan, keyed by label.
 
     Observables are sampled in the plan's key order, so a fixed generator
-    state always produces the same table.
+    state always produces the same table; ``rho`` is checked once, by
+    ``LinearScheme.probabilities``.
     """
-    state = require_density(rho)
-    if state.shape[0] != plan.dim:
-        raise InvariantError("state dimension does not match the plan")
-    counts = {}
-    for key in plan.keys:
-        probs = outcome_probabilities(plan.observables[key], state)
-        counts[key] = sample_counts(probs, plan.repetitions, rng)
-    return counts
+    probs = plan.scheme.probabilities(rho)
+    return {key: sample_counts(p, plan.repetitions, rng) for key, p in zip(plan.keys, probs)}
 
 
 @dataclass(frozen=True)
@@ -409,8 +409,11 @@ class LinearScheme:
     to_matrix: Callable[[np.ndarray], np.ndarray]
 
     def probabilities(self, rho) -> tuple[np.ndarray, ...]:
-        """Outcome distribution of every setting in ``rho``."""
-        return tuple(outcome_probabilities(setting, rho) for setting in self.settings)
+        """Outcome distribution of every setting in ``rho``, each as
+        ``outcome_probabilities`` gives it; ``rho`` is validated as a density
+        matrix once, however many settings there are."""
+        state = require_density(rho)
+        return tuple(_distribution(setting, state) for setting in self.settings)
 
     def estimate(self, frequencies, m: int = 1) -> np.ndarray:
         """Parameter estimates (m, d) from per-setting relative frequencies.
@@ -472,7 +475,7 @@ def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:
     """The settings and read-out of one of the four estimation schemes.
 
     ``"klevel-pairs"`` is the ``dim``-level entrywise plan.  The qubit
-    schemes estimate the Bloch vector theta:
+    schemes take only ``dim`` 2 and estimate the Bloch vector theta:
 
     - ``"three-direction"``: one spin observable per row u of the unit-row
       matrix ``directions`` (identity when omitted); with T the row matrix,
@@ -485,6 +488,8 @@ def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:
         raise InvariantError("directions apply to the three-direction scheme only")
     if name == "klevel-pairs":
         return MeasurementPlan(dim, 1).scheme
+    if name in SCHEMES and not (is_integer(dim) and dim == 2):
+        raise InvariantError(f"scheme {name!r} measures qubits, got dim {dim!r}")
     if name == "three-direction":
         dirmat = np.eye(3) if directions is None else _direction_matrix(directions)
         settings = tuple(direction_observable(u) for u in dirmat)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, psd_mask
-from .measurement import CHUNK_TRIALS, SCHEMES, is_integer, linear_scheme, stream_rng
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask
+from .measurement import CHUNK_TRIALS, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
 __all__ = [
@@ -44,6 +44,8 @@ METRICS = (
     "det-mean",
 )
 
+# Shots per setting reach the multinomial sampler as a C long.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 # Stream namespaces under the master seed.
 _NS_STATE = 0
 _NS_SAMPLE = 1
@@ -72,8 +74,12 @@ class ExperimentConfig:
 
     ``state`` is a density matrix (array_like) or a ``RandomState`` request
     resolved once per run from the master seed.  ``schedule`` holds the
-    per-point sample sizes: shots per observable for ``klevel-pairs`` and
-    ``three-direction``, total shots for the POVM schemes.
+    per-point sample sizes, integers from 1 to 2**63 - 1: shots per
+    observable for ``klevel-pairs`` and ``three-direction``, total shots for
+    the POVM schemes.  ``metrics`` defaults to every metric the state's
+    dimension supports: all of ``METRICS`` for a qubit, all but
+    ``fidelity-unconstrained`` beyond.  Every rule here raises
+    ``ConfigError``; the matrix itself is checked by ``resolve_state``.
     """
 
     state: object
@@ -81,20 +87,23 @@ class ExperimentConfig:
     schedule: tuple[int, ...]
     trials: int
     seed: int
-    metrics: tuple[str, ...] = METRICS
+    metrics: tuple[str, ...] | None = None
     directions: object = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        sched = tuple(self.schedule)
+        try:
+            sched = tuple(self.schedule)
+        except TypeError:
+            raise ConfigError("schedule must be a sequence of integers") from None
         if not all(map(is_integer, sched)):
             raise ConfigError("schedule entries must be integers")
         sched = tuple(int(v) for v in sched)
         if not sched:
             raise ConfigError("schedule must be nonempty")
-        if any(v < 1 for v in sched):
-            raise ConfigError("schedule entries must be positive")
+        if not all(1 <= v <= _MAX_SHOTS for v in sched):
+            raise ConfigError(f"schedule entries must be from 1 to {_MAX_SHOTS}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
@@ -106,7 +115,11 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        metrics = tuple(self.metrics)
+        metrics = self.metrics
+        if metrics is None:
+            rows = (self.state.dim,) if isinstance(self.state, RandomState) else np.shape(self.state)
+            metrics = [m for m in METRICS if rows[:1] == (2,) or m != "fidelity-unconstrained"]
+        metrics = tuple(metrics)
         if not metrics:
             raise ConfigError("at least one metric is required")
         for m in metrics:

@@ -282,6 +282,14 @@ class TestSimulate:
         assert "<polyline" in text
         assert (out / "trajectory_psd-fraction.svg").exists()
 
+    @pytest.mark.parametrize("svg", ["false", 1, None])
+    def test_config_svg_must_be_boolean(self, capsys, sim_config, svg, tmp_path):
+        out = tmp_path / "plots"
+        code, _, err = run(capsys, "simulate", "--config", sim_config(svg=svg), "--out", str(out))
+        assert code == 2
+        assert "svg must be true or false" in err
+        assert not out.exists()
+
     def test_unknown_config_key_exit_2(self, capsys, sim_config):
         code, _, err = run(capsys, "simulate", "--config", sim_config(shots=5))
         assert code == 2

@@ -235,6 +235,8 @@ class TestComparisons:
     def test_divisibility_checked(self):
         with pytest.raises(InvariantError):
             compare_traces_min_vs_comp([0.0, 0.0, 0.0], 100)
+        with pytest.raises(InvariantError, match="divisible by 3"):
+            compare_standard_vs_complementary([0.3, 0.4, 0.5], 100)
 
 
 @st.composite

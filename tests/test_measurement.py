@@ -74,6 +74,16 @@ class TestObservableStructure:
             pair_observable_x(3, 1, 4)
         with pytest.raises(InvariantError):
             diag_observable_z(3, 4)
+        # Dimensions and indices follow the integer rule.
+        for build, args in (
+            (pair_observable_x, (2.0, 1, 2)),
+            (pair_observable_x, (3, 1.0, 2)),
+            (pair_observable_y, (3, 1, True)),
+            (diag_observable_z, (2.5, 1)),
+            (diag_observable_z, (3, np.float64(1))),
+        ):
+            with pytest.raises(InvariantError, match="integers"):
+                build(*args)
 
     def test_constructor_rejects_bad_projectors(self):
         # Not idempotent.
@@ -156,6 +166,34 @@ class TestProbabilities:
     def test_unsupported_measurement_type(self):
         with pytest.raises(InvariantError):
             outcome_probabilities(np.eye(2), np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho: linear_scheme("klevel-pairs", 10).probabilities(rho),
+            lambda rho: sample_plan_counts(MeasurementPlan(10, 3), rho, stream_rng(0, 0)),
+        ],
+        ids=["probabilities", "sample_plan_counts"],
+    )
+    def test_state_checked_once_per_scheme(self, monkeypatch, call):
+        # One eigvalsh of rho, its PSD check, not one for each of the 99 settings.
+        rho = random_density(10, np.random.default_rng(3))
+        original, calls = np.linalg.eigvalsh, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        call(rho)
+        assert len(calls) == 1
+
+    def test_qubit_schemes_take_only_dim_2(self):
+        for name in ("three-direction", "standard", "minimal"):
+            for dim in (7, 3, 2.0):
+                with pytest.raises(InvariantError, match="qubits"):
+                    linear_scheme(name, dim)
+            assert linear_scheme(name, 2).to_matrix(np.zeros((1, 3))).shape == (1, 2, 2)
 
 
 class TestPovms:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qtomo import simulation
-from qtomo.estimators import constrained_estimate, constrained_rows
+from qtomo.estimators import constrained_estimate, constrained_rows, unconstrained_estimate
 from qtomo.linalg import InvariantError, hs_distance
-from qtomo.measurement import linear_scheme, stream_rng
+from qtomo.measurement import MeasurementPlan, linear_scheme, sample_plan_counts, stream_rng
 from qtomo.simulation import (
     CHUNK_TRIALS,
     METRICS,
@@ -46,6 +46,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             self.base(scheme="tetra")
 
+    def test_schedule_fits_the_sampler(self):
+        # Shots per setting reach numpy's multinomial as a C long.
+        assert self.base(schedule=(2**63 - 1,)).schedule == (2**63 - 1,)
+        for schedule in [(2**63,), (5, 10**23)]:
+            with pytest.raises(ConfigError, match="schedule entries"):
+                self.base(schedule=schedule)
+
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigError):
             self.base(schedule=(10, 10))
@@ -70,6 +77,8 @@ class TestConfigValidation:
             dict(seed=1.5),
             dict(seed=False),
             dict(schedule=("5", "10")),
+            dict(schedule=5),
+            dict(schedule=None),
         ],
     )
     def test_counts_and_seed_must_be_integers(self, overrides):
@@ -106,6 +115,17 @@ class TestConfigValidation:
         cfg = self.base(scheme="standard", state=RandomState(3))
         with pytest.raises(ConfigError):
             run_trajectory(cfg)
+
+    @pytest.mark.parametrize(
+        "state",
+        [random_density(3, np.random.default_rng(5)), RandomState(4)],
+        ids=["matrix", "random"],
+    )
+    def test_default_metrics_follow_the_state_dimension(self, state):
+        cfg = self.base(state=state, schedule=(5,), trials=3)
+        assert cfg.metrics == tuple(m for m in METRICS if m != "fidelity-unconstrained")
+        assert set(run_trajectory(cfg).means) == set(cfg.metrics)
+        assert self.base(state=RandomState(2)).metrics == METRICS
 
     def test_fidelity_unconstrained_needs_qubits(self):
         cfg = self.base(
@@ -350,7 +370,7 @@ class TestEigenStage:
     @staticmethod
     def count_chunk_eigensolves(monkeypatch):
         # Only calls made while a chunk runs count: the outcome distributions
-        # are computed once per run, validating the true state per setting.
+        # are computed once per run, validating the true state once.
         calls = {"chunks": 0, "eigh": 0, "eigvalsh": 0}
         in_chunk = [False]
         for name in ("eigh", "eigvalsh"):
@@ -467,9 +487,6 @@ class TestPureStateDetMean:
 
 def test_distance_metrics_consistent_with_direct_computation():
     # One trajectory point recomputed by hand through the public estimators.
-    from qtomo.estimators import constrained_estimate, unconstrained_estimate
-    from qtomo.measurement import MeasurementPlan, sample_plan_counts, stream_rng
-
     rho = MIXED_QUBIT
     plan = MeasurementPlan(2, 25)
     values = []
