@@ -35,7 +35,7 @@ from .error_analysis import (
     mse_three_direction,
 )
 from .estimators import constrained_estimate, unconstrained_estimate
-from .linalg import InvariantError, hs_distance, is_integer, require_trace_one
+from .linalg import InvariantError, hs_distance, require_trace_one
 from .measurement import _STRUCTURE_ATOL, SCHEMES, MeasurementPlan, linear_scheme, structure_gaps
 from .simulation import ConfigError, ExperimentConfig, RandomState, run_trajectory
 from .states import bloch_to_matrix, in_bloch_ball
@@ -319,12 +319,12 @@ def _state_from_json(obj):
     if not isinstance(entry, dict) or "dim" not in entry:
         raise ConfigError('random state must be an object with "dim"')
     _require_keys(entry, {"dim", "eigenvalues"}, "random state")
-    if not is_integer(entry["dim"]) or entry["dim"] < 2:
-        raise ConfigError("random state dim must be an integer >= 2")
+    # RandomState judges the dim before the eigenvalue shape reads it.
+    dim = RandomState(entry["dim"]).dim
     eig = entry.get("eigenvalues")
     if eig is not None:
-        eig = tuple(_number_array(eig, "random state eigenvalues", (entry["dim"],)).tolist())
-    return RandomState(dim=entry["dim"], eigenvalues=eig)
+        eig = tuple(_number_array(eig, "random state eigenvalues", (dim,)).tolist())
+    return RandomState(dim=dim, eigenvalues=eig)
 
 
 def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:

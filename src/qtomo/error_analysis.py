@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import InvariantError, is_integer, row_dots
 from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
-from .states import bloch_to_matrix, in_bloch_ball
+from .states import bloch_to_matrix, bloch_vector, in_bloch_ball
 
 __all__ = [
     "BALL_SECOND_MOMENT",
@@ -45,16 +45,8 @@ def _check_thetas(thetas) -> np.ndarray:
     return t
 
 
-def _one_row(theta) -> np.ndarray:
-    """A single Bloch vector as a (1, 3) stack; its ball test is left to the caller."""
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (3,):
-        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return t[None]
-
-
 def _check_theta(theta) -> np.ndarray:
-    return _check_thetas(_one_row(theta))[0]
+    return _check_thetas(bloch_vector(theta)[None])[0]
 
 
 def _check_total(total: int, divisor: int = 1) -> int:
@@ -146,6 +138,8 @@ def empirical_mse(
         Row matrix for the three-direction scheme; identity when omitted.
     """
     t = _check_theta(theta)
+    if scheme not in ("three-direction", "standard", "minimal"):
+        raise InvariantError(f"empirical_mse needs a qubit scheme, got {scheme!r}")
     if not (is_integer(trials) and trials >= 100):
         raise InvariantError("trials must be an integer of at least 100 for a stable average")
     if not (is_integer(seed) and 0 <= seed < 2**64):
@@ -210,7 +204,7 @@ def compare_standard_vs_complementary(theta, total: int):
     (2 diag(theta_i^2) - offdiag(theta_i theta_j)) / n, which is PSD for
     every theta.  This is row 0 of ``compare_batch``.
     """
-    c = compare_batch(_one_row(theta), total)
+    c = compare_batch(bloch_vector(theta)[None], total)
     return c.diff[0], bool(c.dominated[0])
 
 
@@ -228,7 +222,7 @@ def compare_traces_min_vs_comp(theta, total: int):
     (float, float, bool)
         (Tr V_comp, Tr V_min, Tr V_comp <= Tr V_min within 1e-12).
     """
-    c = compare_batch(_one_row(theta), total)
+    c = compare_batch(bloch_vector(theta)[None], total)
     return float(c.trace_comp[0]), float(c.trace_min[0]), bool(c.trace_ok[0])
 
 

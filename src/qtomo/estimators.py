@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import TRACE_ATOL, EigenDecompositionError, InvariantError, psd_mask, require_trace_one
-from .measurement import MeasurementPlan, linear_scheme
+from .measurement import MeasurementPlan, count_frequencies, linear_scheme
+from .states import bloch_vector
 
 __all__ = [
     "unconstrained_estimate",
@@ -22,22 +23,6 @@ __all__ = [
 ]
 
 
-def _counts_row(counts, key, size: int, repetitions: int) -> np.ndarray:
-    try:
-        row = np.asarray(counts[key], dtype=float)
-    except KeyError:
-        raise InvariantError(f"missing counts for observable {key}") from None
-    if row.shape != (size,):
-        raise InvariantError(f"counts for {key} must have {size} outcomes, got {row.shape}")
-    if not np.all(row >= 0):
-        raise InvariantError(f"counts for {key} must be nonnegative")
-    if abs(float(row.sum()) - repetitions) > 1e-9:
-        raise InvariantError(
-            f"counts for {key} sum to {row.sum()!r}, expected r = {repetitions}"
-        )
-    return row
-
-
 def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     """Entrywise estimate of the state from per-observable outcome counts.
 
@@ -49,14 +34,19 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
         Im phi_ij = (nu_y(+1) - nu_y(-1)) / 2
 
     The result is Hermitian with unit trace but need not be PSD.  ``counts``
-    maps each plan key to its outcome-count row; rows may be fractional
-    (expected counts work too), but every row must sum to the plan's r.
+    maps each plan key to its outcome-count row, which
+    ``measurement.count_frequencies`` checks with ``shots`` the plan's r:
+    rows may be fractional (expected counts work too), but every row must
+    sum to r.  Each error message names the key of the row at fault.
     """
-    r = plan.repetitions
-    frequencies = [
-        _counts_row(counts, key, len(obs.values), r) / r
-        for key, obs in plan.observables.items()
-    ]
+    frequencies = []
+    for key, obs in plan.observables.items():
+        if key not in counts:
+            raise InvariantError(f"missing counts for observable {key}")
+        try:
+            frequencies.append(count_frequencies(counts[key], len(obs.values), plan.repetitions))
+        except InvariantError as exc:
+            raise InvariantError(f"counts for {key}: {exc}") from None
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
@@ -166,10 +156,10 @@ def qubit_constrain_bloch(theta) -> np.ndarray:
 
     Equivalent to the eigenvalue redistribution for 2x2 inputs: vectors
     inside the ball are unchanged, longer ones are rescaled to unit length.
+    ``theta`` is checked by ``states.bloch_vector``, so a NaN or infinite
+    entry raises.
     """
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (3,):
-        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
+    t = bloch_vector(theta)
     norm = float(np.linalg.norm(t))
     if norm <= 1.0:
         return t.copy()
@@ -205,7 +195,7 @@ def standard_estimate(counts) -> np.ndarray:
     theta_i = 3 (nu_i - nu_{i+3}), the scaled frequency gap between the +1
     and -1 effects of axis i.
     """
-    return linear_scheme("standard").estimate([_povm_frequencies(counts, 6)])[0]
+    return linear_scheme("standard").estimate([count_frequencies(counts, 6)])[0]
 
 
 def minimal_estimate(counts) -> np.ndarray:
@@ -214,16 +204,4 @@ def minimal_estimate(counts) -> np.ndarray:
     theta = 3 sum_i nu_i a_i over the tetrahedron directions a_i; the factor
     3 inverts sum_i a_i a_i^T = (4/3) I once the 1/4 effect weights are in.
     """
-    return linear_scheme("minimal").estimate([_povm_frequencies(counts, 4)])[0]
-
-
-def _povm_frequencies(counts, size: int) -> np.ndarray:
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (size,):
-        raise InvariantError(f"expected {size} outcome counts, got shape {c.shape}")
-    if not np.all((c >= 0) & (c < np.inf)):
-        raise InvariantError("counts must be finite and nonnegative")
-    total = float(c.sum())
-    if total < 1:
-        raise InvariantError("counts must contain at least one shot")
-    return c / total
+    return linear_scheme("minimal").estimate([count_frequencies(counts, 4)])[0]

@@ -20,7 +20,6 @@ __all__ = [
     "PSD_ATOL",
     "TRACE_ATOL",
     "is_integer",
-    "require_square",
     "require_hermitian",
     "hermitian_eig",
     "psd_mask",
@@ -77,26 +76,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_square(matrix) -> np.ndarray:
-    """Coerce to a complex square array of dimension >= 2 with finite entries."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvariantError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise InvariantError("matrix dimension must be at least 2")
-    if not np.all(np.isfinite(m)):
-        raise InvariantError("matrix entries must be finite")
-    return m
-
-
 def require_hermitian(matrix) -> np.ndarray:
     """Validate Hermiticity entrywise and return the matrix as complex128.
 
     Parameters
     ----------
     matrix : array_like
-        Square matrix to validate; no entry may deviate from its conjugate
-        transpose by more than ``HERMITIAN_ATOL``.
+        Square matrix of dimension at least 2 with finite entries; no entry
+        may deviate from its conjugate transpose by more than
+        ``HERMITIAN_ATOL``.
 
     Returns
     -------
@@ -106,9 +94,16 @@ def require_hermitian(matrix) -> np.ndarray:
     Raises
     ------
     InvariantError
-        If the matrix is not square or not Hermitian within ``HERMITIAN_ATOL``.
+        If the matrix is not square, smaller than 2x2, has a non-finite
+        entry, or is not Hermitian within ``HERMITIAN_ATOL``.
     """
-    m = require_square(matrix)
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvariantError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 2:
+        raise InvariantError("matrix dimension must be at least 2")
+    if not np.all(np.isfinite(m)):
+        raise InvariantError("matrix entries must be finite")
     gap = np.abs(m - m.conj().T).max()
     if gap > HERMITIAN_ATOL:
         raise InvariantError(

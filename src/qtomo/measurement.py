@@ -42,6 +42,7 @@ __all__ = [
     "minimal_povm",
     "outcome_probabilities",
     "sample_counts",
+    "count_frequencies",
     "relative_frequency",
     "sample_plan_counts",
     "CHUNK_TRIALS",
@@ -104,9 +105,12 @@ def structure_gaps(ops, *conditions: str) -> dict[str, float]:
     |E_s - E_s^dagger|; ``"sums_to_identity"``, max |sum_s E_s - I|;
     ``"orthogonal"`` (idempotent, mutually orthogonal projectors), max
     |E_s E_t - delta_st E_s|; ``"psd"``, minus the smallest eigenvalue of any
-    E_s.  Only the named gaps are computed; entries must be finite.
+    E_s.  Only the named gaps are computed.  This is the one check of an
+    operator stack: ``ops`` must have shape (s, k, k) with finite entries.
     """
     e = np.asarray(ops, dtype=complex)
+    if e.ndim != 3 or e.shape[1] != e.shape[2]:
+        raise InvariantError(f"operators must be a stack of square matrices, got shape {e.shape}")
     if not np.all(np.isfinite(e)):
         raise InvariantError("operator entries must be finite")
     return {name: float(_GAPS[name](e)) for name in conditions}
@@ -117,8 +121,8 @@ class Observable:
     """Projective observable: outcome values with their projectors.
 
     ``projectors[s]`` is the eigenprojector for ``values[s]``.  Projectors
-    must be idempotent, mutually orthogonal, and sum to the identity; the
-    values must be distinct real numbers.
+    must be Hermitian, idempotent, mutually orthogonal, and sum to the
+    identity; the values must be distinct real numbers.
     """
 
     values: tuple[float, ...]
@@ -126,13 +130,13 @@ class Observable:
 
     def __post_init__(self):
         p = np.asarray(self.projectors, dtype=complex)
-        if p.ndim != 3 or p.shape[1] != p.shape[2]:
-            raise InvariantError(f"projectors must be a stack of square matrices, got {p.shape}")
+        gaps = structure_gaps(p, "hermitian", "sums_to_identity", "orthogonal")
         if len(self.values) != p.shape[0]:
             raise InvariantError("one projector per outcome value is required")
         if len(set(self.values)) != len(self.values):
             raise InvariantError("outcome values must be distinct")
-        gaps = structure_gaps(p, "sums_to_identity", "orthogonal")
+        if gaps["hermitian"] > _STRUCTURE_ATOL:
+            raise InvariantError("projectors must be Hermitian")
         if gaps["sums_to_identity"] > _STRUCTURE_ATOL:
             raise InvariantError("projectors must sum to the identity")
         if gaps["orthogonal"] > _STRUCTURE_ATOL:
@@ -158,8 +162,6 @@ class Povm:
 
     def __post_init__(self):
         e = np.asarray(self.effects, dtype=complex)
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
-            raise InvariantError(f"effects must be a stack of square matrices, got {e.shape}")
         gaps = structure_gaps(e, "hermitian", "sums_to_identity", "psd")
         if gaps["hermitian"] > _STRUCTURE_ATOL:
             raise InvariantError("effects must be Hermitian")
@@ -315,15 +317,32 @@ def sample_counts(probs, repetitions: int, rng: np.random.Generator) -> np.ndarr
     return rng.multinomial(repetitions, p / p.sum())
 
 
-def relative_frequency(counts, outcome: int) -> float:
-    """Fraction of shots that landed on the given outcome index."""
+def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.ndarray:
+    """The one check of an outcome-count record, returning its relative
+    frequencies: ``counts`` has shape (outcomes,), finite nonnegative entries
+    (fractions allowed, so expected counts work) and at least one shot.  With
+    ``shots`` the total must equal it within 1e-9 and the result is
+    ``counts / shots``; without, it is ``counts / total``."""
     c = np.asarray(counts, dtype=float)
-    if not np.all(c >= 0):
-        raise InvariantError("counts must be nonnegative")
+    if c.shape != (outcomes,):
+        raise InvariantError(f"expected {outcomes} outcome counts, got shape {c.shape}")
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise InvariantError("counts must be finite and nonnegative")
     total = float(c.sum())
-    if total < 1:
+    if shots is None:
+        shots = total
+    elif abs(total - shots) > 1e-9:
+        raise InvariantError(f"counts sum to {total!r}, expected {shots}")
+    if shots < 1:
         raise InvariantError("counts must contain at least one shot")
-    return float(c[outcome]) / total
+    return c / shots
+
+
+def relative_frequency(counts, outcome: int) -> float:
+    """Fraction of shots that landed on the given outcome index, for a 1-d
+    count vector that ``count_frequencies`` accepts."""
+    c = np.asarray(counts, dtype=float)
+    return float(count_frequencies(c, c.size)[outcome])
 
 
 @dataclass(frozen=True)

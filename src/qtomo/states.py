@@ -9,6 +9,7 @@ from .linalg import TRACE_ATOL, InvariantError, is_integer, psd_mask, require_tr
 __all__ = [
     "SIGMA_0",
     "PAULI",
+    "bloch_vector",
     "bloch_to_matrix",
     "matrix_to_bloch",
     "is_bloch_state",
@@ -34,18 +35,25 @@ PAULI = np.array(
 BLOCH_ATOL = 1e-12
 
 
-def bloch_to_matrix(theta) -> np.ndarray:
-    """Map a Bloch vector to the 2x2 matrix (I + theta . sigma) / 2.
-
-    The result is Hermitian with unit trace for any real 3-vector; it is a
-    density matrix exactly when ``|theta| <= 1``.
-    """
+def bloch_vector(theta) -> np.ndarray:
+    """The one check of a single Bloch vector: ``theta`` as a float array of
+    shape (3,) with finite entries.  Whether it lies in the unit ball is left
+    to the caller; stacks are judged by ``in_bloch_ball``."""
     t = np.asarray(theta, dtype=float)
     if t.shape != (3,):
         raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
     if not np.all(np.isfinite(t)):
         raise InvariantError("Bloch vector entries must be finite")
-    return 0.5 * (SIGMA_0 + np.tensordot(t, PAULI, axes=1))
+    return t
+
+
+def bloch_to_matrix(theta) -> np.ndarray:
+    """Map a Bloch vector to the 2x2 matrix (I + theta . sigma) / 2.
+
+    The result is Hermitian with unit trace for any finite real 3-vector; it
+    is a density matrix exactly when ``|theta| <= 1``.
+    """
+    return 0.5 * (SIGMA_0 + np.tensordot(bloch_vector(theta), PAULI, axes=1))
 
 
 def matrix_to_bloch(matrix) -> np.ndarray:
@@ -57,11 +65,9 @@ def matrix_to_bloch(matrix) -> np.ndarray:
 
 
 def is_bloch_state(theta) -> bool:
-    """Whether a Bloch vector lies in the closed unit ball (within ``BLOCH_ATOL``)."""
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (3,):
-        raise InvariantError(f"Bloch vector must have shape (3,), got {t.shape}")
-    return bool(in_bloch_ball(t[None])[0])
+    """Whether a Bloch vector lies in the closed unit ball (within
+    ``BLOCH_ATOL``); a NaN or infinite entry raises, as in ``bloch_vector``."""
+    return bool(in_bloch_ball(bloch_vector(theta)[None])[0])
 
 
 def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -105,6 +109,12 @@ class TestProject:
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "project")
         assert code == 2
+
+    def test_reads_stdin(self, capsys, monkeypatch):
+        matrix = json.dumps(matrix_to_json(np.diag([0.5, -0.5, 1.0])))
+        monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
+        payload = run_json(capsys, "project", "--matrix-file", "-")
+        assert payload["steps"] == 1
 
 
 class TestEstimate:
@@ -353,6 +363,22 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "must be" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"state": {"random": {}}}, 'random state must be an object with "dim"'),
+            ({"state": {"random": {"eigenvalues": [0.5, 0.5]}}}, 'with "dim"'),
+            ({"state": {"random": {"dim": 1}}}, "random state dim must be an integer"),
+            ({"state": {"random": {"dim": 2.0, "eigenvalues": [0.5, 0.5]}}}, "dim must be"),
+            ({"state": {"random": {"dim": True}}}, "random state dim must be an integer"),
+            ({"out": 5}, "out must be a path string"),
+        ],
+    )
+    def test_config_entries_exit_2(self, capsys, sim_config, overrides, message):
+        code, _, err = run(capsys, "simulate", "--config", sim_config(**overrides))
+        assert code == 2
+        assert message in err
 
     def test_random_state_config(self, capsys, sim_config, tmp_path):
         cfg = sim_config(
@@ -622,6 +648,14 @@ class TestPovmCheck:
         code, _, _ = run(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", dim)
         assert code == 2
 
+    def test_matrix_of_another_dim_exit_2(self, capsys):
+        matrix = json.dumps(matrix_to_json(np.eye(2) / 2))
+        code, _, err = run(
+            capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", "3", "--matrix", matrix
+        )
+        assert code == 2
+        assert "--dim 3 does not match" in err
+
 
 class TestParser:
     def test_unknown_command_exit_2(self, capsys):
@@ -635,3 +669,21 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["povm-check", "--scheme", "minimal"], 0), (["frobnicate"], 2)]
+    )
+    def test_python_m_qtomo(self, argv, code):
+        # Runs __main__.py, whose entrypoint exits with main's code.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qtomo", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == code, result.stderr
+        if code == 0:
+            assert json.loads(result.stdout)["outcomes"] == 4

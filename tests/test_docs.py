@@ -1,5 +1,5 @@
-"""Documented code runs: the README's python blocks, the ``qtomo`` lines of
-the READMEs' shell blocks, and every demo script."""
+"""Documented code runs: the python blocks of README.md and PAPER.md, the
+``qtomo`` lines of the READMEs' shell blocks, and every demo script."""
 
 import json
 import os
@@ -28,13 +28,13 @@ CLI_LINES = list(_cli_lines())
 
 
 def test_readme_python_blocks_run():
-    text = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
-    assert blocks
-    # One shared namespace: later blocks use names the earlier ones define.
-    namespace = {}
-    for block in blocks:
-        exec(compile(block, "README.md", "exec"), namespace)
+    for doc in ("README.md", "PAPER.md"):
+        blocks = re.findall(r"```python\n(.*?)```", (ROOT / doc).read_text(), flags=re.DOTALL)
+        assert blocks, doc
+        # One namespace per document: later blocks use names the earlier ones define.
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, doc, "exec"), namespace)
 
 
 def test_readme_cli_lines_found():

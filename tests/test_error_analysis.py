@@ -97,6 +97,13 @@ class TestClosedForms:
             mse_three_direction([0.0, 0.0, 0.0], np.eye(3), 0)
         with pytest.raises(InvariantError):
             mse_minimal([2.0, 0.0, 0.0], 100)
+        with pytest.raises(InvariantError, match="3x3"):
+            mse_three_direction([0.0, 0.0, 0.0], np.eye(2), 1)
+        for call in (mse_standard, compare_standard_vs_complementary):
+            with pytest.raises(InvariantError, match="Bloch vector must have shape"):
+                call([0.1, 0.2], 300)
+            with pytest.raises(InvariantError, match="finite"):
+                call([np.nan, 0.0, 0.0], 300)
 
     @pytest.mark.parametrize("count", [300.7, 300.0, 2.5, True, "300"])
     def test_counts_must_be_integers(self, count):
@@ -147,6 +154,9 @@ class TestEmpiricalMse:
             empirical_mse("three-direction", [0, 0, 0], 31, 1000, seed=0)
         with pytest.raises(InvariantError):
             empirical_mse("standard", [0, 0, 0], 30, 1000, seed=0, directions=np.eye(3))
+        # The pair scheme estimates matrix entries, not theta.
+        with pytest.raises(InvariantError, match="qubit scheme"):
+            empirical_mse("klevel-pairs", [0, 0, 0], 300, 100, seed=1)
         for trials in (1000.5, 1000.0):
             with pytest.raises(InvariantError, match="integer"):
                 empirical_mse("standard", [0, 0, 0], 30, trials, seed=0)

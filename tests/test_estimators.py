@@ -89,6 +89,13 @@ class TestUnconstrainedEstimate:
         with pytest.raises(InvariantError, match="nonnegative"):
             unconstrained_estimate(plan, counts)
 
+    def test_row_errors_name_the_key(self):
+        plan = MeasurementPlan(3, 1)
+        counts = {key: np.eye(len(obs.values))[0] for key, obs in plan.observables.items()}
+        counts[("x", 1, 3)] = [1.0, 0.0]
+        with pytest.raises(InvariantError, match=r"counts for \('x', 1, 3\): expected 3 outcome"):
+            unconstrained_estimate(plan, counts)
+
 
 class TestSimplexProjection:
     def test_first_worked_example(self):
@@ -127,6 +134,10 @@ class TestSimplexProjection:
     def test_unit_sum_required(self):
         with pytest.raises(InvariantError):
             project_nonneg_simplex([0.5, 0.6])
+
+    def test_vector_required(self):
+        with pytest.raises(InvariantError, match="nonempty 1-d vector"):
+            project_nonneg_simplex([[0.5, 0.5]])
 
     def test_minimizer_property(self):
         # The projection is the closest simplex point: no random simplex

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
 from qtomo.estimators import (
     minimal_estimate,
+    qubit_constrain_bloch,
     standard_estimate,
     three_direction_estimate,
     unconstrained_estimate,
@@ -17,6 +18,7 @@ from qtomo.measurement import (
     MeasurementPlan,
     Observable,
     Povm,
+    count_frequencies,
     diag_observable_z,
     direction_observable,
     linear_scheme,
@@ -31,7 +33,7 @@ from qtomo.measurement import (
     stream_rng,
 )
 from qtomo.simulation import ExperimentConfig, run_trajectory
-from qtomo.states import PAULI, bloch_to_matrix, random_density
+from qtomo.states import PAULI, bloch_to_matrix, is_bloch_state, random_density
 
 from oracles import random_ball_point
 
@@ -93,6 +95,18 @@ class TestObservableStructure:
         e = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(InvariantError):
             Observable((1.0, 1.0), np.stack([e, np.eye(2) - e]))
+        with pytest.raises(InvariantError, match="one projector per outcome value"):
+            Observable((1.0, -1.0, 0.0), np.stack([e, np.eye(2) - e]))
+        with pytest.raises(InvariantError, match="sum to the identity"):
+            Observable((1.0, 0.0), np.stack([e, np.zeros((2, 2))]))
+        for stack in (np.eye(2), np.zeros((2, 2, 3))):
+            with pytest.raises(InvariantError, match="stack of square matrices"):
+                Observable((1.0, 0.0), stack)
+        # An oblique pair: P = [[1, 3], [0, 0]] and I - P are idempotent,
+        # orthogonal and sum to I, but are not Hermitian.
+        p = np.array([[1.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(InvariantError, match="Hermitian"):
+            Observable((1.0, -1.0), np.stack([p, np.eye(2) - p]))
 
     def test_projectors_read_only(self):
         obs = pair_observable_x(2, 1, 2)
@@ -107,6 +121,8 @@ class TestObservableStructure:
     def test_direction_must_be_unit(self):
         with pytest.raises(InvariantError):
             direction_observable([1.0, 1.0, 0.0])
+        with pytest.raises(InvariantError, match="shape"):
+            direction_observable([1.0, 0.0])
 
 
 class TestProbabilities:
@@ -229,6 +245,12 @@ class TestPovms:
             Povm(np.stack([np.eye(2, dtype=complex)] * 2))
         with pytest.raises(InvariantError):
             Povm(np.stack([np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0])]))
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvariantError, match="Hermitian"):
+            Povm(np.stack([0.5 * np.eye(2) + skew, 0.5 * np.eye(2) - skew]))
+        for stack in (np.eye(2), np.zeros((2, 3, 2))):
+            with pytest.raises(InvariantError, match="stack of square matrices"):
+                Povm(stack)
 
 
 class TestSampling:
@@ -252,6 +274,8 @@ class TestSampling:
             sample_counts([1.2, -0.2], 10, rng)
         with pytest.raises(InvariantError):
             sample_counts([0.5, 0.5], 0, rng)
+        with pytest.raises(InvariantError, match="at least 2 outcomes"):
+            sample_counts([1.0], 10, rng)
         for repetitions in (2.5, 2.0, True):
             with pytest.raises(InvariantError, match="integer"):
                 sample_counts([0.5, 0.5], repetitions, rng)
@@ -270,6 +294,21 @@ class TestSampling:
             relative_frequency([-1, 2], 0)
         # Fractional counts are not truncated to an integer total.
         assert relative_frequency([1.0, 0.5], 0) == 1.0 / 1.5
+
+    def test_count_frequencies(self):
+        assert np.array_equal(count_frequencies([3, 1], 2), [0.75, 0.25])
+        assert np.array_equal(count_frequencies([1.5, 0.5], 2, shots=2), [0.75, 0.25])
+        for counts, outcomes, shots, message in (
+            ([1, 2, 3], 2, None, "expected 2 outcome counts"),
+            ([[1, 2]], 2, None, "expected 2 outcome counts"),
+            ([-1, 2], 2, None, "finite and nonnegative"),
+            ([np.inf, 2], 2, None, "finite and nonnegative"),
+            ([0, 0], 2, None, "at least one shot"),
+            ([0.25, 0.5], 2, None, "at least one shot"),
+            ([1, 2], 2, 4, "sum to 3.0, expected 4"),
+        ):
+            with pytest.raises(InvariantError, match=message):
+                count_frequencies(counts, outcomes, shots)
 
 
 class TestMeasurementPlan:
@@ -310,42 +349,62 @@ class TestMeasurementPlan:
 
 
 NAN = float("nan")
-NAN_DIRECTIONS = [[NAN, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-NAN_COUNTS = {("z", 1): [NAN, 1.0], ("x", 1, 2): [1.0, 0.0], ("y", 1, 2): [1.0, 0.0]}
-NAN_INPUTS = {
-    "direction_observable": lambda: direction_observable([NAN, 0.0, 0.0]),
-    "linear_scheme": lambda: linear_scheme("three-direction", directions=NAN_DIRECTIONS),
-    "mse_three_direction": lambda: mse_three_direction([0.1, 0.0, 0.0], NAN_DIRECTIONS, 1),
-    "average_mse_over_ball": lambda: average_mse_over_ball(NAN_DIRECTIONS),
-    "Observable": lambda: Observable((1.0, -1.0), np.full((2, 2, 2), NAN)),
-    "Povm": lambda: Povm(np.full((2, 2, 2), NAN)),
-    "Povm-3x3": lambda: Povm(np.array([np.diag([1.0, NAN, 1.0])] * 3)),
-    "three_direction_estimate": lambda: three_direction_estimate([NAN, 0.5, 0.5], np.eye(3)),
-    "standard_estimate": lambda: standard_estimate([NAN, 1, 1, 1, 1, 1]),
-    "minimal_estimate": lambda: minimal_estimate([NAN, 1, 1, 1]),
-    "random_density": lambda: random_density(2, stream_rng(0, 0), [NAN, 1.0]),
-    "unconstrained_estimate": lambda: unconstrained_estimate(MeasurementPlan(2, 1), NAN_COUNTS),
-    "run_trajectory": lambda: run_trajectory(
+
+
+def _directions(x):
+    return [[x, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def _counts(x):
+    return {("z", 1): [x, 1.0], ("x", 1, 2): [1.0, 0.0], ("y", 1, 2): [1.0, 0.0]}
+
+
+# Each entry puts the non-finite value x into one input of one library call.
+NON_FINITE_INPUTS = {
+    "direction_observable": lambda x: direction_observable([x, 0.0, 0.0]),
+    "linear_scheme": lambda x: linear_scheme("three-direction", directions=_directions(x)),
+    "mse_three_direction": lambda x: mse_three_direction([0.1, 0.0, 0.0], _directions(x), 1),
+    "average_mse_over_ball": lambda x: average_mse_over_ball(_directions(x)),
+    "Observable": lambda x: Observable((1.0, -1.0), np.full((2, 2, 2), x)),
+    "Povm": lambda x: Povm(np.full((2, 2, 2), x)),
+    "Povm-3x3": lambda x: Povm(np.array([np.diag([1.0, x, 1.0])] * 3)),
+    "three_direction_estimate": lambda x: three_direction_estimate([x, 0.5, 0.5], np.eye(3)),
+    "standard_estimate": lambda x: standard_estimate([x, 1, 1, 1, 1, 1]),
+    "minimal_estimate": lambda x: minimal_estimate([x, 1, 1, 1]),
+    "random_density": lambda x: random_density(2, stream_rng(0, 0), [x, 1.0]),
+    "unconstrained_estimate": lambda x: unconstrained_estimate(MeasurementPlan(2, 1), _counts(x)),
+    "run_trajectory": lambda x: run_trajectory(
         ExperimentConfig(
             state=bloch_to_matrix([0.0, 0.0, 0.5]),
             scheme="three-direction",
             schedule=(2,),
             trials=3,
             seed=1,
-            directions=NAN_DIRECTIONS,
+            directions=_directions(x),
         )
     ),
-    "sample_counts": lambda: sample_counts([NAN, 1.0], 10, stream_rng(0, 0)),
-    "relative_frequency": lambda: relative_frequency([NAN, 1.0], 0),
+    "sample_counts": lambda x: sample_counts([x, 1.0], 10, stream_rng(0, 0)),
+    "relative_frequency": lambda x: relative_frequency([x, 1.0], 0),
+    "qubit_constrain_bloch": lambda x: qubit_constrain_bloch([x, 0.0, 0.0]),
+    "is_bloch_state": lambda x: is_bloch_state([x, 0.0, 0.0]),
+    "bloch_to_matrix": lambda x: bloch_to_matrix([0.0, x, 0.0]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
-def test_nan_input_raises(name):
-    # Each check is written so that NaN fails it: a NaN passes ``gap > tol``
-    # and ``x < 0`` alike.
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        # The NaN case of each entry keeps the entry's bare name as its id.
+        pytest.param(name, x, id=name + suffix)
+        for name in sorted(NON_FINITE_INPUTS)
+        for suffix, x in (("", NAN), ("-inf", np.inf), ("-minus-inf", -np.inf))
+    ],
+)
+def test_nan_input_raises(name, x):
+    # Each check is written so that NaN and +-inf fail it: a NaN passes
+    # ``gap > tol`` and ``x < 0`` alike, and an inf passes ``x >= 0``.
     with pytest.raises(InvariantError):
-        NAN_INPUTS[name]()
+        NON_FINITE_INPUTS[name](x)
 
 
 UNIT_CUBE = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)

@@ -110,6 +110,8 @@ class TestConfigValidation:
             self.base(directions=np.eye(3))
         cfg = self.base(scheme="three-direction", directions=np.eye(3))
         assert cfg.directions.shape == (3, 3)
+        with pytest.raises(ConfigError, match="3x3"):
+            self.base(scheme="three-direction", directions=np.eye(2))
 
     def test_qubit_scheme_needs_qubit_state(self):
         cfg = self.base(scheme="standard", state=RandomState(3))
@@ -248,6 +250,15 @@ class TestRunTrajectory:
         for workers in (0, -1, 1.5, 1.0, True):
             with pytest.raises(ConfigError, match="workers must be an integer"):
                 run_trajectory(cfg, workers=workers)
+
+    def test_one_trial_has_zero_stderr(self):
+        cfg = ExperimentConfig(
+            state=MIXED_QUBIT, scheme="minimal", schedule=(5, 10), trials=1, seed=4
+        )
+        rec = run_trajectory(cfg)
+        for metric in METRICS:
+            assert np.isfinite(rec.means[metric]).all()
+            assert np.array_equal(rec.stderrs[metric], [0.0, 0.0])
 
     def test_single_shot_pure_state_det_is_exact(self):
         cfg = ExperimentConfig(

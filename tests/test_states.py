@@ -6,6 +6,7 @@ from qtomo.states import (
     PAULI,
     SIGMA_0,
     bloch_to_matrix,
+    bloch_vector,
     haar_unitary,
     in_bloch_ball,
     is_bloch_state,
@@ -73,6 +74,15 @@ class TestBlochMaps:
         assert is_bloch_state([0.3, 0.4, 0.5])
         assert is_bloch_state([1.0, 0.0, 0.0])
         assert not is_bloch_state([1.0, 0.1, 0.0])
+        with pytest.raises(InvariantError, match="Bloch vector must have shape"):
+            is_bloch_state([[0.3, 0.4, 0.5]])
+
+    def test_bloch_vector(self):
+        t = bloch_vector([1, 2, 3])
+        assert t.dtype == float and np.array_equal(t, [1.0, 2.0, 3.0])
+        for theta, message in (([0.1, 0.2], "shape"), ([0.1, np.inf, 0.0], "finite")):
+            with pytest.raises(InvariantError, match=message):
+                bloch_vector(theta)
 
     def test_in_bloch_ball_rows(self):
         thetas = [[0.3, 0.4, 0.5], [1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.0 + 1e-10, 0.0, 0.0]]
