@@ -13,7 +13,6 @@ from qtomo import (
     MeasurementPlan,
     constrained_estimate,
     fidelity,
-    hermitian_eig,
     hs_distance,
     random_density,
     sample_plan_counts,
@@ -39,10 +38,9 @@ def main():
         print(f"  {key}: {counts[key]}")
 
     phi = unconstrained_estimate(plan, counts)
-    eigenvalues, _ = hermitian_eig(phi)
     print("\nunconstrained estimate:")
     print(phi.round(4))
-    print("eigenvalues:", eigenvalues.round(4))
+    print("eigenvalues:", np.linalg.eigvalsh(phi).round(4))
 
     sigma, sweeps = constrained_estimate(phi)
     print(f"\nconstrained estimate ({sweeps} redistribution sweep(s)):")

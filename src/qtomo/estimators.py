@@ -8,7 +8,6 @@ import numpy as np
 
 from .linalg import TRACE_ATOL, EigenDecompositionError, InvariantError, psd_mask, require_trace_one
 from .measurement import MeasurementPlan, count_frequencies, linear_scheme
-from .states import bloch_vector
 
 __all__ = [
     "unconstrained_estimate",
@@ -16,7 +15,6 @@ __all__ = [
     "project_nonneg_simplex_rows",
     "constrained_rows",
     "constrained_estimate",
-    "qubit_constrain_bloch",
     "three_direction_estimate",
     "standard_estimate",
     "minimal_estimate",
@@ -149,21 +147,6 @@ def constrained_estimate(matrix):
     require_trace_one(matrix)
     out, steps, _ = constrained_rows(np.asarray(matrix, dtype=complex)[None])
     return out[0], int(steps[0])
-
-
-def qubit_constrain_bloch(theta) -> np.ndarray:
-    """Radial projection of a Bloch vector onto the closed unit ball.
-
-    Equivalent to the eigenvalue redistribution for 2x2 inputs: vectors
-    inside the ball are unchanged, longer ones are rescaled to unit length.
-    ``theta`` is checked by ``states.bloch_vector``, so a NaN or infinite
-    entry raises.
-    """
-    t = bloch_vector(theta)
-    norm = float(np.linalg.norm(t))
-    if norm <= 1.0:
-        return t.copy()
-    return t / norm
 
 
 def three_direction_estimate(frequencies, directions) -> np.ndarray:

@@ -1,27 +1,23 @@
 """Dense complex linear algebra for small Hermitian matrices.
 
 Operators are plain square ``numpy`` arrays of ``complex128``.  The helpers
-here validate structure (Hermiticity, positive semidefiniteness), offer a
-checked spectral decomposition, and provide the two figures of merit used
-throughout: Hilbert-Schmidt distance and fidelity, also per row of a stack.
+here validate structure (Hermiticity, positive semidefiniteness) and
+provide the two figures of merit used throughout: Hilbert-Schmidt distance
+and fidelity, also per row of a stack.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "InvariantError",
     "EigenDecompositionError",
-    "Spectrum",
     "HERMITIAN_ATOL",
     "PSD_ATOL",
     "TRACE_ATOL",
     "is_integer",
     "require_hermitian",
-    "hermitian_eig",
     "psd_mask",
     "is_psd",
     "require_trace_one",
@@ -39,8 +35,6 @@ HERMITIAN_ATOL = 1e-12
 PSD_ATOL = 1e-9
 # Slack on unit-trace and unit-sum checks.
 TRACE_ATOL = 1e-9
-# A spectral decomposition must reproduce its input to this relative accuracy.
-_RECONSTRUCTION_RTOL = 1e-10
 
 
 class InvariantError(ValueError):
@@ -48,26 +42,7 @@ class InvariantError(ValueError):
 
 
 class EigenDecompositionError(RuntimeError):
-    """The iterative eigensolver failed or missed the accuracy target.
-
-    Carries the reconstruction residual ``||U diag(w) U* - H||`` when the
-    decomposition converged but was not accurate enough.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted in descending order;
-    ``eigenvectors[:, s]`` is the unit eigenvector for ``eigenvalues[s]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    """The iterative eigensolver failed to converge."""
 
 
 def is_integer(value) -> bool:
@@ -116,38 +91,6 @@ def require_hermitian(matrix) -> np.ndarray:
     return out
 
 
-def hermitian_eig(matrix) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Uses an iterative orthogonal-similarity solver and verifies the result:
-    the reconstruction ``U diag(w) U*`` must match the input to relative
-    accuracy 1e-10, otherwise an ``EigenDecompositionError`` is raised with
-    the residual attached.
-
-    Returns
-    -------
-    Spectrum
-        Real eigenvalues in descending order with matching eigenvector
-        columns.
-    """
-    h = require_hermitian(matrix)
-    try:
-        w, u = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    u = u[:, order]
-    recon = (u * w) @ u.conj().T
-    residual = float(np.linalg.norm(recon - h))
-    if residual > _RECONSTRUCTION_RTOL * (1.0 + float(np.linalg.norm(h))):
-        raise EigenDecompositionError(
-            f"eigendecomposition residual {residual:.3e} above tolerance",
-            residual=residual,
-        )
-    return Spectrum(eigenvalues=w, eigenvectors=u)
-
-
 def psd_mask(eigenvalues) -> np.ndarray:
     """The one PSD rule: which rows of ascending eigenvalues belong to a
     positive semidefinite matrix, i.e. have a smallest eigenvalue >=
@@ -187,11 +130,14 @@ def determinant(matrix) -> float:
 
 
 def hs_distance(a, b) -> float:
-    """Hilbert-Schmidt distance ``sqrt(Tr (A - B)^2)`` between Hermitian A, B."""
+    """Hilbert-Schmidt distance ``sqrt(Tr (A - B)^2)`` between Hermitian A, B
+    of one shape with finite entries."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise InvariantError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvariantError("matrix entries must be finite")
     return float(np.linalg.norm(a - b))
 
 

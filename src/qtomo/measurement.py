@@ -122,7 +122,7 @@ class Observable:
 
     ``projectors[s]`` is the eigenprojector for ``values[s]``.  Projectors
     must be Hermitian, idempotent, mutually orthogonal, and sum to the
-    identity; the values must be distinct real numbers.
+    identity; the values must be distinct finite real numbers.
     """
 
     values: tuple[float, ...]
@@ -133,6 +133,8 @@ class Observable:
         gaps = structure_gaps(p, "hermitian", "sums_to_identity", "orthogonal")
         if len(self.values) != p.shape[0]:
             raise InvariantError("one projector per outcome value is required")
+        if not all(math.isfinite(v) for v in self.values):
+            raise InvariantError("outcome values must be finite")
         if len(set(self.values)) != len(self.values):
             raise InvariantError("outcome values must be distinct")
         if gaps["hermitian"] > _STRUCTURE_ATOL:
@@ -340,9 +342,13 @@ def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.nda
 
 def relative_frequency(counts, outcome: int) -> float:
     """Fraction of shots that landed on the given outcome index, for a 1-d
-    count vector that ``count_frequencies`` accepts."""
+    count vector that ``count_frequencies`` accepts and an integer index
+    ``0 <= outcome < counts.size``."""
     c = np.asarray(counts, dtype=float)
-    return float(count_frequencies(c, c.size)[outcome])
+    frequencies = count_frequencies(c, c.size)
+    if not (is_integer(outcome) and 0 <= outcome < c.size):
+        raise InvariantError(f"outcome must be an integer in [0, {c.size}), got {outcome!r}")
+    return float(frequencies[outcome])
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,44 @@ Everything here is deliberately written along a different route than the
 library code: entrywise loops instead of norms, sort-based and bisection
 projections instead of iterative redistribution, a per-entry loop instead
 of the masked batch redistribution, alternating projections
-between matrix sets instead of an eigenvalue-space projection, and
-eigenvalue-based fidelity instead of the qubit closed form.
+between matrix sets instead of an eigenvalue-space projection,
+eigenvalue-based fidelity instead of the qubit closed form, a radial
+Bloch rescaling instead of the qubit eigenvalue projection, and a checked,
+descending eigendecomposition instead of the bare ascending ``eigh``.
 """
 
 import numpy as np
+
+from qtomo.linalg import EigenDecompositionError, require_hermitian
+
+# A spectral decomposition must reproduce its input to this relative accuracy.
+RECONSTRUCTION_RTOL = 1e-10
+
+
+def hermitian_eig(matrix):
+    """Eigenvalues in descending order and their eigenvector columns.
+
+    The input must pass ``require_hermitian``; the reconstruction
+    ``U diag(w) U*`` must match it to relative accuracy 1e-10, otherwise an
+    ``EigenDecompositionError`` is raised.
+    """
+    h = require_hermitian(matrix)
+    w, u = np.linalg.eigh(h)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    u = u[:, order]
+    residual = float(np.linalg.norm((u * w) @ u.conj().T - h))
+    if residual > RECONSTRUCTION_RTOL * (1.0 + float(np.linalg.norm(h))):
+        raise EigenDecompositionError(f"eigendecomposition residual {residual:.3e} above tolerance")
+    return w, u
+
+
+def bloch_radial_projection(theta) -> np.ndarray:
+    """Closest point of the closed unit ball to a Bloch vector: unchanged
+    inside, rescaled to unit length outside."""
+    t = np.asarray(theta, dtype=float)
+    norm = float(np.linalg.norm(t))
+    return t.copy() if norm <= 1.0 else t / norm
 
 
 def hs_distance_brute(a, b) -> float:

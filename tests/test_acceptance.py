@@ -20,7 +20,6 @@ from qtomo.error_analysis import (
     mse_three_direction,
 )
 from qtomo.estimators import constrained_estimate, project_nonneg_simplex, unconstrained_estimate
-from qtomo.linalg import hermitian_eig
 from qtomo.measurement import (
     TETRAHEDRON,
     MeasurementPlan,
@@ -38,7 +37,7 @@ from qtomo.simulation import (
 )
 from qtomo.states import bloch_to_matrix, random_density
 
-from oracles import project_simplex_sort, random_trace_one_hermitian, random_unit_rows
+from oracles import hermitian_eig, project_simplex_sort, random_trace_one_hermitian, random_unit_rows
 
 # --- pinned tolerances and experiment parameters ---------------------------
 

@@ -8,12 +8,11 @@ from qtomo.estimators import (
     minimal_estimate,
     project_nonneg_simplex,
     project_nonneg_simplex_rows,
-    qubit_constrain_bloch,
     standard_estimate,
     three_direction_estimate,
     unconstrained_estimate,
 )
-from qtomo.linalg import InvariantError, hermitian_eig, hs_distance, is_psd, require_hermitian
+from qtomo.linalg import InvariantError, hs_distance, is_psd, require_hermitian
 from qtomo.measurement import (
     TETRAHEDRON,
     MeasurementPlan,
@@ -26,6 +25,8 @@ from qtomo.measurement import (
 from qtomo.states import bloch_to_matrix, matrix_to_bloch, random_density
 
 from oracles import (
+    bloch_radial_projection,
+    hermitian_eig,
     project_density_dykstra,
     project_simplex_bisect,
     project_simplex_loop,
@@ -305,7 +306,7 @@ class TestConstrainedEstimate:
             theta = rng.standard_normal(3)
             theta *= rng.uniform(1.01, 2.5) / np.linalg.norm(theta)
             out, steps = constrained_estimate(bloch_to_matrix(theta))
-            expect = bloch_to_matrix(qubit_constrain_bloch(theta))
+            expect = bloch_to_matrix(bloch_radial_projection(theta))
             assert np.abs(out - expect).max() < 1e-12
             assert steps == 1
 
@@ -351,24 +352,6 @@ class TestConstrainedEstimateProperties:
         twice, again = constrained_estimate(once)
         assert again == 0
         assert np.array_equal(twice, once)
-
-
-class TestQubitConstrainBloch:
-    def test_inside_ball_unchanged(self):
-        t = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(qubit_constrain_bloch(t), t)
-
-    def test_boundary_unchanged(self):
-        t = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(qubit_constrain_bloch(t), t)
-
-    def test_outside_rescaled_to_unit(self):
-        out = qubit_constrain_bloch([3.0, 0.0, 4.0])
-        assert np.abs(out - [0.6, 0.0, 0.8]).max() < 1e-15
-
-    def test_shape_validated(self):
-        with pytest.raises(InvariantError):
-            qubit_constrain_bloch([1.0, 2.0])
 
 
 class TestThreeDirectionEstimate:

@@ -1,0 +1,25 @@
+"""Every exported name resolves, and deleted names stay out of the exports."""
+
+import importlib
+
+import pytest
+
+import qtomo
+
+MODULES = ["qtomo"] + [
+    f"qtomo.{name}"
+    for name in ("cli", "error_analysis", "estimators", "linalg", "measurement", "simulation", "states")
+]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_export_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["qubit_constrain_bloch", "hermitian_eig", "Spectrum"])
+def test_deleted_names_not_exported(name):
+    assert name not in qtomo.__all__
+    assert not hasattr(qtomo, name)

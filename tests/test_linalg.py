@@ -7,7 +7,6 @@ from qtomo.linalg import (
     determinant,
     fidelity,
     fidelity_rows,
-    hermitian_eig,
     hs_distance,
     is_psd,
     require_hermitian,
@@ -15,7 +14,7 @@ from qtomo.linalg import (
 )
 from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
-from oracles import fidelity_eig, hs_distance_brute, random_trace_one_hermitian
+from oracles import fidelity_eig, hermitian_eig, hs_distance_brute, random_trace_one_hermitian
 
 
 def rng_for(label: int) -> np.random.Generator:

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
 from qtomo.estimators import (
     minimal_estimate,
-    qubit_constrain_bloch,
     standard_estimate,
     three_direction_estimate,
     unconstrained_estimate,
 )
-from qtomo.linalg import InvariantError
+from qtomo.linalg import InvariantError, hs_distance
 from qtomo.measurement import (
     SCHEMES,
     TETRAHEDRON,
@@ -294,6 +293,11 @@ class TestSampling:
             relative_frequency([-1, 2], 0)
         # Fractional counts are not truncated to an integer total.
         assert relative_frequency([1.0, 0.5], 0) == 1.0 / 1.5
+        # An outcome is an integer index into the record: numpy would read -1
+        # as the last outcome.
+        for outcome in (-1, 5, 1.0, True):
+            with pytest.raises(InvariantError, match="outcome must be an integer"):
+                relative_frequency([1, 2], outcome)
 
     def test_count_frequencies(self):
         assert np.array_equal(count_frequencies([3, 1], 2), [0.75, 0.25])
@@ -366,6 +370,7 @@ NON_FINITE_INPUTS = {
     "mse_three_direction": lambda x: mse_three_direction([0.1, 0.0, 0.0], _directions(x), 1),
     "average_mse_over_ball": lambda x: average_mse_over_ball(_directions(x)),
     "Observable": lambda x: Observable((1.0, -1.0), np.full((2, 2, 2), x)),
+    "Observable-values": lambda x: Observable((x, -1.0), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
     "Povm": lambda x: Povm(np.full((2, 2, 2), x)),
     "Povm-3x3": lambda x: Povm(np.array([np.diag([1.0, x, 1.0])] * 3)),
     "three_direction_estimate": lambda x: three_direction_estimate([x, 0.5, 0.5], np.eye(3)),
@@ -385,9 +390,9 @@ NON_FINITE_INPUTS = {
     ),
     "sample_counts": lambda x: sample_counts([x, 1.0], 10, stream_rng(0, 0)),
     "relative_frequency": lambda x: relative_frequency([x, 1.0], 0),
-    "qubit_constrain_bloch": lambda x: qubit_constrain_bloch([x, 0.0, 0.0]),
     "is_bloch_state": lambda x: is_bloch_state([x, 0.0, 0.0]),
     "bloch_to_matrix": lambda x: bloch_to_matrix([0.0, x, 0.0]),
+    "hs_distance": lambda x: hs_distance([[x, 0.0], [0.0, 1.0]], np.eye(2)),
 }
 
 
