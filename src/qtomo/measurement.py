@@ -133,9 +133,10 @@ class Observable:
         gaps = structure_gaps(p, "hermitian", "sums_to_identity", "orthogonal")
         if len(self.values) != p.shape[0]:
             raise InvariantError("one projector per outcome value is required")
-        if not all(math.isfinite(v) for v in self.values):
+        values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in values):
             raise InvariantError("outcome values must be finite")
-        if len(set(self.values)) != len(self.values):
+        if len(set(values)) != len(values):
             raise InvariantError("outcome values must be distinct")
         if gaps["hermitian"] > _STRUCTURE_ATOL:
             raise InvariantError("projectors must be Hermitian")
@@ -143,7 +144,7 @@ class Observable:
             raise InvariantError("projectors must sum to the identity")
         if gaps["orthogonal"] > _STRUCTURE_ATOL:
             raise InvariantError("projectors must be idempotent and orthogonal")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "projectors", _readonly(p))
 
     @property
