@@ -344,7 +344,7 @@ def _config_from_file(path: str, args) -> tuple[ExperimentConfig, dict]:
         directions = _number_array(directions, "directions", (3, 3))
     config = ExperimentConfig(
         state=state,
-        scheme=obj["scheme"] if isinstance(obj["scheme"], str) else "",
+        scheme=obj["scheme"],
         schedule=obj["schedule"],
         trials=args.trials if args.trials is not None else obj.get("trials", 1000),
         seed=args.seed if args.seed is not None else obj.get("seed", DEFAULT_SEED),
@@ -503,8 +503,9 @@ def _cmd_povm_check(args) -> int:
         state = bloch_to_matrix(_parse_theta(args.theta))
     else:
         state = np.eye(dim, dtype=complex) / dim
-    if args.scheme == "klevel-pairs" and state.shape[0] != dim:
-        raise ConfigError(f"--dim {dim} does not match the given state")
+    if state.shape[0] != dim:
+        need = f"--dim {dim}" if args.scheme == "klevel-pairs" else f"scheme {args.scheme!r}"
+        raise ConfigError(f"{need} does not match the {state.shape[0]}-level state")
     scheme = linear_scheme(args.scheme, dim, directions)
     probs = [[float(p) for p in dist] for dist in scheme.probabilities(state)]
     payload = {"scheme": args.scheme, "dim": dim}

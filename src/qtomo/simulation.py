@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -79,7 +80,9 @@ class ExperimentConfig:
     the POVM schemes.  ``metrics`` defaults to every metric the state's
     dimension supports: all of ``METRICS`` for a qubit, all but
     ``fidelity-unconstrained`` beyond.  Every rule here raises
-    ``ConfigError``; the matrix itself is checked by ``resolve_state``.
+    ``ConfigError`` when the config is built, the two dimension rules too:
+    a qubit scheme needs a two-level state, and ``fidelity-unconstrained``
+    a qubit.  ``resolve_state`` checks the matrix itself.
     """
 
     state: object
@@ -115,10 +118,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        state = self.state
+        rows = (state.dim,) if isinstance(state, RandomState) else np.shape(state)[:1]
+        qubit = rows == (2,)
         metrics = self.metrics
         if metrics is None:
-            rows = (self.state.dim,) if isinstance(self.state, RandomState) else np.shape(self.state)
-            metrics = [m for m in METRICS if rows[:1] == (2,) or m != "fidelity-unconstrained"]
+            metrics = [m for m in METRICS if qubit or m != "fidelity-unconstrained"]
         metrics = tuple(metrics)
         if not metrics:
             raise ConfigError("at least one metric is required")
@@ -128,6 +133,14 @@ class ExperimentConfig:
         if len(set(metrics)) != len(metrics):
             raise ConfigError("metrics must be distinct")
         object.__setattr__(self, "metrics", metrics)
+        # A state with no rows is not a matrix: resolve_state rejects it.
+        if rows and not qubit and self.scheme != "klevel-pairs":
+            raise ConfigError(f"scheme {self.scheme!r} requires a qubit state, got dim {rows[0]}")
+        if not qubit and "fidelity-unconstrained" in metrics:
+            raise ConfigError(
+                "fidelity-unconstrained is only defined for qubits, where fidelity "
+                "extends to indefinite estimates"
+            )
         if self.directions is not None:
             if self.scheme != "three-direction":
                 raise ConfigError("directions apply to the three-direction scheme only")
@@ -159,31 +172,11 @@ class TrajectoryRecord:
 
     def rows(self):
         """Flat (copies, metric, mean, stderr, trials, seed) rows."""
-        out = []
-        for metric in self.means:
-            for p, n in enumerate(self.copies):
-                out.append(
-                    (
-                        int(n),
-                        metric,
-                        float(self.means[metric][p]),
-                        float(self.stderrs[metric][p]),
-                        self.trials,
-                        self.seed,
-                    )
-                )
-        return out
-
-
-def _validate_scheme_state(config: ExperimentConfig, state: np.ndarray):
-    dim = state.shape[0]
-    if config.scheme != "klevel-pairs" and dim != 2:
-        raise ConfigError(f"scheme {config.scheme!r} requires a qubit state, got dim {dim}")
-    if dim > 2 and "fidelity-unconstrained" in config.metrics:
-        raise ConfigError(
-            "fidelity-unconstrained is only defined for qubits, where fidelity "
-            "extends to indefinite estimates"
-        )
+        return [
+            (int(n), metric, float(mean), float(stderr), self.trials, self.seed)
+            for metric in self.means
+            for n, mean, stderr in zip(self.copies, self.means[metric], self.stderrs[metric])
+        ]
 
 
 def _metric_block(phi, state, metrics):
@@ -216,8 +209,9 @@ def _metric_block(phi, state, metrics):
     return values
 
 
-def _chunk_task(payload):
-    scheme, probs, state, amount, metrics, seed, point, chunk, m = payload
+def _chunk_task(run, job):
+    scheme, probs, state, metrics, seed = run
+    point, amount, chunk, m = job
     rng = stream_rng(seed, _NS_SAMPLE, point, chunk)
     phi = scheme.to_matrix(scheme.sample(probs, amount, m, rng))
     return _metric_block(phi, state, metrics)
@@ -238,53 +232,39 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     if not (is_integer(workers) and workers >= 1):
         raise ConfigError("workers must be an integer of at least 1")
     state = config.resolve_state()
-    _validate_scheme_state(config, state)
     scheme = linear_scheme(config.scheme, state.shape[0], config.directions)
     probs = scheme.probabilities(state)
-    tasks = []
-    for point, amount in enumerate(config.schedule):
-        for chunk, start in enumerate(range(0, config.trials, CHUNK_TRIALS)):
-            m = min(CHUNK_TRIALS, config.trials - start)
-            tasks.append(
-                (
-                    scheme,
-                    probs,
-                    state,
-                    amount,
-                    config.metrics,
-                    config.seed,
-                    point,
-                    chunk,
-                    m,
-                )
-            )
-    processes = _pool_size(workers, len(tasks))
+    task = partial(_chunk_task, (scheme, probs, state, config.metrics, config.seed))
+    sizes = [min(CHUNK_TRIALS, config.trials - s) for s in range(0, config.trials, CHUNK_TRIALS)]
+    jobs = [
+        (point, amount, chunk, m)
+        for point, amount in enumerate(config.schedule)
+        for chunk, m in enumerate(sizes)
+    ]
+    processes = _pool_size(workers, len(jobs))
     if processes == 1:
-        results = [_chunk_task(t) for t in tasks]
+        results = list(map(task, jobs))
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_chunk_task, tasks))
+            results = list(pool.map(task, jobs))
     n_points = len(config.schedule)
-    chunks_per_point = -(-config.trials // CHUNK_TRIALS)
     means = {metric: np.empty(n_points) for metric in config.metrics}
-    stderrs = {metric: np.empty(n_points) for metric in config.metrics}
+    stderrs = {metric: np.zeros(n_points) for metric in config.metrics}
     for point in range(n_points):
-        block = results[point * chunks_per_point : (point + 1) * chunks_per_point]
+        block = results[point * len(sizes) : (point + 1) * len(sizes)]
         for metric in config.metrics:
             samples = np.concatenate([b[metric] for b in block])
             means[metric][point] = samples.mean()
             if config.trials > 1:
                 stderrs[metric][point] = samples.std(ddof=1) / np.sqrt(config.trials)
-            else:
-                stderrs[metric][point] = 0.0
-    copies = np.array(config.schedule) * len(scheme.settings)
+    schedule = np.array(config.schedule)
     return TrajectoryRecord(
         scheme=config.scheme,
         seed=config.seed,
         trials=config.trials,
         state=state,
-        schedule=np.array(config.schedule),
-        copies=copies,
+        schedule=schedule,
+        copies=schedule * len(scheme.settings),
         means=means,
         stderrs=stderrs,
     )
@@ -322,7 +302,7 @@ def indefinite_decay_rate(rho, schedule, trials: int, seed: int) -> DecayFit:
     config = ExperimentConfig(
         state=state,
         scheme="klevel-pairs",
-        schedule=tuple(schedule),
+        schedule=schedule,
         trials=trials,
         seed=seed,
         metrics=("psd-fraction",),
@@ -331,23 +311,15 @@ def indefinite_decay_rate(rho, schedule, trials: int, seed: int) -> DecayFit:
     fraction = 1.0 - record.means["psd-fraction"]
     usable = fraction > 0.0
     used = int(usable.sum())
-    if used < 2:
-        return DecayFit(
-            copies=record.copies,
-            not_psd_fraction=fraction,
-            slope=float("nan"),
-            intercept=float("nan"),
-            r_squared=float("nan"),
-            points_used=used,
-            incomplete=True,
-        )
-    x = record.copies[usable].astype(float)
-    y = np.log(fraction[usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = intercept + slope * x
-    ss_res = float(((y - fitted) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope = intercept = r_squared = float("nan")
+    if used >= 2:
+        x = record.copies[usable].astype(float)
+        y = np.log(fraction[usable])
+        slope, intercept = np.polyfit(x, y, 1)
+        fitted = intercept + slope * x
+        ss_res = float(((y - fitted) ** 2).sum())
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
         copies=record.copies,
         not_psd_fraction=fraction,
@@ -355,7 +327,7 @@ def indefinite_decay_rate(rho, schedule, trials: int, seed: int) -> DecayFit:
         intercept=float(intercept),
         r_squared=r_squared,
         points_used=used,
-        incomplete=bool(used < fraction.size),
+        incomplete=used < max(2, fraction.size),
     )
 
 

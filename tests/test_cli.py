@@ -309,10 +309,26 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--config", sim_config(scheme="bogus"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "scheme", [[1], {"a": 1}, None, 5], ids=["array", "object", "null", "number"]
+    )
+    def test_scheme_of_another_type_exit_2(self, capsys, sim_config, scheme):
+        code, _, err = run(capsys, "simulate", "--config", sim_config(scheme=scheme))
+        assert code == 2
+        assert f"unknown scheme {scheme!r}" in err
+
     def test_invalid_state_exit_3(self, capsys, sim_config):
         bad = {"matrix": matrix_to_json(np.diag([1.4, -0.4]))}
         code, _, _ = run(capsys, "simulate", "--config", sim_config(state=bad))
         assert code == 3
+
+    def test_state_of_another_dim_exit_2(self, capsys, sim_config):
+        # Not PSD either: the qubit scheme rejects the 3-level state when the
+        # config is built, before the matrix itself is judged.
+        bad = {"matrix": matrix_to_json(np.diag([1.2, -0.1, -0.1]))}
+        code, _, err = run(capsys, "simulate", "--config", sim_config(state=bad))
+        assert code == 2
+        assert "scheme 'minimal' requires a qubit state, got dim 3" in err
 
     def test_missing_config_exit_4(self, capsys):
         code, _, _ = run(capsys, "simulate", "--config", "/nonexistent/cfg.json")
@@ -655,6 +671,13 @@ class TestPovmCheck:
         )
         assert code == 2
         assert "--dim 3 does not match" in err
+
+    @pytest.mark.parametrize("scheme", ["minimal", "standard", "three-direction"])
+    def test_qubit_scheme_with_matrix_of_another_dim_exit_2(self, capsys, scheme):
+        matrix = json.dumps(matrix_to_json(np.eye(3) / 3))
+        code, _, err = run(capsys, "povm-check", "--scheme", scheme, "--matrix", matrix)
+        assert code == 2
+        assert f"scheme {scheme!r} does not match the 3-level state" in err
 
 
 class TestParser:

@@ -114,9 +114,8 @@ class TestConfigValidation:
             self.base(scheme="three-direction", directions=np.eye(2))
 
     def test_qubit_scheme_needs_qubit_state(self):
-        cfg = self.base(scheme="standard", state=RandomState(3))
-        with pytest.raises(ConfigError):
-            run_trajectory(cfg)
+        with pytest.raises(ConfigError, match="requires a qubit state, got dim 3$"):
+            self.base(scheme="standard", state=RandomState(3))
 
     @pytest.mark.parametrize(
         "state",
@@ -130,12 +129,25 @@ class TestConfigValidation:
         assert self.base(state=RandomState(2)).metrics == METRICS
 
     def test_fidelity_unconstrained_needs_qubits(self):
-        cfg = self.base(
-            state=RandomState(3),
-            metrics=("fidelity-unconstrained",),
-        )
-        with pytest.raises(ConfigError):
-            run_trajectory(cfg)
+        with pytest.raises(ConfigError, match="only defined for qubits"):
+            self.base(
+                state=RandomState(3),
+                metrics=("fidelity-unconstrained",),
+            )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(scheme="standard"), "scheme 'standard' requires a qubit state, got dim 3$"),
+            (dict(metrics=("fidelity-unconstrained",)), "only defined for qubits"),
+        ],
+        ids=["qubit-scheme", "fidelity-unconstrained"],
+    )
+    def test_dimension_rules_judge_a_matrix_state(self, overrides, message):
+        # Not a density matrix either: the dimension rules fire at
+        # construction, before resolve_state could judge the matrix.
+        with pytest.raises(ConfigError, match=message):
+            self.base(state=np.diag([1.2, -0.1, -0.1]), **overrides)
 
     def test_resolve_state_deterministic(self):
         cfg = self.base(state=RandomState(3, FIGURE_SPECTRUM))
@@ -394,11 +406,11 @@ class TestEigenStage:
             monkeypatch.setattr(np.linalg, name, counted)
         chunk_task = simulation._chunk_task
 
-        def counted_chunk(payload):
+        def counted_chunk(*args):
             calls["chunks"] += 1
             in_chunk[0] = True
             try:
-                return chunk_task(payload)
+                return chunk_task(*args)
             finally:
                 in_chunk[0] = False
 
@@ -460,6 +472,19 @@ class TestDecayRate:
         assert fit.incomplete
         assert np.isnan(fit.slope)
         assert fit.points_used == 0
+
+    @pytest.mark.parametrize("schedule", [(5,), (5, 320, 640)], ids=["one-of-one", "one-of-three"])
+    def test_one_usable_point_gives_incomplete_fit(self, schedule):
+        rho = random_density(3, np.random.default_rng(22), FIGURE_SPECTRUM)
+        fit = indefinite_decay_rate(rho, schedule, trials=1000, seed=5)
+        assert fit.points_used == 1
+        assert fit.incomplete
+        assert np.isnan([fit.slope, fit.intercept, fit.r_squared]).all()
+
+    def test_schedule_judged_by_the_config(self):
+        rho = random_density(3, np.random.default_rng(22), FIGURE_SPECTRUM)
+        with pytest.raises(ConfigError, match="schedule must be a sequence"):
+            indefinite_decay_rate(rho, 5, trials=100, seed=0)
 
     def test_fraction_matches_trajectory(self):
         rho = random_density(3, np.random.default_rng(21), FIGURE_SPECTRUM)
