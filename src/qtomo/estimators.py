@@ -6,7 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TRACE_ATOL, EigenDecompositionError, InvariantError, psd_mask, require_trace_one
+from .linalg import (
+    TRACE_ATOL,
+    EigenDecompositionError,
+    InvariantError,
+    psd_mask,
+    psd_screen,
+    require_trace_one,
+)
 from .measurement import MeasurementPlan, count_frequencies, linear_scheme
 
 __all__ = [
@@ -115,25 +122,41 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    One batched ``eigh``; each row that is not PSD by ``linalg.psd_mask``
-    (smallest eigenvalue below -1e-9) has its eigenvalues projected by
+    For k <= 3 the closed-form screen ``linalg.psd_screen`` runs first: a row
+    whose closed-form smallest eigenvalue is at least ``SCREEN_MARGIN`` is
+    PSD, returned unchanged with 0 sweeps and its closed-form eigenvalues.
+    The other rows (all of them for k >= 4) go to one batched ``eigh``; each
+    of those that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue
+    below -1e-9) has its eigenvalues projected by
     ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
-    its eigenbasis; the other rows are returned unchanged, with 0 sweeps.
-    Returns the projected stack, the per-row sweep counts and the input's
-    eigenvalues, ascending, as (m, k) rows; raises
+    its eigenbasis, and the rest are returned unchanged, with 0 sweeps and
+    their LAPACK eigenvalues.  Returns the projected stack, the per-row sweep
+    counts and the input's eigenvalues, ascending, as (m, k) rows; raises
     ``EigenDecompositionError`` if the eigensolver fails.
     """
+    if phi.shape[1] > 3:
+        return _project_rows(phi.copy())
+    eigvals, near = psd_screen(phi)
+    projected, near_steps, eigvals[near] = _project_rows(phi[near])
+    out = phi.copy()
+    out[near] = projected
+    steps = np.zeros(phi.shape[0], dtype=int)
+    steps[near] = near_steps
+    return out, steps, eigvals
+
+
+def _project_rows(phi):
+    # The LAPACK half of constrained_rows, in place on a stack it owns.
     try:
         eigvals, eigvecs = np.linalg.eigh(phi)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    out = phi.copy()
     steps = np.zeros(phi.shape[0], dtype=int)
     rows = np.nonzero(~psd_mask(eigvals))[0]
     clipped, steps[rows] = project_nonneg_simplex_rows(eigvals[rows])
     u = eigvecs[rows]
-    out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return out, steps, eigvals
+    phi[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return phi, steps, eigvals
 
 
 def constrained_estimate(matrix):

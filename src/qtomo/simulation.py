@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen
 from .measurement import CHUNK_TRIALS, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -119,7 +119,10 @@ class ExperimentConfig:
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         state = self.state
-        rows = (state.dim,) if isinstance(state, RandomState) else np.shape(state)[:1]
+        try:
+            rows = (state.dim,) if isinstance(state, RandomState) else np.shape(state)[:1]
+        except ValueError:
+            raise ConfigError("state must be a matrix or a RandomState, got ragged rows") from None
         qubit = rows == (2,)
         metrics = self.metrics
         if metrics is None:
@@ -185,13 +188,19 @@ def _metric_block(phi, state, metrics):
     A block solves at most one eigenproblem: a constrained metric brings the
     one ``eigh`` inside ``constrained_rows``, whose eigenvalues also decide
     ``psd-fraction``; ``psd-fraction`` alone takes eigenvalues only, from
-    ``eigvalsh``; the other metrics need no eigensolve.
+    ``eigvalsh``; the other metrics need no eigensolve.  For k <= 3 both
+    branches screen first with ``linalg.psd_screen``, so LAPACK sees only
+    the rows near or past the PSD edge, and the screened rows carry their
+    closed-form eigenvalues.
     """
     constrained = eigvals = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
         constrained, _, eigvals = constrained_rows(phi)
-    elif "psd-fraction" in metrics:
+    elif "psd-fraction" in metrics and phi.shape[1] > 3:
         eigvals = np.linalg.eigvalsh(phi)
+    elif "psd-fraction" in metrics:
+        eigvals, near = psd_screen(phi)
+        eigvals[near] = np.linalg.eigvalsh(phi[near])
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":
@@ -217,6 +226,20 @@ def _chunk_task(run, job):
     return _metric_block(phi, state, metrics)
 
 
+# A pool process's run constants, sent once by its initializer so that each
+# job pickles only its (point, amount, chunk, m).
+_worker_run = None
+
+
+def _init_worker(run):
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_task(job):
+    return _chunk_task(_worker_run, job)
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     # A forking pool starts all its processes at once: clamp before it exists.
     return min(workers, tasks, os.cpu_count() or 1)
@@ -234,7 +257,7 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     state = config.resolve_state()
     scheme = linear_scheme(config.scheme, state.shape[0], config.directions)
     probs = scheme.probabilities(state)
-    task = partial(_chunk_task, (scheme, probs, state, config.metrics, config.seed))
+    run = (scheme, probs, state, config.metrics, config.seed)
     sizes = [min(CHUNK_TRIALS, config.trials - s) for s in range(0, config.trials, CHUNK_TRIALS)]
     jobs = [
         (point, amount, chunk, m)
@@ -243,10 +266,10 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     ]
     processes = _pool_size(workers, len(jobs))
     if processes == 1:
-        results = list(map(task, jobs))
+        results = list(map(partial(_chunk_task, run), jobs))
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(task, jobs))
+        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=(run,)) as pool:
+            results = list(pool.map(_worker_task, jobs))
     n_points = len(config.schedule)
     means = {metric: np.empty(n_points) for metric in config.metrics}
     stderrs = {metric: np.zeros(n_points) for metric in config.metrics}

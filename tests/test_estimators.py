@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qtomo.estimators import (
     constrained_estimate,
+    constrained_rows,
     minimal_estimate,
     project_nonneg_simplex,
     project_nonneg_simplex_rows,
@@ -12,7 +13,16 @@ from qtomo.estimators import (
     three_direction_estimate,
     unconstrained_estimate,
 )
-from qtomo.linalg import InvariantError, hs_distance, is_psd, require_hermitian
+from qtomo.linalg import (
+    PSD_ATOL,
+    SCREEN_MARGIN,
+    EigenDecompositionError,
+    InvariantError,
+    hs_distance,
+    is_psd,
+    psd_mask,
+    require_hermitian,
+)
 from qtomo.measurement import (
     TETRAHEDRON,
     MeasurementPlan,
@@ -22,7 +32,7 @@ from qtomo.measurement import (
     standard_povm,
     stream_rng,
 )
-from qtomo.states import bloch_to_matrix, matrix_to_bloch, random_density
+from qtomo.states import bloch_to_matrix, haar_unitary, matrix_to_bloch, random_density
 
 from oracles import (
     bloch_radial_projection,
@@ -352,6 +362,89 @@ class TestConstrainedEstimateProperties:
         twice, again = constrained_estimate(once)
         assert again == 0
         assert np.array_equal(twice, once)
+
+
+def rotated_rows(smallest, seed):
+    """(m, 3, 3) trace-one Hermitians, Haar-rotated, with the given smallest
+    eigenvalues and the rest of the trace split 0.4 / 0.6."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for low in smallest:
+        u = haar_unitary(3, rng)
+        rows.append((u * np.array([low, 0.4, 0.6 - low])) @ u.conj().T)
+    return np.stack(rows)
+
+
+def lapack_constrained_rows(phi):
+    """The projection with one eigh on the whole stack and no screen."""
+    w, u = np.linalg.eigh(phi)
+    out = phi.copy()
+    steps = np.zeros(phi.shape[0], dtype=int)
+    rows = np.nonzero(~psd_mask(w))[0]
+    clipped, steps[rows] = project_nonneg_simplex_rows(w[rows])
+    out[rows] = (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2)
+    return out, steps, w
+
+
+class TestPsdScreen:
+    """For k <= 3 constrained_rows sends only the rows the closed-form
+    screen cannot clear to eigh, and decides them as eigh on the whole
+    stack would."""
+
+    @staticmethod
+    def record_eigh(monkeypatch):
+        seen = []
+        original = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        return seen
+
+    def test_rows_inside_the_margin_reach_eigh(self, monkeypatch):
+        edge = np.linspace(-2 * PSD_ATOL, SCREEN_MARGIN, 40, endpoint=False)
+        smallest = np.concatenate([edge, [0.05, 0.2, -0.1, -0.3]])
+        phi = rotated_rows(smallest, seed=11)
+        seen = self.record_eigh(monkeypatch)
+        _, steps, eigvals = constrained_rows(phi)
+        near = np.nonzero(smallest < SCREEN_MARGIN)[0]
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], phi[near])
+        assert np.array_equal(eigvals[near], np.linalg.eigh(phi[near])[0])
+        assert steps[-2:].tolist() == [1, 1]
+
+    def test_edge_rows_decided_as_by_one_eigh(self):
+        # Rows within 1e-15 of the PSD slack, mixed with rows the screen
+        # clears: every near row must come out bit for bit as eigh on the
+        # whole stack leaves it, psd or projected alike.
+        offsets = np.linspace(-1e-15, 1e-15, 64)
+        smallest = np.empty(128)
+        smallest[0::2] = -PSD_ATOL + offsets
+        smallest[1::2] = 0.1
+        phi = rotated_rows(smallest, seed=12)
+        out, steps, eigvals = constrained_rows(phi)
+        expect_out, expect_steps, expect_eigvals = lapack_constrained_rows(phi)
+        assert np.array_equal(out, expect_out)
+        assert np.array_equal(steps, expect_steps)
+        assert np.array_equal(eigvals[0::2], expect_eigvals[0::2])
+        assert np.abs(eigvals[1::2] - expect_eigvals[1::2]).max() < 1e-12
+        assert 0 < steps.sum() < 64
+
+    def test_screened_rows_return_unchanged(self, monkeypatch):
+        phi = rotated_rows([0.05, 0.1, 0.2], seed=13)
+        seen = self.record_eigh(monkeypatch)
+        out, steps, _ = constrained_rows(phi)
+        assert [a.shape[0] for a in seen] == [0]
+        assert np.array_equal(out, phi)
+        assert steps.tolist() == [0, 0, 0]
+
+    def test_nan_row_still_raises(self):
+        phi = rotated_rows([0.1, 0.1], seed=14)
+        phi[1] = np.nan
+        with pytest.raises(EigenDecompositionError):
+            constrained_rows(phi)
 
 
 class TestThreeDirectionEstimate:

@@ -1,4 +1,6 @@
 import json
+import pickle
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +151,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             self.base(state=np.diag([1.2, -0.1, -0.1]), **overrides)
 
+    @pytest.mark.parametrize("metrics", [None, ("det-mean",)], ids=["default", "given"])
+    def test_ragged_state_is_a_config_error(self, metrics):
+        with pytest.raises(ConfigError, match="ragged"):
+            self.base(state=[[1, 0], [0]], metrics=metrics)
+
     def test_resolve_state_deterministic(self):
         cfg = self.base(state=RandomState(3, FIGURE_SPECTRUM))
         a = cfg.resolve_state()
@@ -254,6 +261,47 @@ class TestRunTrajectory:
         )
         record = run_trajectory(cfg, workers=10**9)
         assert np.array_equal(record.means["det-mean"], run_trajectory(cfg).means["det-mean"])
+
+    def test_pool_jobs_do_not_carry_the_run(self, monkeypatch):
+        # The run's constants reach each pool process once, through its
+        # initializer; a job pickles only (point, amount, chunk, m).
+        pickled = {}
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                self.start = partial(initializer, *initargs)
+                pickled["run"] = len(pickle.dumps(initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                self.start()
+                pickled["jobs"] = {len(pickle.dumps((fn, job))) for job in jobs}
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation, "_worker_run", None)
+        sizes = {}
+        for dim in (2, 10):
+            cfg = ExperimentConfig(
+                state=RandomState(dim),
+                scheme="klevel-pairs",
+                schedule=(5, 9),
+                trials=CHUNK_TRIALS + 1,
+                seed=3,
+                metrics=("hs-unconstrained",),
+            )
+            pooled = run_trajectory(cfg, workers=2).means["hs-unconstrained"]
+            assert np.array_equal(pooled, run_trajectory(cfg).means["hs-unconstrained"])
+            sizes[dim] = dict(pickled)
+        assert sizes[10]["jobs"] == sizes[2]["jobs"]
+        assert max(sizes[10]["jobs"]) < 200
+        assert sizes[10]["run"] > 10 * sizes[2]["run"]
 
     def test_invalid_worker_count(self):
         cfg = ExperimentConfig(
@@ -393,15 +441,18 @@ class TestEigenStage:
     @staticmethod
     def count_chunk_eigensolves(monkeypatch):
         # Only calls made while a chunk runs count: the outcome distributions
-        # are computed once per run, validating the true state once.
+        # are computed once per run, validating the true state once.  "rows"
+        # tallies the matrices each solver was handed.
         calls = {"chunks": 0, "eigh": 0, "eigvalsh": 0}
+        rows = {"eigh": 0, "eigvalsh": 0}
         in_chunk = [False]
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
+            def counted(a, *args, _name=name, _original=original, **kwargs):
                 calls[_name] += in_chunk[0]
-                return _original(*args, **kwargs)
+                rows[_name] += in_chunk[0] * len(a)
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         chunk_task = simulation._chunk_task
@@ -415,7 +466,7 @@ class TestEigenStage:
                 in_chunk[0] = False
 
         monkeypatch.setattr(simulation, "_chunk_task", counted_chunk)
-        return calls
+        return calls, rows
 
     @pytest.mark.parametrize("dim", [3, 10])
     @pytest.mark.parametrize("metrics", [PSD_ONLY, ("det-mean",)], ids=["psd", "det"])
@@ -428,11 +479,17 @@ class TestEigenStage:
             seed=42,
             metrics=metrics,
         )
-        calls = self.count_chunk_eigensolves(monkeypatch)
+        calls, rows = self.count_chunk_eigensolves(monkeypatch)
         run_trajectory(cfg)
         chunks = 2 * len(cfg.schedule)
         eigvalsh = chunks if "psd-fraction" in metrics else 0
         assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
+        trial_points = cfg.trials * len(cfg.schedule)
+        if eigvalsh and dim == 10:
+            assert rows["eigvalsh"] == trial_points
+        elif eigvalsh:
+            # The closed-form screen keeps the clearly PSD rows from LAPACK.
+            assert 0 < rows["eigvalsh"] < trial_points / 2
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_both_branches_decide_psd_alike(self, seed):
