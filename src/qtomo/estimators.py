@@ -13,6 +13,7 @@ from .linalg import (
     psd_mask,
     psd_screen,
     require_trace_one,
+    screens,
 )
 from .measurement import MeasurementPlan, count_frequencies, linear_scheme
 
@@ -122,19 +123,20 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    For k <= 3 the closed-form screen ``linalg.psd_screen`` runs first: a row
-    whose closed-form smallest eigenvalue is at least ``SCREEN_MARGIN`` is
-    PSD, returned unchanged with 0 sweeps and its closed-form eigenvalues.
-    The other rows (all of them for k >= 4) go to one batched ``eigh``; each
-    of those that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue
-    below -1e-9) has its eigenvalues projected by
-    ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
-    its eigenbasis, and the rest are returned unchanged, with 0 sweeps and
-    their LAPACK eigenvalues.  Returns the projected stack, the per-row sweep
-    counts and the input's eigenvalues, ascending, as (m, k) rows; raises
-    ``EigenDecompositionError`` if the eigensolver fails.
+    Where ``linalg.screens(k)`` holds (k = 3) the closed-form screen
+    ``linalg.psd_screen`` runs first: a row whose closed-form smallest
+    eigenvalue is at least ``SCREEN_MARGIN`` is PSD, returned unchanged with
+    0 sweeps and its closed-form eigenvalues.  The other rows (all of them
+    for any other k) go to one batched ``eigh``; each of those that is not
+    PSD by ``linalg.psd_mask`` (smallest eigenvalue below -1e-9) has its
+    eigenvalues projected by ``project_nonneg_simplex_rows`` and is rebuilt
+    as ``(u * w) @ u^H`` in its eigenbasis, and the rest are returned
+    unchanged, with 0 sweeps and their LAPACK eigenvalues.  Returns the
+    projected stack, the per-row sweep counts and the input's eigenvalues,
+    ascending, as (m, k) rows; raises ``EigenDecompositionError`` if the
+    eigensolver fails.
     """
-    if phi.shape[1] > 3:
+    if not screens(phi.shape[1]):
         return _project_rows(phi.copy())
     eigvals, near = psd_screen(phi)
     projected, near_steps, eigvals[near] = _project_rows(phi[near])

@@ -21,6 +21,7 @@ __all__ = [
     "require_hermitian",
     "psd_mask",
     "closed_form_eigvalsh",
+    "screens",
     "psd_screen",
     "is_psd",
     "require_trace_one",
@@ -36,8 +37,8 @@ __all__ = [
 HERMITIAN_ATOL = 1e-12
 # Slack on eigenvalues when deciding positive semidefiniteness.
 PSD_ATOL = 1e-9
-# A 2x2 or 3x3 row whose closed-form smallest eigenvalue is at least this is
-# PSD without LAPACK.  For trace one the closed form errs by at most about
+# A 3x3 row whose closed-form smallest eigenvalue is at least this is PSD
+# without LAPACK.  For trace one the closed form errs by at most about
 # ||A|| sqrt(eps), about 1e-8 near a double root, far below the margin.
 SCREEN_MARGIN = 1e-6
 # Slack on unit-trace and unit-sum checks.
@@ -106,12 +107,11 @@ def psd_mask(eigenvalues) -> np.ndarray:
 
 
 def closed_form_eigvalsh(mats) -> np.ndarray:
-    """Ascending eigenvalues of an (m, 2, 2) or (m, 3, 3) Hermitian stack in
-    closed form, read from the diagonal and the lower triangle.
+    """Ascending eigenvalues of an (m, 3, 3) Hermitian stack in closed form,
+    read from the diagonal and the lower triangle.
 
-    For k = 2 they are tr/2 -+ hypot((a - d)/2, |b|).  For k = 3 they are
-    the roots of the characteristic cubic in Smith's trigonometric form
-    (O. K. Smith, Commun. ACM 4(4):168, 1961): q + 2p cos(arccos(r)/3 +
+    They are the roots of the characteristic cubic in Smith's trigonometric
+    form (O. K. Smith, Commun. ACM 4(4):168, 1961): q + 2p cos(arccos(r)/3 +
     2 pi j/3) with q = tr/3, p^2 = ||A - qI||^2/6 and r = det(A - qI)/(2p^3)
     clipped to [-1, 1]; p = 0 gives three equal roots.  Near a double root
     ``arccos`` loses about sqrt(eps) relative to ||A|| (J. Kopp, Int. J. Mod.
@@ -119,14 +119,10 @@ def closed_form_eigvalsh(mats) -> np.ndarray:
     as its smallest value.
     """
     a = np.asarray(mats)
-    if a.ndim != 3 or a.shape[1:] not in ((2, 2), (3, 3)):
-        raise InvariantError(f"expected an (m, 2, 2) or (m, 3, 3) stack, got shape {a.shape}")
-    d = [a[:, i, i].real for i in range(a.shape[1])]
-    if a.shape[1] == 2:
-        mid = 0.5 * (d[0] + d[1])
-        rad = np.hypot(0.5 * (d[0] - d[1]), np.abs(a[:, 1, 0]))
-        return np.stack([mid - rad, mid + rad], axis=1)
+    if a.ndim != 3 or a.shape[1:] != (3, 3):
+        raise InvariantError(f"expected an (m, 3, 3) stack, got shape {a.shape}")
     x, y, z = a[:, 1, 0], a[:, 2, 0], a[:, 2, 1]
+    d = [a[:, i, i].real for i in range(3)]
     q = (d[0] + d[1] + d[2]) / 3.0
     d0, d1, d2 = d[0] - q, d[1] - q, d[2] - q
     xx, yy, zz = np.abs(x) ** 2, np.abs(y) ** 2, np.abs(z) ** 2
@@ -139,10 +135,19 @@ def closed_form_eigvalsh(mats) -> np.ndarray:
     return np.stack([low, 3.0 * q - high - low, high], axis=1)
 
 
+def screens(k: int) -> bool:
+    """Whether k x k stacks take ``psd_screen`` before LAPACK: k = 3 only.
+
+    At k = 2 a whole-stack ``eigvalsh`` is already cheap, and a pure qubit
+    state leaves every row at the PSD edge, where the screen clears none.
+    """
+    return k == 3
+
+
 def psd_screen(mats):
-    """The rows of an (m, 2, 2) or (m, 3, 3) Hermitian stack that LAPACK must
-    judge: their closed-form smallest eigenvalue is not at least
-    ``SCREEN_MARGIN`` (NaN rows included).  Every other row is PSD.
+    """The rows of an (m, 3, 3) Hermitian stack that LAPACK must judge: their
+    closed-form smallest eigenvalue is not at least ``SCREEN_MARGIN`` (NaN
+    rows included).  Every other row is PSD.
 
     Returns the closed-form eigenvalues, ascending, and the indices of those
     rows.

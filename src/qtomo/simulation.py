@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen, screens
 from .measurement import CHUNK_TRIALS, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -188,15 +188,15 @@ def _metric_block(phi, state, metrics):
     A block solves at most one eigenproblem: a constrained metric brings the
     one ``eigh`` inside ``constrained_rows``, whose eigenvalues also decide
     ``psd-fraction``; ``psd-fraction`` alone takes eigenvalues only, from
-    ``eigvalsh``; the other metrics need no eigensolve.  For k <= 3 both
-    branches screen first with ``linalg.psd_screen``, so LAPACK sees only
-    the rows near or past the PSD edge, and the screened rows carry their
-    closed-form eigenvalues.
+    ``eigvalsh``; the other metrics need no eigensolve.  Where
+    ``linalg.screens(k)`` holds (k = 3) both branches screen first with
+    ``linalg.psd_screen``, so LAPACK sees only the rows near or past the PSD
+    edge, and the screened rows carry their closed-form eigenvalues.
     """
     constrained = eigvals = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
         constrained, _, eigvals = constrained_rows(phi)
-    elif "psd-fraction" in metrics and phi.shape[1] > 3:
+    elif "psd-fraction" in metrics and not screens(phi.shape[1]):
         eigvals = np.linalg.eigvalsh(phi)
     elif "psd-fraction" in metrics:
         eigvals, near = psd_screen(phi)

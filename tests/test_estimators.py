@@ -387,9 +387,9 @@ def lapack_constrained_rows(phi):
 
 
 class TestPsdScreen:
-    """For k <= 3 constrained_rows sends only the rows the closed-form
-    screen cannot clear to eigh, and decides them as eigh on the whole
-    stack would."""
+    """At k = 3 constrained_rows sends only the rows the closed-form screen
+    cannot clear to eigh, and decides them as eigh on the whole stack
+    would; every other k sends the whole stack."""
 
     @staticmethod
     def record_eigh(monkeypatch):
@@ -439,6 +439,20 @@ class TestPsdScreen:
         assert [a.shape[0] for a in seen] == [0]
         assert np.array_equal(out, phi)
         assert steps.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_other_k_send_the_whole_stack(self, monkeypatch, k):
+        phi = np.ones((4, 1, 1), dtype=complex)
+        if k == 2:
+            rng = np.random.default_rng(15)
+            phi = np.stack([random_density(2, rng) for _ in range(8)])
+            phi[::2] += np.diag([-1.0, 1.0])  # indefinite, still trace one
+        seen = self.record_eigh(monkeypatch)
+        result = constrained_rows(phi)
+        assert [a.shape for a in seen] == [phi.shape]
+        for got, expect in zip(result, lapack_constrained_rows(phi)):
+            assert np.array_equal(got, expect)
+        assert result[1].sum() == (4 if k == 2 else 0)
 
     def test_nan_row_still_raises(self):
         phi = rotated_rows([0.1, 0.1], seed=14)

@@ -16,6 +16,7 @@ from qtomo.linalg import (
     psd_screen,
     require_hermitian,
     row_dots,
+    screens,
 )
 from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
@@ -224,11 +225,8 @@ class TestFidelity:
 
 SCREEN = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 # Trace-one spectra with double and triple eigenvalues, where the arccos of
-# the 3x3 closed form is least accurate.
-DEGENERATE = {
-    2: [(0.5, 0.5), (0.0, 1.0), (-0.5, 1.5)],
-    3: [(0.0, 0.0, 1.0), (-0.2, 0.6, 0.6), (1 / 3, 1 / 3, 1 / 3), (-1e-9, 0.5, 0.5 + 1e-9)],
-}
+# the closed form is least accurate.
+DEGENERATE = [(0.0, 0.0, 1.0), (-0.2, 0.6, 0.6), (1 / 3, 1 / 3, 1 / 3), (-1e-9, 0.5, 0.5 + 1e-9)]
 
 
 def rotated(spectrum, seed):
@@ -237,40 +235,39 @@ def rotated(spectrum, seed):
 
 
 @st.composite
-def small_trace_one_hermitians(draw):
-    """A 2x2 or 3x3 trace-one Hermitian: a Haar-rotated degenerate spectrum,
-    a rotated double root (t, t, 1 - 2t), a diagonal with zero off-diagonals,
+def trace_one_hermitians(draw):
+    """A 3x3 trace-one Hermitian: a Haar-rotated degenerate spectrum, a
+    rotated double root (t, t, 1 - 2t), a diagonal with zero off-diagonals,
     or arbitrary entries in [-1, 1]."""
-    k = draw(st.sampled_from([2, 3]))
     kind = draw(st.sampled_from(["degenerate", "double", "diagonal", "entries"]))
     seed = draw(st.integers(0, 2**32 - 1))
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
     if kind == "degenerate":
-        return rotated(draw(st.sampled_from(DEGENERATE[k])), seed)
+        return rotated(draw(st.sampled_from(DEGENERATE)), seed)
     if kind == "double":
         t = draw(unit)
-        return rotated((t, 1.0 - t) if k == 2 else (t, t, 1.0 - 2.0 * t), seed)
+        return rotated((t, t, 1.0 - 2.0 * t), seed)
     if kind == "diagonal":
-        head = draw(st.lists(unit, min_size=k - 1, max_size=k - 1))
+        head = draw(st.lists(unit, min_size=2, max_size=2))
         return np.diag(head + [1.0 - sum(head)]).astype(complex)
-    parts = np.array(draw(st.lists(unit, min_size=2 * k * k, max_size=2 * k * k)))
-    a = (parts[: k * k] + 1j * parts[k * k :]).reshape(k, k)
+    parts = np.array(draw(st.lists(unit, min_size=18, max_size=18)))
+    a = (parts[:9] + 1j * parts[9:]).reshape(3, 3)
     h = 0.5 * (a + a.conj().T)
-    return h + np.eye(k) * (1.0 - np.trace(h).real) / k
+    return h + np.eye(3) * (1.0 - np.trace(h).real) / 3
 
 
 @st.composite
 def large_trace_one_hermitians(draw):
     """A Haar-rotated trace-one spectrum with a negative eigenvalue -x, x from
-    1e-10 to 1e6: (-x, 1 + x), (-x, -x, 1 + 2x) or (-x, 0.5, 0.5 + x)."""
+    1e-10 to 1e6: (-x, -x, 1 + 2x) or (-x, 0.5, 0.5 + x)."""
     x = 10.0 ** draw(st.floats(-10.0, 6.0))
-    spectra = [(-x, 1.0 + x), (-x, -x, 1.0 + 2.0 * x), (-x, 0.5, 0.5 + x)]
+    spectra = [(-x, -x, 1.0 + 2.0 * x), (-x, 0.5, 0.5 + x)]
     return rotated(draw(st.sampled_from(spectra)), draw(st.integers(0, 2**32 - 1)))
 
 
 class TestClosedFormEigvalsh:
     @SCREEN
-    @given(small_trace_one_hermitians())
+    @given(trace_one_hermitians())
     def test_matches_lapack(self, h):
         values = closed_form_eigvalsh(h[None])
         assert np.abs(values - np.linalg.eigvalsh(h[None])).max() <= 1e-7
@@ -285,27 +282,28 @@ class TestClosedFormEigvalsh:
         if not psd_mask(np.linalg.eigvalsh(h[None]))[0]:
             assert near.tolist() == [0]
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_ascending_rows_of_a_stack(self, k):
-        rng = rng_for(30 + k)
-        stack = np.stack([random_trace_one_hermitian(k, rng) for _ in range(64)])
+    def test_ascending_rows_of_a_stack(self):
+        rng = rng_for(33)
+        stack = np.stack([random_trace_one_hermitian(3, rng) for _ in range(64)])
         values = closed_form_eigvalsh(stack)
-        assert values.shape == (64, k)
+        assert values.shape == (64, 3)
         assert np.all(np.diff(values, axis=1) >= 0.0)
         assert np.abs(values - np.linalg.eigvalsh(stack)).max() < 1e-12
 
     def test_triple_root_is_exact(self):
         assert np.array_equal(closed_form_eigvalsh((np.eye(3) / 4)[None]), [[0.25] * 3])
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 3), (3,)])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (2, 3), (3,)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(InvariantError):
             closed_form_eigvalsh(np.zeros((1,) + shape))
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_screen_sends_nan_rows_to_lapack(self, k):
-        stack = np.stack([np.eye(k) / k] * 3).astype(complex)
-        stack[1, k - 1, 0] = np.nan
+    def test_screen_sends_nan_rows_to_lapack(self):
+        stack = np.stack([np.eye(3) / 3] * 3).astype(complex)
+        stack[1, 2, 0] = np.nan
         values, near = psd_screen(stack)
         assert np.isnan(values[1]).all()
         assert near.tolist() == [1]
+
+    def test_only_k3_takes_the_screen(self):
+        assert [k for k in range(1, 11) if screens(k)] == [3]

@@ -468,7 +468,7 @@ class TestEigenStage:
         monkeypatch.setattr(simulation, "_chunk_task", counted_chunk)
         return calls, rows
 
-    @pytest.mark.parametrize("dim", [3, 10])
+    @pytest.mark.parametrize("dim", [2, 3, 10])
     @pytest.mark.parametrize("metrics", [PSD_ONLY, ("det-mean",)], ids=["psd", "det"])
     def test_chunks_solve_only_what_their_metrics_read(self, monkeypatch, dim, metrics):
         cfg = ExperimentConfig(
@@ -485,11 +485,16 @@ class TestEigenStage:
         eigvalsh = chunks if "psd-fraction" in metrics else 0
         assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
         trial_points = cfg.trials * len(cfg.schedule)
-        if eigvalsh and dim == 10:
-            assert rows["eigvalsh"] == trial_points
-        elif eigvalsh:
+        if eigvalsh and dim == 3:
             # The closed-form screen keeps the clearly PSD rows from LAPACK.
             assert 0 < rows["eigvalsh"] < trial_points / 2
+        elif eigvalsh:
+            assert rows["eigvalsh"] == trial_points
+
+    def test_psd_only_block_of_one_level_rows(self):
+        # No closed form covers k = 1: the whole stack goes to eigvalsh.
+        values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
+        assert values["psd-fraction"].tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_both_branches_decide_psd_alike(self, seed):
