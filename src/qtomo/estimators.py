@@ -13,7 +13,6 @@ from .linalg import (
     psd_mask,
     psd_screen,
     require_trace_one,
-    screens,
 )
 from .measurement import MeasurementPlan, count_frequencies, linear_scheme
 
@@ -123,42 +122,33 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    Where ``linalg.screens(k)`` holds (k = 3) the closed-form screen
-    ``linalg.psd_screen`` runs first: a row whose closed-form smallest
-    eigenvalue is at least ``SCREEN_MARGIN`` is PSD, returned unchanged with
-    0 sweeps and its closed-form eigenvalues.  The other rows (all of them
-    for any other k) go to one batched ``eigh``; each of those that is not
-    PSD by ``linalg.psd_mask`` (smallest eigenvalue below -1e-9) has its
-    eigenvalues projected by ``project_nonneg_simplex_rows`` and is rebuilt
-    as ``(u * w) @ u^H`` in its eigenbasis, and the rest are returned
-    unchanged, with 0 sweeps and their LAPACK eigenvalues.  Returns the
+    ``linalg.psd_screen`` runs first: at k = 3 a row whose closed-form
+    smallest eigenvalue is at least ``SCREEN_MARGIN`` is PSD, returned
+    unchanged with 0 sweeps and its closed-form eigenvalues; at any other k
+    it clears no row.  The rows it selects go to one batched ``eigh``; each
+    of those that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue
+    below -1e-9) has its eigenvalues projected by
+    ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
+    its eigenbasis, and the rest are returned unchanged, with 0 sweeps and
+    their LAPACK eigenvalues.  The input is not modified.  Returns the
     projected stack, the per-row sweep counts and the input's eigenvalues,
     ascending, as (m, k) rows; raises ``EigenDecompositionError`` if the
     eigensolver fails.
     """
-    if not screens(phi.shape[1]):
-        return _project_rows(phi.copy())
     eigvals, near = psd_screen(phi)
-    projected, near_steps, eigvals[near] = _project_rows(phi[near])
     out = phi.copy()
-    out[near] = projected
-    steps = np.zeros(phi.shape[0], dtype=int)
-    steps[near] = near_steps
-    return out, steps, eigvals
-
-
-def _project_rows(phi):
-    # The LAPACK half of constrained_rows, in place on a stack it owns.
     try:
-        eigvals, eigvecs = np.linalg.eigh(phi)
+        w, u = np.linalg.eigh(out[near])
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    steps = np.zeros(phi.shape[0], dtype=int)
-    rows = np.nonzero(~psd_mask(eigvals))[0]
-    clipped, steps[rows] = project_nonneg_simplex_rows(eigvals[rows])
-    u = eigvecs[rows]
-    phi[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return phi, steps, eigvals
+    eigvals[near] = w
+    bad = np.nonzero(~psd_mask(w))[0]
+    rows = np.arange(len(out))[near][bad]
+    steps = np.zeros(len(out), dtype=int)
+    clipped, steps[rows] = project_nonneg_simplex_rows(w[bad])
+    u = u[bad]
+    out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return out, steps, eigvals
 
 
 def constrained_estimate(matrix):

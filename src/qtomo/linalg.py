@@ -21,7 +21,6 @@ __all__ = [
     "require_hermitian",
     "psd_mask",
     "closed_form_eigvalsh",
-    "screens",
     "psd_screen",
     "is_psd",
     "require_trace_one",
@@ -135,24 +134,22 @@ def closed_form_eigvalsh(mats) -> np.ndarray:
     return np.stack([low, 3.0 * q - high - low, high], axis=1)
 
 
-def screens(k: int) -> bool:
-    """Whether k x k stacks take ``psd_screen`` before LAPACK: k = 3 only.
-
-    At k = 2 a whole-stack ``eigvalsh`` is already cheap, and a pure qubit
-    state leaves every row at the PSD edge, where the screen clears none.
-    """
-    return k == 3
-
-
 def psd_screen(mats):
-    """The rows of an (m, 3, 3) Hermitian stack that LAPACK must judge: their
-    closed-form smallest eigenvalue is not at least ``SCREEN_MARGIN`` (NaN
-    rows included).  Every other row is PSD.
+    """The rows of an (m, k, k) Hermitian stack that LAPACK must judge.
 
+    At k = 3 these are the rows whose closed-form smallest eigenvalue is not
+    at least ``SCREEN_MARGIN`` (NaN rows included); every other row is PSD.
     Returns the closed-form eigenvalues, ascending, and the indices of those
-    rows.
+    rows.  At any other k no closed form runs: the eigenvalues come back
+    unfilled and every row is selected by ``slice(None)``, so ``mats[near]``
+    is a view.  At k = 2 a whole-stack ``eigvalsh`` is already cheap, and a
+    pure qubit state leaves every row at the PSD edge, where a screen would
+    clear none.
     """
-    values = closed_form_eigvalsh(mats)
+    a = np.asarray(mats)
+    if a.shape[1:] != (3, 3):
+        return np.empty(a.shape[:2]), slice(None)
+    values = closed_form_eigvalsh(a)
     return values, np.nonzero(~(values[:, 0] >= SCREEN_MARGIN))[0]
 
 

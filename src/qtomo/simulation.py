@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen, screens
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen
 from .measurement import CHUNK_TRIALS, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -147,7 +147,10 @@ class ExperimentConfig:
         if self.directions is not None:
             if self.scheme != "three-direction":
                 raise ConfigError("directions apply to the three-direction scheme only")
-            d = np.asarray(self.directions, dtype=float)
+            try:
+                d = np.asarray(self.directions, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError("directions must be a 3x3 matrix of real numbers") from None
             if d.shape != (3, 3):
                 raise ConfigError("directions must be a 3x3 matrix")
             object.__setattr__(self, "directions", d)
@@ -188,16 +191,14 @@ def _metric_block(phi, state, metrics):
     A block solves at most one eigenproblem: a constrained metric brings the
     one ``eigh`` inside ``constrained_rows``, whose eigenvalues also decide
     ``psd-fraction``; ``psd-fraction`` alone takes eigenvalues only, from
-    ``eigvalsh``; the other metrics need no eigensolve.  Where
-    ``linalg.screens(k)`` holds (k = 3) both branches screen first with
-    ``linalg.psd_screen``, so LAPACK sees only the rows near or past the PSD
-    edge, and the screened rows carry their closed-form eigenvalues.
+    ``eigvalsh``; the other metrics need no eigensolve.  Both branches
+    screen first with ``linalg.psd_screen``, so at k = 3 LAPACK sees only the
+    rows near or past the PSD edge and the screened rows carry their
+    closed-form eigenvalues; at any other k LAPACK sees every row.
     """
     constrained = eigvals = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
         constrained, _, eigvals = constrained_rows(phi)
-    elif "psd-fraction" in metrics and not screens(phi.shape[1]):
-        eigvals = np.linalg.eigvalsh(phi)
     elif "psd-fraction" in metrics:
         eigvals, near = psd_screen(phi)
         eigvals[near] = np.linalg.eigvalsh(phi[near])

@@ -19,7 +19,18 @@ def test_every_export_resolves(module_name):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["qubit_constrain_bloch", "hermitian_eig", "Spectrum"])
-def test_deleted_names_not_exported(name):
-    assert name not in qtomo.__all__
-    assert not hasattr(qtomo, name)
+DELETED = [
+    ("qtomo", "qubit_constrain_bloch"),
+    ("qtomo", "hermitian_eig"),
+    ("qtomo", "Spectrum"),
+    ("qtomo.linalg", "screens"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, name", DELETED, ids=[f"{m}.{n}".removeprefix("qtomo.") for m, n in DELETED]
+)
+def test_deleted_names_not_exported(module_name, name):
+    module = importlib.import_module(module_name)
+    assert name not in module.__all__
+    assert not hasattr(module, name)

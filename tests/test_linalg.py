@@ -16,7 +16,6 @@ from qtomo.linalg import (
     psd_screen,
     require_hermitian,
     row_dots,
-    screens,
 )
 from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
@@ -305,5 +304,10 @@ class TestClosedFormEigvalsh:
         assert np.isnan(values[1]).all()
         assert near.tolist() == [1]
 
-    def test_only_k3_takes_the_screen(self):
-        assert [k for k in range(1, 11) if screens(k)] == [3]
+    @pytest.mark.parametrize("k", [1, 2, 4, 10])
+    def test_other_k_select_every_row_as_a_view(self, k):
+        stack = np.stack([np.eye(k) / k] * 5).astype(complex)
+        values, near = psd_screen(stack)
+        assert values.shape == (5, k)
+        assert np.array_equal(np.arange(5)[near], np.arange(5))
+        assert np.shares_memory(stack[near], stack)

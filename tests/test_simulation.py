@@ -115,6 +115,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="3x3"):
             self.base(scheme="three-direction", directions=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "directions", ["abc", [[1j, 0, 0], [0, 1, 0], [0, 0, 1]]], ids=["text", "complex"]
+    )
+    def test_non_numeric_directions_are_a_config_error(self, directions):
+        with pytest.raises(ConfigError, match="3x3"):
+            self.base(scheme="three-direction", directions=directions)
+
     def test_qubit_scheme_needs_qubit_state(self):
         with pytest.raises(ConfigError, match="requires a qubit state, got dim 3$"):
             self.base(scheme="standard", state=RandomState(3))
@@ -492,9 +499,25 @@ class TestEigenStage:
             assert rows["eigvalsh"] == trial_points
 
     def test_psd_only_block_of_one_level_rows(self):
-        # No closed form covers k = 1: the whole stack goes to eigvalsh.
+        # psd_screen clears no row at k = 1: the whole stack goes to eigvalsh.
         values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
         assert values["psd-fraction"].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_eigen_paths_leave_the_stack_unchanged(self, dim):
+        # Half the rows indefinite; at k != 3 psd_screen hands back a view
+        # of the caller's stack, which neither path may write through.
+        rng = np.random.default_rng(dim)
+        phi = np.stack([random_density(dim, rng) for _ in range(8)])
+        phi[::2] += np.diag(np.r_[-1.0, 1.0, np.zeros(dim - 2)])
+        before = phi.copy()
+        _, steps, _ = constrained_rows(phi)
+        assert steps[::2].all() and not steps[1::2].any()
+        assert np.array_equal(phi, before)
+        for metrics in (self.PSD_ONLY, ("hs-constrained", "psd-fraction")):
+            values = simulation._metric_block(phi, phi[1], metrics)
+            assert values["psd-fraction"].tolist() == [0.0, 1.0] * 4
+            assert np.array_equal(phi, before)
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_both_branches_decide_psd_alike(self, seed):
