@@ -152,17 +152,20 @@ def _atomic_write(path: Path, chunks):
         raise
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _csv_lines(header, rows):
-    """The header line, then one CSV line per row, newlines included."""
+def _csv_chunks(header, tables):
+    """The header line, then each table of equal-length columns as one string
+    of CSV lines.  Floats are %.17g, formatted once per distinct bit pattern
+    (bits, not values, keep 0.0 apart from -0.0); other columns go through str."""
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+    for columns in tables:
+        texts = []
+        for col in map(np.asarray, columns):
+            if col.dtype == np.float64:
+                bits, where = np.unique(col.view(np.int64), return_inverse=True)
+                text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+                col = np.array(text, dtype=object)[where]
+            texts.append(map(str, col.tolist()))
+        yield "".join([",".join(row) + "\n" for row in zip(*texts)])
 
 
 def _emit_json(payload, out: str | None) -> int:
@@ -366,7 +369,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(options["out"])
     csv_path = out_dir / "trajectory.csv"
     header = ("n", "metric", "mean", "stderr", "trials", "seed")
-    _atomic_write(csv_path, _csv_lines(header, record.rows()))
+    _atomic_write(csv_path, _csv_chunks(header, [zip(*record.rows())]))
     written = [str(csv_path)]
     if options["svg"]:
         for metric in config.metrics:
@@ -411,6 +414,8 @@ def _cmd_mse(args) -> int:
     return _emit_json(payload, args.out)
 
 
+# About 3.4e7 ball points: a 3.9 GB comparison.csv and minutes of work.
+_MAX_GRID = 401
 _GRID_HEADER = (
     "theta1",
     "theta2",
@@ -424,8 +429,8 @@ _GRID_HEADER = (
 
 
 def _grid_rows(axis, n, min_eigs):
-    """CSV rows of the cube points in the closed unit ball, one t1 plane at a
-    time, in the order of a triple loop over ``axis``; each plane's smallest
+    """CSV columns of the cube points in the closed unit ball, one t1 plane at
+    a time, in the order of a triple loop over ``axis``; each plane's smallest
     eigenvalues are appended to ``min_eigs`` unless it is None."""
     for t1 in axis:
         plane = np.stack(np.meshgrid([t1], axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -435,13 +440,13 @@ def _grid_rows(axis, n, min_eigs):
         c = compare_batch(plane, n)
         if min_eigs is not None:
             min_eigs.append(c.min_eig)
-        yield from zip(
-            *plane.T.tolist(),
-            c.min_eig.tolist(),
-            c.dominated.astype(int).tolist(),
-            c.trace_comp.tolist(),
-            c.trace_min.tolist(),
-            c.trace_ok.astype(int).tolist(),
+        yield (
+            *plane.T,
+            c.min_eig,
+            c.dominated.astype(int),
+            c.trace_comp,
+            c.trace_min,
+            c.trace_ok.astype(int),
         )
 
 
@@ -470,13 +475,13 @@ def _cmd_compare(args) -> int:
         }
         return _emit_json(payload, args.out)
     grid = args.grid
-    if grid < 2:
-        raise ConfigError("grid must be at least 2 points per axis")
+    if not 2 <= grid <= _MAX_GRID:
+        raise ConfigError(f"grid must be from 2 to {_MAX_GRID} points per axis")
     axis = np.linspace(-1.0, 1.0, grid)
     out_dir = Path(args.out if args.out is not None else ".")
     csv_path = out_dir / "comparison.csv"
     min_eigs = [np.empty(0)] if args.svg else None
-    _atomic_write(csv_path, _csv_lines(_GRID_HEADER, _grid_rows(axis, n, min_eigs)))
+    _atomic_write(csv_path, _csv_chunks(_GRID_HEADER, _grid_rows(axis, n, min_eigs)))
     if args.svg:
         eigs = np.sort(np.concatenate(min_eigs))
         chart = _svg_line_chart(
@@ -575,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare the qubit schemes at equal copy budget")
     p_cmp.add_argument("--copies", type=int, default=300, help="total copies n, divisible by 3")
     p_cmp.add_argument("--theta", help="single Bloch vector; JSON output")
-    p_cmp.add_argument("--grid", type=int, default=9, help="grid points per axis for the sweep")
+    p_cmp.add_argument("--grid", type=int, default=9, help=f"points per axis, 2 to {_MAX_GRID}")
     p_cmp.add_argument("--out", help="output directory for the CSV (or file for --theta)")
     p_cmp.add_argument("--svg", action="store_true", help="also write an SVG chart")
     p_cmp.set_defaults(func=_cmd_compare)

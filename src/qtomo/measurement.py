@@ -481,7 +481,10 @@ def _bloch_matrices(theta: np.ndarray) -> np.ndarray:
 
 
 def _direction_matrix(directions) -> np.ndarray:
-    t = np.asarray(directions, dtype=float)
+    try:
+        t = np.asarray(directions).astype(float, casting="same_kind")
+    except (TypeError, ValueError):
+        raise InvariantError("directions must be a 3x3 matrix of real numbers") from None
     if t.shape != (3, 3):
         raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
     norms = np.linalg.norm(t, axis=1)

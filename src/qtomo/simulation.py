@@ -77,8 +77,10 @@ class ExperimentConfig:
     resolved once per run from the master seed.  ``schedule`` holds the
     per-point sample sizes, integers from 1 to 2**63 - 1: shots per
     observable for ``klevel-pairs`` and ``three-direction``, total shots for
-    the POVM schemes.  ``metrics`` defaults to every metric the state's
-    dimension supports: all of ``METRICS`` for a qubit, all but
+    the POVM schemes.  Each entry times the number of settings (k**2 - 1
+    observables, 3 directions or 1 POVM), the copies n of the point, must
+    also be at most 2**63 - 1.  ``metrics`` defaults to every metric the
+    state's dimension supports: all of ``METRICS`` for a qubit, all but
     ``fidelity-unconstrained`` beyond.  Every rule here raises
     ``ConfigError`` when the config is built, the two dimension rules too:
     a qubit scheme needs a two-level state, and ``fidelity-unconstrained``
@@ -144,11 +146,20 @@ class ExperimentConfig:
                 "fidelity-unconstrained is only defined for qubits, where fidelity "
                 "extends to indefinite estimates"
             )
+        # trajectory.csv's n is shots times settings, computed in int64.
+        settings = 3 if self.scheme == "three-direction" else 1
+        if self.scheme == "klevel-pairs" and rows:
+            settings = int(rows[0]) ** 2 - 1
+        if sched[-1] * settings > _MAX_SHOTS:
+            raise ConfigError(
+                f"schedule entry {sched[-1]} times the {settings} settings of {self.scheme} "
+                f"exceeds {_MAX_SHOTS} copies"
+            )
         if self.directions is not None:
             if self.scheme != "three-direction":
                 raise ConfigError("directions apply to the three-direction scheme only")
             try:
-                d = np.asarray(self.directions, dtype=float)
+                d = np.asarray(self.directions).astype(float, casting="same_kind")
             except (TypeError, ValueError):
                 raise ConfigError("directions must be a 3x3 matrix of real numbers") from None
             if d.shape != (3, 3):

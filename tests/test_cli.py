@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtomo.cli import _atomic_write, main, matrix_from_json, matrix_to_json
+from qtomo import cli
+from qtomo.cli import _atomic_write, _csv_chunks, main, matrix_from_json, matrix_to_json
 from qtomo.simulation import ConfigError
 
 
@@ -364,6 +368,16 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("scheme", ["klevel-pairs", "three-direction"])
+    def test_copies_beyond_int64_exit_2(self, capsys, sim_config, scheme, tmp_path):
+        # 2**62 shots on each of three settings: n = 3 * 2**62 has no int64.
+        out = tmp_path / "o"
+        cfg = sim_config(scheme=scheme, schedule=[2**62], trials=1)
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert "exceeds 9223372036854775807 copies" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, raw",
         [
@@ -534,6 +548,23 @@ class TestCompare:
         assert "at least 1" in err
         assert not out.exists()
 
+    def test_grid_above_the_bound_exit_2(self, capsys, tmp_path):
+        # Rejected before the axis, the output directory or any plane exists.
+        out = tmp_path / "never"
+        code, _, err = run(
+            capsys, "compare", "--grid", str(10**6), "--copies", "300", "--out", str(out)
+        )
+        assert code == 2
+        assert "from 2 to 401" in err
+        assert not out.exists()
+
+    def test_grid_bound_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID", 3)
+        code, _, _ = run(capsys, "compare", "--grid", "3", "--copies", "3", "--out", str(tmp_path))
+        assert code == 0
+        code, _, _ = run(capsys, "compare", "--grid", "4", "--copies", "3", "--out", str(tmp_path))
+        assert code == 2
+
     def test_grid_without_ball_points(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "compare", "--grid", "2", "--copies", "3", "--out", str(tmp_path), "--svg"
@@ -561,6 +592,46 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--theta", theta, "--copies", "300")
         assert code == 2
         assert "finite" in err
+
+
+def _pooled_columns(pool_size):
+    # Columns drawn from a small pool, so values repeat, with the
+    # special floats mixed in: signed zeros, infinities, NaN and subnormals.
+    pool = st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310]),
+        min_size=1,
+        max_size=pool_size,
+    )
+    return pool.flatmap(lambda p: st.lists(st.sampled_from(p), max_size=60)).map(np.array)
+
+
+class TestCsvChunks:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_pooled_columns(8), st.booleans())
+    def test_float_column_text(self, col, as_tuple):
+        col = col.astype(float)
+        column = tuple(col.tolist()) if as_tuple else col
+        text = "".join(_csv_chunks(("x",), [(column,)]))
+        assert text == "x\n" + "".join(f"{v:.17g}\n" for v in col.tolist())
+
+    def test_signed_zeros_and_nan_payloads_keep_their_text(self):
+        col = np.array([0.0, -0.0, 0.0, math.nan, -math.nan, 1e-320, 1e-320])
+        text = "".join(_csv_chunks(("x",), [(col,)]))
+        assert text == "x\n0\n-0\n0\nnan\nnan\n9.9998886718268301e-321\n9.9998886718268301e-321\n"
+
+    def test_tables_of_mixed_columns(self):
+        tables = [
+            (np.array([1, 0]), ("a", "b"), np.array([0.1, 0.1]), (2**64, 3)),
+            (np.array([7]), ("c",), np.array([-1.5]), (5,)),
+            (np.array([], dtype=int), (), np.array([]), ()),
+        ]
+        assert list(_csv_chunks(("i", "s", "f", "big"), tables)) == [
+            "i,s,f,big\n",
+            "1,a,0.10000000000000001,18446744073709551616\n0,b,0.10000000000000001,3\n",
+            "7,c,-1.5,5\n",
+            "",
+        ]
 
 
 class TestAtomicWrite:

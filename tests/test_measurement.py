@@ -412,6 +412,20 @@ def test_nan_input_raises(name, x):
         NON_FINITE_INPUTS[name](x)
 
 
+@pytest.mark.parametrize("name", ["linear_scheme", "mse_three_direction", "average_mse_over_ball"])
+def test_complex_directions_raise(name):
+    # The real part is the identity: a cast to float would drop the
+    # imaginary part with only a warning and run.
+    directions = np.eye(3) * (1 + 1j)
+    call = {
+        "linear_scheme": lambda: linear_scheme("three-direction", directions=directions),
+        "mse_three_direction": lambda: mse_three_direction([0.1, 0.0, 0.0], directions, 1),
+        "average_mse_over_ball": lambda: average_mse_over_ball(directions),
+    }[name]
+    with pytest.raises(InvariantError, match="3x3 matrix of real numbers"):
+        call()
+
+
 UNIT_CUBE = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
 # A point of the closed unit ball: the cube pulled in radially, so the
 # sphere of pure states is drawn too.

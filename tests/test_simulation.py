@@ -50,10 +50,36 @@ class TestConfigValidation:
 
     def test_schedule_fits_the_sampler(self):
         # Shots per setting reach numpy's multinomial as a C long.
-        assert self.base(schedule=(2**63 - 1,)).schedule == (2**63 - 1,)
+        cfg = self.base(scheme="minimal", schedule=(2**63 - 1,))
+        assert cfg.schedule == (2**63 - 1,)
         for schedule in [(2**63,), (5, 10**23)]:
             with pytest.raises(ConfigError, match="schedule entries"):
                 self.base(schedule=schedule)
+
+    @pytest.mark.parametrize(
+        "scheme, state, settings",
+        [
+            ("klevel-pairs", MIXED_QUBIT, 3),
+            ("klevel-pairs", RandomState(10), 99),
+            ("three-direction", MIXED_QUBIT, 3),
+            ("standard", MIXED_QUBIT, 1),
+            ("minimal", MIXED_QUBIT, 1),
+        ],
+    )
+    def test_copies_fit_int64(self, scheme, state, settings):
+        # The copies n of a point, shots times settings, are int64.
+        top = (2**63 - 1) // settings
+        assert self.base(scheme=scheme, state=state, schedule=(top,)).schedule == (top,)
+        with pytest.raises(ConfigError, match="schedule entr"):
+            self.base(scheme=scheme, state=state, schedule=(5, top + 1))
+
+    @pytest.mark.parametrize("scheme", ["klevel-pairs", "three-direction"])
+    def test_largest_copies_do_not_wrap(self, scheme):
+        top = (2**63 - 1) // 3
+        cfg = self.base(scheme=scheme, schedule=(top,), trials=2, metrics=("hs-unconstrained",))
+        record = run_trajectory(cfg)
+        assert record.copies.tolist() == [3 * top]
+        assert record.rows()[0][0] == 3 * top
 
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigError):
@@ -116,10 +142,12 @@ class TestConfigValidation:
             self.base(scheme="three-direction", directions=np.eye(2))
 
     @pytest.mark.parametrize(
-        "directions", ["abc", [[1j, 0, 0], [0, 1, 0], [0, 0, 1]]], ids=["text", "complex"]
+        "directions",
+        ["abc", [[1j, 0, 0], [0, 1, 0], [0, 0, 1]], np.eye(3) * (1 + 1j), np.eye(3, dtype=complex)],
+        ids=["text", "complex", "complex-array", "complex-dtype"],
     )
     def test_non_numeric_directions_are_a_config_error(self, directions):
-        with pytest.raises(ConfigError, match="3x3"):
+        with pytest.raises(ConfigError, match="3x3 matrix of real numbers"):
             self.base(scheme="three-direction", directions=directions)
 
     def test_qubit_scheme_needs_qubit_state(self):
