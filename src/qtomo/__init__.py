@@ -19,7 +19,6 @@ from .error_analysis import (
 from .estimators import (
     constrained_estimate,
     minimal_estimate,
-    project_nonneg_simplex,
     standard_estimate,
     three_direction_estimate,
     unconstrained_estimate,
@@ -30,7 +29,6 @@ from .linalg import (
     determinant,
     fidelity,
     hs_distance,
-    is_psd,
     require_trace_one,
 )
 from .measurement import (
@@ -44,8 +42,6 @@ from .measurement import (
     outcome_probabilities,
     pair_observable_x,
     pair_observable_y,
-    relative_frequency,
-    sample_counts,
     sample_plan_counts,
     standard_povm,
     stream_rng,
@@ -67,7 +63,6 @@ from .states import (
     bloch_to_matrix,
     haar_unitary,
     is_bloch_state,
-    matrix_to_bloch,
     random_density,
     require_density,
 )
@@ -104,8 +99,6 @@ __all__ = [
     "hs_distance",
     "indefinite_decay_rate",
     "is_bloch_state",
-    "is_psd",
-    "matrix_to_bloch",
     "minimal_estimate",
     "minimal_povm",
     "mse_minimal",
@@ -114,14 +107,11 @@ __all__ = [
     "outcome_probabilities",
     "pair_observable_x",
     "pair_observable_y",
-    "project_nonneg_simplex",
     "pure_state_det_mean",
     "random_density",
-    "relative_frequency",
     "require_density",
     "require_trace_one",
     "run_trajectory",
-    "sample_counts",
     "sample_plan_counts",
     "standard_estimate",
     "standard_povm",

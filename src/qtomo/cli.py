@@ -499,7 +499,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_povm_check(args) -> int:
     directions = _directions_option(args)
-    dim = args.dim if args.scheme == "klevel-pairs" else 2
+    if args.dim is not None and args.scheme != "klevel-pairs":
+        raise ConfigError("--dim only applies to scheme klevel-pairs")
+    dim = 2 if args.dim is None else args.dim
     if dim < 2:
         raise ConfigError("--dim must be at least 2")
     if args.matrix is not None:
@@ -587,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("povm-check", help="structural checks of a measurement scheme")
     p_chk.add_argument("--scheme", default="minimal", choices=SCHEMES)
-    p_chk.add_argument("--dim", type=int, default=2, help="dimension for klevel-pairs")
+    p_chk.add_argument("--dim", type=int, help="dimension for klevel-pairs (default 2)")
     p_chk.add_argument("--theta", help="evaluate probabilities at this Bloch vector")
     p_chk.add_argument("--matrix", help="evaluate probabilities at this density matrix JSON")
     p_chk.add_argument("--directions", help="3x3 JSON row matrix for three-direction")

@@ -18,7 +18,6 @@ from .measurement import MeasurementPlan, count_frequencies, linear_scheme
 
 __all__ = [
     "unconstrained_estimate",
-    "project_nonneg_simplex",
     "project_nonneg_simplex_rows",
     "constrained_rows",
     "constrained_estimate",
@@ -101,21 +100,6 @@ def project_nonneg_simplex_rows(values):
         sub += np.where(live, shortfall / live.sum(axis=1, keepdims=True), 0.0)
         y[rows] = sub
         steps[rows] += 1
-
-
-def project_nonneg_simplex(values):
-    """Closest point of the probability simplex to a unit-sum real vector:
-    the one-row case of ``project_nonneg_simplex_rows``.
-
-    Returns the projected vector (exact zeros where entries were clipped)
-    and the number of redistribution sweeps, at most len(values) - 1; 0
-    means the input was already nonnegative and is returned unchanged.
-    """
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise InvariantError("expected a nonempty 1-d vector")
-    rows, steps = project_nonneg_simplex_rows(y[None, :])
-    return rows[0], int(steps[0])
 
 
 def constrained_rows(phi):

@@ -22,7 +22,6 @@ __all__ = [
     "psd_mask",
     "closed_form_eigvalsh",
     "psd_screen",
-    "is_psd",
     "require_trace_one",
     "determinant",
     "row_dots",
@@ -151,11 +150,6 @@ def psd_screen(mats):
         return np.empty(a.shape[:2]), slice(None)
     values = closed_form_eigvalsh(a)
     return values, np.nonzero(~(values[:, 0] >= SCREEN_MARGIN))[0]
-
-
-def is_psd(matrix) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite by ``psd_mask``."""
-    return bool(psd_mask(np.linalg.eigvalsh(require_hermitian(matrix))))
 
 
 def require_trace_one(matrix) -> np.ndarray:

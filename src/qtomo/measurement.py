@@ -41,9 +41,7 @@ __all__ = [
     "standard_povm",
     "minimal_povm",
     "outcome_probabilities",
-    "sample_counts",
     "count_frequencies",
-    "relative_frequency",
     "sample_plan_counts",
     "CHUNK_TRIALS",
     "SCHEMES",
@@ -147,15 +145,6 @@ class Observable:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "projectors", _readonly(p))
 
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[1]
-
-    def expectation(self, rho) -> float:
-        """Expected outcome value in the state ``rho``."""
-        probs = outcome_probabilities(self, rho)
-        return float(np.dot(self.values, probs))
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -173,10 +162,6 @@ class Povm:
         if gaps["psd"] > _STRUCTURE_ATOL:
             raise InvariantError(f"effects must be PSD, smallest eigenvalue {-gaps['psd']:.3e}")
         object.__setattr__(self, "effects", _readonly(e))
-
-    @property
-    def dim(self) -> int:
-        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -308,18 +293,6 @@ def outcome_probabilities(measurement, rho) -> np.ndarray:
     return _distribution(measurement, require_density(rho))
 
 
-def sample_counts(probs, repetitions: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial outcome counts for ``repetitions`` independent shots."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise InvariantError("probability vector must be 1-d with at least 2 outcomes")
-    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
-        raise InvariantError("probabilities must be nonnegative and sum to 1")
-    if not (is_integer(repetitions) and repetitions >= 1):
-        raise InvariantError("repetitions must be an integer of at least 1")
-    return rng.multinomial(repetitions, p / p.sum())
-
-
 def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.ndarray:
     """The one check of an outcome-count record, returning its relative
     frequencies: ``counts`` has shape (outcomes,), finite nonnegative entries
@@ -339,17 +312,6 @@ def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.nda
     if shots < 1:
         raise InvariantError("counts must contain at least one shot")
     return c / shots
-
-
-def relative_frequency(counts, outcome: int) -> float:
-    """Fraction of shots that landed on the given outcome index, for a 1-d
-    count vector that ``count_frequencies`` accepts and an integer index
-    ``0 <= outcome < counts.size``."""
-    c = np.asarray(counts, dtype=float)
-    frequencies = count_frequencies(c, c.size)
-    if not (is_integer(outcome) and 0 <= outcome < c.size):
-        raise InvariantError(f"outcome must be an integer in [0, {c.size}), got {outcome!r}")
-    return float(frequencies[outcome])
 
 
 @dataclass(frozen=True)
@@ -414,7 +376,7 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
     ``LinearScheme.probabilities``.
     """
     probs = plan.scheme.probabilities(rho)
-    return {key: sample_counts(p, plan.repetitions, rng) for key, p in zip(plan.keys, probs)}
+    return {key: rng.multinomial(plan.repetitions, p / p.sum()) for key, p in zip(plan.keys, probs)}
 
 
 @dataclass(frozen=True)

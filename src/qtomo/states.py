@@ -11,7 +11,6 @@ __all__ = [
     "PAULI",
     "bloch_vector",
     "bloch_to_matrix",
-    "matrix_to_bloch",
     "is_bloch_state",
     "in_bloch_ball",
     "require_trace_one",
@@ -54,14 +53,6 @@ def bloch_to_matrix(theta) -> np.ndarray:
     is a density matrix exactly when ``|theta| <= 1``.
     """
     return 0.5 * (SIGMA_0 + np.tensordot(bloch_vector(theta), PAULI, axes=1))
-
-
-def matrix_to_bloch(matrix) -> np.ndarray:
-    """Bloch coordinates ``theta_i = Tr(M sigma_i)`` of a 2x2 trace-one Hermitian."""
-    m = require_trace_one(matrix)
-    if m.shape != (2, 2):
-        raise InvariantError(f"Bloch coordinates need a 2x2 matrix, got {m.shape}")
-    return np.einsum("aij,ji->a", PAULI, m).real
 
 
 def is_bloch_state(theta) -> bool:

@@ -6,8 +6,10 @@ projections instead of iterative redistribution, a per-entry loop instead
 of the masked batch redistribution, alternating projections
 between matrix sets instead of an eigenvalue-space projection,
 eigenvalue-based fidelity instead of the qubit closed form, a radial
-Bloch rescaling instead of the qubit eigenvalue projection, and a checked,
-descending eigendecomposition instead of the bare ascending ``eigh``.
+Bloch rescaling instead of the qubit eigenvalue projection, Bloch
+coordinates read from matrix entries to invert ``bloch_to_matrix``'s
+Pauli sum, and a checked, descending eigendecomposition instead of the
+bare ascending ``eigh``.
 """
 
 import numpy as np
@@ -42,6 +44,13 @@ def bloch_radial_projection(theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
     norm = float(np.linalg.norm(t))
     return t.copy() if norm <= 1.0 else t / norm
+
+
+def matrix_to_bloch(matrix) -> np.ndarray:
+    """Bloch coordinates Tr(M sigma_a) of a 2x2 Hermitian, read from its
+    entries: (2 Re M_21, 2 Im M_21, M_11 - M_22)."""
+    m = np.asarray(matrix, dtype=complex)
+    return np.array([2 * m[1, 0].real, 2 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
 
 
 def hs_distance_brute(a, b) -> float:

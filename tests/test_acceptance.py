@@ -19,7 +19,11 @@ from qtomo.error_analysis import (
     mse_standard,
     mse_three_direction,
 )
-from qtomo.estimators import constrained_estimate, project_nonneg_simplex, unconstrained_estimate
+from qtomo.estimators import (
+    constrained_estimate,
+    project_nonneg_simplex_rows,
+    unconstrained_estimate,
+)
 from qtomo.measurement import (
     TETRAHEDRON,
     MeasurementPlan,
@@ -81,10 +85,10 @@ def report(number: int, text: str):
 
 
 def test_criterion_01_projection_exactness():
-    projected, steps = project_nonneg_simplex([0.5, -0.5, 1.0])
+    (projected,), (steps,) = project_nonneg_simplex_rows([[0.5, -0.5, 1.0]])
     assert np.abs(projected - [0.25, 0.0, 0.75]).max() <= PROJECTION_ATOL
     assert steps == 1
-    projected, steps = project_nonneg_simplex([1 / 6, -1 / 2, 8 / 6])
+    (projected,), (steps,) = project_nonneg_simplex_rows([[1 / 6, -1 / 2, 8 / 6]])
     assert np.abs(projected - [0.0, 0.0, 1.0]).max() <= PROJECTION_ATOL
     assert steps == 2
     # Same inputs routed through the matrix-level projection.

@@ -730,6 +730,20 @@ class TestPovmCheck:
         assert code == 2
         assert "finite" in err
 
+    def test_klevel_pairs_defaults_to_dim_2(self, capsys):
+        payload = run_json(capsys, "povm-check", "--scheme", "klevel-pairs")
+        assert payload["dim"] == 2
+        assert payload["observables"] == 3
+
+    @pytest.mark.parametrize(
+        "scheme, dim", [("minimal", "5"), ("standard", "1"), ("three-direction", "2")]
+    )
+    def test_dim_only_for_klevel_pairs(self, capsys, scheme, dim):
+        code, out, err = run(capsys, "povm-check", "--scheme", scheme, "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert "--dim only applies to scheme klevel-pairs" in err
+
     @pytest.mark.parametrize("dim", ["-1", "0", "1"])
     def test_dim_below_two_exit_2(self, capsys, dim):
         code, _, _ = run(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", dim)

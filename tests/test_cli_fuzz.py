@@ -147,7 +147,7 @@ def test_mse_options(scheme, theta, copies, directions):
 @FUZZ
 @given(
     scheme=st.sampled_from(["standard", "minimal", "three-direction", "klevel-pairs"]),
-    dim=st.integers(-2, 4),
+    dim=st.one_of(st.none(), st.integers(-2, 4)),
     state=st.one_of(
         st.none(),
         THETAS.map(lambda t: f"--theta={t}"),
@@ -156,7 +156,11 @@ def test_mse_options(scheme, theta, copies, directions):
     directions=st.one_of(st.none(), DIRECTIONS.map(_text)),
 )
 def test_povm_check_options(scheme, dim, state, directions):
-    argv = ["povm-check", "--scheme", scheme, f"--dim={dim}"]
+    # --dim with a qubit scheme exits 2 at once, so it is drawn only some of
+    # the time and the qubit schemes still reach their state checks.
+    argv = ["povm-check", "--scheme", scheme]
+    if dim is not None:
+        argv.append(f"--dim={dim}")
     if state is not None:
         argv.append(state)
     if directions is not None:

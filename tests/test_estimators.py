@@ -7,7 +7,6 @@ from qtomo.estimators import (
     constrained_estimate,
     constrained_rows,
     minimal_estimate,
-    project_nonneg_simplex,
     project_nonneg_simplex_rows,
     standard_estimate,
     three_direction_estimate,
@@ -19,7 +18,6 @@ from qtomo.linalg import (
     EigenDecompositionError,
     InvariantError,
     hs_distance,
-    is_psd,
     psd_mask,
     require_hermitian,
 )
@@ -32,11 +30,12 @@ from qtomo.measurement import (
     standard_povm,
     stream_rng,
 )
-from qtomo.states import bloch_to_matrix, haar_unitary, matrix_to_bloch, random_density
+from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
 from oracles import (
     bloch_radial_projection,
     hermitian_eig,
+    matrix_to_bloch,
     project_density_dykstra,
     project_simplex_bisect,
     project_simplex_loop,
@@ -63,7 +62,7 @@ class TestUnconstrainedEstimate:
         phi = unconstrained_estimate(plan, counts)
         expect = np.array([[0.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
         assert np.abs(phi - expect).max() == 0.0
-        assert not is_psd(phi)
+        assert not psd_mask(np.linalg.eigvalsh(phi))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_expected_counts_reproduce_state(self, dim):
@@ -110,18 +109,18 @@ class TestUnconstrainedEstimate:
 
 class TestSimplexProjection:
     def test_first_worked_example(self):
-        projected, steps = project_nonneg_simplex([0.5, -0.5, 1.0])
+        (projected,), (steps,) = project_nonneg_simplex_rows([[0.5, -0.5, 1.0]])
         assert np.abs(projected - [0.25, 0.0, 0.75]).max() < 1e-15
         assert steps == 1
 
     def test_second_worked_example_needs_two_sweeps(self):
-        projected, steps = project_nonneg_simplex([1 / 6, -1 / 2, 8 / 6])
+        (projected,), (steps,) = project_nonneg_simplex_rows([[1 / 6, -1 / 2, 8 / 6]])
         assert np.abs(projected - [0.0, 0.0, 1.0]).max() < 1e-15
         assert steps == 2
 
     def test_nonnegative_input_unchanged(self):
         x = np.array([0.2, 0.3, 0.5])
-        projected, steps = project_nonneg_simplex(x)
+        (projected,), (steps,) = project_nonneg_simplex_rows([x])
         assert np.array_equal(projected, x)
         assert steps == 0
 
@@ -131,7 +130,7 @@ class TestSimplexProjection:
         for _ in range(200):
             x = rng.standard_normal(dim)
             x += (1.0 - x.sum()) / dim
-            projected, steps = project_nonneg_simplex(x)
+            (projected,), (steps,) = project_nonneg_simplex_rows([x])
             assert steps <= dim - 1
             assert np.abs(projected - project_simplex_sort(x)).max() < 1e-12
             assert np.abs(projected - project_simplex_bisect(x)).max() < 1e-10
@@ -139,16 +138,12 @@ class TestSimplexProjection:
             assert projected.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_clipped_entries_are_exact_zeros(self):
-        projected, _ = project_nonneg_simplex([1.2, -0.1, -0.1])
+        (projected,), _ = project_nonneg_simplex_rows([[1.2, -0.1, -0.1]])
         assert projected[1] == 0.0 and projected[2] == 0.0
 
     def test_unit_sum_required(self):
         with pytest.raises(InvariantError):
-            project_nonneg_simplex([0.5, 0.6])
-
-    def test_vector_required(self):
-        with pytest.raises(InvariantError, match="nonempty 1-d vector"):
-            project_nonneg_simplex([[0.5, 0.5]])
+            project_nonneg_simplex_rows([[0.5, 0.6]])
 
     def test_minimizer_property(self):
         # The projection is the closest simplex point: no random simplex
@@ -157,7 +152,7 @@ class TestSimplexProjection:
         for _ in range(50):
             x = rng.standard_normal(5)
             x += (1.0 - x.sum()) / 5
-            projected, _ = project_nonneg_simplex(x)
+            (projected,), _ = project_nonneg_simplex_rows([x])
             best = np.linalg.norm(x - projected)
             for _ in range(40):
                 candidate = rng.dirichlet(np.ones(5))

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import qtomo
+from qtomo.measurement import Observable, Povm
 
 MODULES = ["qtomo"] + [
     f"qtomo.{name}"
@@ -24,6 +25,16 @@ DELETED = [
     ("qtomo", "hermitian_eig"),
     ("qtomo", "Spectrum"),
     ("qtomo.linalg", "screens"),
+] + [
+    (module_name, name)
+    for owner, name in (
+        ("linalg", "is_psd"),
+        ("states", "matrix_to_bloch"),
+        ("measurement", "relative_frequency"),
+        ("measurement", "sample_counts"),
+        ("estimators", "project_nonneg_simplex"),
+    )
+    for module_name in ("qtomo", f"qtomo.{owner}")
 ]
 
 
@@ -34,3 +45,9 @@ def test_deleted_names_not_exported(module_name, name):
     module = importlib.import_module(module_name)
     assert name not in module.__all__
     assert not hasattr(module, name)
+
+
+def test_deleted_attributes_gone():
+    assert not hasattr(Observable, "expectation")
+    assert not hasattr(Observable, "dim")
+    assert not hasattr(Povm, "dim")

@@ -25,8 +25,6 @@ from qtomo.measurement import (
     outcome_probabilities,
     pair_observable_x,
     pair_observable_y,
-    relative_frequency,
-    sample_counts,
     sample_plan_counts,
     standard_povm,
     stream_rng,
@@ -144,15 +142,17 @@ class TestProbabilities:
 
     def test_expectations_read_entries(self):
         rho = random_density(3, np.random.default_rng(9))
-        assert pair_observable_x(3, 1, 2).expectation(rho) == pytest.approx(
+
+        def expectation(obs):
+            return np.dot(obs.values, outcome_probabilities(obs, rho))
+
+        assert expectation(pair_observable_x(3, 1, 2)) == pytest.approx(
             2 * rho[0, 1].real, abs=1e-12
         )
-        assert pair_observable_y(3, 1, 2).expectation(rho) == pytest.approx(
+        assert expectation(pair_observable_y(3, 1, 2)) == pytest.approx(
             2 * rho[0, 1].imag, abs=1e-12
         )
-        assert diag_observable_z(3, 3).expectation(rho) == pytest.approx(
-            rho[2, 2].real, abs=1e-12
-        )
+        assert expectation(diag_observable_z(3, 3)) == pytest.approx(rho[2, 2].real, abs=1e-12)
 
     def test_direction_probability(self):
         rng = np.random.default_rng(11)
@@ -215,7 +215,7 @@ class TestPovms:
     def test_standard_effects(self):
         povm = standard_povm()
         assert povm.n_outcomes == 6
-        assert povm.dim == 2
+        assert povm.effects.shape == (6, 2, 2)
         theta = np.array([0.3, -0.2, 0.4])
         probs = outcome_probabilities(povm, bloch_to_matrix(theta))
         for a in range(3):
@@ -259,45 +259,6 @@ class TestSampling:
         c = stream_rng(42, 1, 3).standard_normal(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_sample_counts_total(self):
-        counts = sample_counts([0.2, 0.3, 0.5], 100, stream_rng(0, 0))
-        assert counts.sum() == 100
-        assert counts.shape == (3,)
-
-    def test_sample_counts_validation(self):
-        rng = stream_rng(0, 1)
-        with pytest.raises(InvariantError):
-            sample_counts([0.7, 0.7], 10, rng)
-        with pytest.raises(InvariantError):
-            sample_counts([1.2, -0.2], 10, rng)
-        with pytest.raises(InvariantError):
-            sample_counts([0.5, 0.5], 0, rng)
-        with pytest.raises(InvariantError, match="at least 2 outcomes"):
-            sample_counts([1.0], 10, rng)
-        for repetitions in (2.5, 2.0, True):
-            with pytest.raises(InvariantError, match="integer"):
-                sample_counts([0.5, 0.5], repetitions, rng)
-
-    def test_sample_counts_law(self):
-        # Frequencies concentrate around the probabilities.
-        probs = np.array([0.1, 0.6, 0.3])
-        counts = sample_counts(probs, 200000, stream_rng(3, 0))
-        assert np.abs(counts / 200000 - probs).max() < 0.01
-
-    def test_relative_frequency(self):
-        assert relative_frequency([3, 1], 0) == 0.75
-        with pytest.raises(InvariantError):
-            relative_frequency([0, 0], 0)
-        with pytest.raises(InvariantError):
-            relative_frequency([-1, 2], 0)
-        # Fractional counts are not truncated to an integer total.
-        assert relative_frequency([1.0, 0.5], 0) == 1.0 / 1.5
-        # An outcome is an integer index into the record: numpy would read -1
-        # as the last outcome.
-        for outcome in (-1, 5, 1.0, True):
-            with pytest.raises(InvariantError, match="outcome must be an integer"):
-                relative_frequency([1, 2], outcome)
 
     def test_count_frequencies(self):
         assert np.array_equal(count_frequencies([3, 1], 2), [0.75, 0.25])
@@ -351,6 +312,14 @@ class TestMeasurementPlan:
         with pytest.raises(InvariantError):
             sample_plan_counts(MeasurementPlan(3, 2), np.eye(2) / 2, stream_rng(0, 0))
 
+    def test_sample_plan_counts_law(self):
+        # Frequencies concentrate around the probabilities.
+        rho = random_density(3, np.random.default_rng(13))
+        plan = MeasurementPlan(3, 200000)
+        counts = sample_plan_counts(plan, rho, stream_rng(3, 0))
+        for key, probs in zip(plan.keys, plan.scheme.probabilities(rho)):
+            assert np.abs(counts[key] / 200000 - probs).max() < 0.01
+
 
 NAN = float("nan")
 
@@ -388,8 +357,6 @@ NON_FINITE_INPUTS = {
             directions=_directions(x),
         )
     ),
-    "sample_counts": lambda x: sample_counts([x, 1.0], 10, stream_rng(0, 0)),
-    "relative_frequency": lambda x: relative_frequency([x, 1.0], 0),
     "is_bloch_state": lambda x: is_bloch_state([x, 0.0, 0.0]),
     "bloch_to_matrix": lambda x: bloch_to_matrix([0.0, x, 0.0]),
     "hs_distance": lambda x: hs_distance([[x, 0.0], [0.0, 1.0]], np.eye(2)),

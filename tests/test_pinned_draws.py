@@ -35,6 +35,11 @@ at commit 8de00ce, the last commit whose chunks without a constrained
 metric took their eigenvalues from a full ``eigh``, by running the same
 ``simulate`` command in a separate checkout of it.  They must match byte
 for byte.
+
+The ``sample_plan_counts`` table of the README example was recorded at
+commit 00575e8, the last commit whose plan sampler drew each observable's
+counts through the checked one-vector sampler ``sample_counts``, by running
+the same call in a separate checkout of it.  It must match exactly.
 """
 
 import hashlib
@@ -46,8 +51,9 @@ import pytest
 
 from qtomo.cli import main
 from qtomo.error_analysis import empirical_mse
+from qtomo.measurement import MeasurementPlan, sample_plan_counts, stream_rng
 from qtomo.simulation import CHUNK_TRIALS, ExperimentConfig, RandomState, run_trajectory
-from qtomo.states import bloch_to_matrix
+from qtomo.states import bloch_to_matrix, random_density
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 RTOL = 1e-10
@@ -300,3 +306,23 @@ def test_povm_check_payload_bytes(args, tmp_path):
     out = tmp_path / "check.json"
     assert main(["povm-check", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == POVM_CHECK_SHA256[args]
+
+
+# The README example: plan key -> outcome counts
+PLAN_COUNTS = {
+    ("z", 1): [14, 36],
+    ("z", 2): [14, 36],
+    ("x", 1, 2): [19, 10, 21],
+    ("x", 1, 3): [19, 7, 24],
+    ("x", 2, 3): [10, 22, 18],
+    ("y", 1, 2): [14, 23, 13],
+    ("y", 1, 3): [10, 16, 24],
+    ("y", 2, 3): [24, 11, 15],
+}
+
+
+def test_sample_plan_counts_table():
+    rho = random_density(3, stream_rng(7, 0))
+    counts = sample_plan_counts(MeasurementPlan(3, 50), rho, stream_rng(7, 1))
+    assert list(counts) == list(PLAN_COUNTS)
+    assert {key: row.tolist() for key, row in counts.items()} == PLAN_COUNTS

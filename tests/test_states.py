@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtomo.linalg import InvariantError, is_psd
+from qtomo.linalg import InvariantError, psd_mask
 from qtomo.states import (
     PAULI,
     SIGMA_0,
@@ -10,13 +10,12 @@ from qtomo.states import (
     haar_unitary,
     in_bloch_ball,
     is_bloch_state,
-    matrix_to_bloch,
     random_density,
     require_density,
     require_trace_one,
 )
 
-from oracles import random_ball_point
+from oracles import matrix_to_bloch, random_ball_point
 
 
 def test_pauli_algebra():
@@ -57,8 +56,8 @@ class TestBlochMaps:
             assert np.abs(again - rho).max() < 1e-14
 
     def test_density_iff_inside_ball(self):
-        assert is_psd(bloch_to_matrix([0.6, 0.0, 0.8]))
-        assert not is_psd(bloch_to_matrix([0.8, 0.0, 0.8]))
+        assert psd_mask(np.linalg.eigvalsh(bloch_to_matrix([0.6, 0.0, 0.8])))
+        assert not psd_mask(np.linalg.eigvalsh(bloch_to_matrix([0.8, 0.0, 0.8])))
 
     def test_trace_one_for_any_vector(self):
         m = bloch_to_matrix([2.0, -1.0, 5.0])
@@ -67,8 +66,6 @@ class TestBlochMaps:
     def test_shape_validation(self):
         with pytest.raises(InvariantError):
             bloch_to_matrix([1.0, 0.0])
-        with pytest.raises(InvariantError):
-            matrix_to_bloch(np.eye(3) / 3)
 
     def test_is_bloch_state(self):
         assert is_bloch_state([0.3, 0.4, 0.5])
