@@ -502,8 +502,10 @@ def _cmd_povm_check(args) -> int:
     if args.dim is not None and args.scheme != "klevel-pairs":
         raise ConfigError("--dim only applies to scheme klevel-pairs")
     dim = 2 if args.dim is None else args.dim
-    if dim < 2:
-        raise ConfigError("--dim must be at least 2")
+    try:
+        plan = MeasurementPlan(dim, 1)
+    except InvariantError as exc:
+        raise ConfigError(f"--dim: {exc}") from None
     if args.matrix is not None:
         state = matrix_from_json(_load_json(args.matrix, "--matrix"))
     elif args.theta is not None:
@@ -517,7 +519,7 @@ def _cmd_povm_check(args) -> int:
     probs = [[float(p) for p in dist] for dist in scheme.probabilities(state)]
     payload = {"scheme": args.scheme, "dim": dim}
     if args.scheme == "klevel-pairs":
-        labels = list(_labels(MeasurementPlan(dim, 1)))
+        labels = list(_labels(plan))
         payload["observables"] = len(labels)
         # Observable has rejected projectors outside the structure tolerance.
         payload["checks"] = {label: True for label in labels}

@@ -22,6 +22,7 @@ __all__ = [
     "psd_mask",
     "closed_form_eigvalsh",
     "psd_screen",
+    "psd_rows",
     "require_trace_one",
     "determinant",
     "row_dots",
@@ -134,22 +135,92 @@ def closed_form_eigvalsh(mats) -> np.ndarray:
 
 
 def psd_screen(mats):
-    """The rows of an (m, k, k) Hermitian stack that LAPACK must judge.
+    """The rows of an (m, k, k) Hermitian stack that LAPACK must judge
+    before ``estimators.constrained_rows`` projects them.
 
     At k = 3 these are the rows whose closed-form smallest eigenvalue is not
     at least ``SCREEN_MARGIN`` (NaN rows included); every other row is PSD.
     Returns the closed-form eigenvalues, ascending, and the indices of those
-    rows.  At any other k no closed form runs: the eigenvalues come back
-    unfilled and every row is selected by ``slice(None)``, so ``mats[near]``
-    is a view.  At k = 2 a whole-stack ``eigvalsh`` is already cheap, and a
-    pure qubit state leaves every row at the PSD edge, where a screen would
-    clear none.
+    rows; ``psd_rows`` reads the same values and also decides the rows at or
+    below -SCREEN_MARGIN.  At any other k no closed form runs: the
+    eigenvalues come back unfilled and every row is selected by
+    ``slice(None)``, so ``mats[near]`` is a view.  At k = 2 a whole-stack
+    ``eigvalsh`` is already cheap, and a pure qubit state leaves every row at
+    the PSD edge, where a screen would clear none.  At k >= 4 no closed form
+    gives the eigenvalues that ``constrained_rows`` returns for every row;
+    the pivots ``psd_rows`` screens with there decide PSD rows but give no
+    eigenvalues.
     """
     a = np.asarray(mats)
     if a.shape[1:] != (3, 3):
         return np.empty(a.shape[:2]), slice(None)
     values = closed_form_eigvalsh(a)
     return values, np.nonzero(~(values[:, 0] >= SCREEN_MARGIN))[0]
+
+
+def _positive_pivots(work, shift) -> np.ndarray:
+    """Indices of the rows of an (m, k, k) Hermitian stack, read from the
+    diagonal and the lower triangle, for which ``row + shift I`` has only
+    positive pivots in an unpivoted Cholesky factorization.
+
+    Step j turns row j of each live matrix into row j of its factor, in
+    place.  A row leaves at its first pivot that is not positive, so no
+    arithmetic touches it afterwards.  ``work`` is overwritten.
+    """
+    live = np.arange(len(work))
+    for j in range(work.shape[1]):
+        row = work[:, j, : j + 1]
+        for i in range(j):
+            if i:
+                row[:, i] -= (row[:, :i] * work[:, i, :i].conj()).sum(axis=1)
+            row[:, i] /= work[:, i, i].real
+        pivot = row[:, j].real + shift - (row[:, :j].real ** 2 + row[:, :j].imag ** 2).sum(axis=1)
+        keep = pivot > 0.0
+        if not keep.all():
+            work, live, pivot = work[keep], live[keep], pivot[keep]
+        work[:, j, j] = np.sqrt(pivot)
+    return live
+
+
+def psd_rows(mats) -> np.ndarray:
+    """Which rows of an (m, k, k) Hermitian stack are PSD: for rows of trace
+    one exactly ``psd_mask(np.linalg.eigvalsh(mats))``, with LAPACK solving
+    only the rows within ``SCREEN_MARGIN`` of the PSD edge.
+
+    The stack, complex128 or float64, is read as ``eigvalsh`` reads it:
+    diagonal and lower triangle.  At k >= 4 an unpivoted Cholesky sweep
+    screens the rows.  A row where ``A + SCREEN_MARGIN I`` has a pivot that
+    is not positive has a smallest eigenvalue of at most -SCREEN_MARGIN +
+    O(k^2 eps max_i A_ii), so it is not PSD.  A row where every pivot of
+    ``A - SCREEN_MARGIN I`` is positive has one of at least SCREEN_MARGIN -
+    O(k eps tr A), so it is PSD (N. J. Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, ch. 10).  A trace-one row near the
+    edge has a norm of about 1, so both terms are at most about 1e-13.  At
+    k = 3 the closed-form values of ``psd_screen`` decide the rows whose
+    smallest value lies outside (-SCREEN_MARGIN, SCREEN_MARGIN).  Every
+    other row, every row with a non-finite entry and every row at k <= 2
+    goes to one ``eigvalsh``.  The input is not modified.
+    """
+    a = np.asarray(mats)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvariantError(f"expected an (m, k, k) stack, got shape {a.shape}")
+    psd = np.zeros(len(a), dtype=bool)
+    near = np.ones(len(a), dtype=bool)
+    if a.shape[1] >= 3:
+        # Any inf or NaN entry makes its row's sum non-finite.
+        rows = np.nonzero(np.isfinite(a.sum(axis=(1, 2))))[0]
+        if a.shape[1] == 3:
+            low = psd_screen(a[rows])[0][:, 0]
+            maybe, sure = rows[~(low <= -SCREEN_MARGIN)], rows[low >= SCREEN_MARGIN]
+        else:
+            maybe = rows[_positive_pivots(a[rows], SCREEN_MARGIN)]
+            sure = maybe[_positive_pivots(a[maybe], -SCREEN_MARGIN)]
+        near[rows] = False
+        near[maybe] = True
+        near[sure] = False
+        psd[sure] = True
+    psd[near] = psd_mask(np.linalg.eigvalsh(a[near]))
+    return psd
 
 
 def require_trace_one(matrix) -> np.ndarray:

@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_screen
-from .measurement import CHUNK_TRIALS, SCHEMES, linear_scheme, stream_rng
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_rows
+from .measurement import CHUNK_TRIALS, MAX_DIM, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
 __all__ = [
@@ -59,14 +59,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RandomState:
     """Request for a seeded random true state: Haar eigenbasis, and either a
-    uniform-simplex spectrum or the given fixed one."""
+    uniform-simplex spectrum or the given fixed one.  ``dim`` runs from 2 to
+    ``measurement.MAX_DIM``."""
 
     dim: int
     eigenvalues: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (is_integer(self.dim) and self.dim >= 2):
-            raise ConfigError("random state dim must be an integer >= 2")
+        if not (is_integer(self.dim) and 2 <= self.dim <= MAX_DIM):
+            raise ConfigError(f"random state dim must be an integer from 2 to {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class ExperimentConfig:
     ``fidelity-unconstrained`` beyond.  Every rule here raises
     ``ConfigError`` when the config is built, the two dimension rules too:
     a qubit scheme needs a two-level state, and ``fidelity-unconstrained``
-    a qubit.  ``resolve_state`` checks the matrix itself.
+    a qubit; no state has more than ``measurement.MAX_DIM`` levels.
+    ``resolve_state`` checks the matrix itself.
     """
 
     state: object
@@ -146,6 +148,8 @@ class ExperimentConfig:
                 "fidelity-unconstrained is only defined for qubits, where fidelity "
                 "extends to indefinite estimates"
             )
+        if rows and rows[0] > MAX_DIM:
+            raise ConfigError(f"state dim {rows[0]} exceeds {MAX_DIM}")
         # trajectory.csv's n is shots times settings, computed in int64.
         settings = 3 if self.scheme == "three-direction" else 1
         if self.scheme == "klevel-pairs" and rows:
@@ -200,19 +204,18 @@ def _metric_block(phi, state, metrics):
     """Per-trial metric values for a block of unconstrained estimates.
 
     A block solves at most one eigenproblem: a constrained metric brings the
-    one ``eigh`` inside ``constrained_rows``, whose eigenvalues also decide
-    ``psd-fraction``; ``psd-fraction`` alone takes eigenvalues only, from
-    ``eigvalsh``; the other metrics need no eigensolve.  Both branches
-    screen first with ``linalg.psd_screen``, so at k = 3 LAPACK sees only the
-    rows near or past the PSD edge and the screened rows carry their
-    closed-form eigenvalues; at any other k LAPACK sees every row.
+    one ``eigh`` inside ``constrained_rows``, at k = 3 on the rows that
+    ``linalg.psd_screen`` leaves, and its eigenvalues also decide
+    ``psd-fraction``; ``psd-fraction`` alone asks ``linalg.psd_rows``, whose
+    ``eigvalsh`` sees at k >= 3 only the rows within ``SCREEN_MARGIN`` of
+    the PSD edge; the other metrics need no eigensolve.
     """
-    constrained = eigvals = None
+    constrained = psd = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
         constrained, _, eigvals = constrained_rows(phi)
+        psd = psd_mask(eigvals)
     elif "psd-fraction" in metrics:
-        eigvals, near = psd_screen(phi)
-        eigvals[near] = np.linalg.eigvalsh(phi[near])
+        psd = psd_rows(phi)
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":
@@ -224,7 +227,7 @@ def _metric_block(phi, state, metrics):
         elif metric == "fidelity-constrained":
             values[metric] = fidelity_rows(constrained, state)
         elif metric == "psd-fraction":
-            values[metric] = psd_mask(eigvals).astype(float)
+            values[metric] = psd.astype(float)
         else:
             values[metric] = np.linalg.det(phi).real
     return values

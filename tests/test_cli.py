@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo import cli
+from qtomo import cli, measurement
 from qtomo.cli import _atomic_write, _csv_chunks, main, matrix_from_json, matrix_to_json
+from qtomo.measurement import MAX_DIM
 from qtomo.simulation import ConfigError
 
 
@@ -199,6 +200,15 @@ class TestEstimate:
         )
         code, _, _ = run(capsys, "estimate", "--counts", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 2**62])
+    def test_dim_above_the_bound_exit_2(self, capsys, monkeypatch, tmp_path, dim):
+        monkeypatch.setattr(measurement, "_unit_matrix", None)
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"dim": dim, "repetitions": 1, "counts": {}}))
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 2
+        assert f"dimension must be an integer from 2 to {MAX_DIM}" in err
 
     @pytest.mark.parametrize("label", ["z_01", "x_2_1", "z_2"])
     def test_label_outside_plan_exit_2(self, capsys, tmp_path, label):
@@ -403,6 +413,7 @@ class TestSimulate:
             ({"state": {"random": {"dim": 2.0, "eigenvalues": [0.5, 0.5]}}}, "dim must be"),
             ({"state": {"random": {"dim": True}}}, "random state dim must be an integer"),
             ({"out": 5}, "out must be a path string"),
+            ({"state": {"random": {"dim": MAX_DIM + 1}}}, f"from 2 to {MAX_DIM}"),
         ],
     )
     def test_config_entries_exit_2(self, capsys, sim_config, overrides, message):
@@ -748,6 +759,15 @@ class TestPovmCheck:
     def test_dim_below_two_exit_2(self, capsys, dim):
         code, _, _ = run(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", dim)
         assert code == 2
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 2**62])
+    def test_dim_above_the_bound_exit_2(self, capsys, monkeypatch, dim):
+        # Neither the default state nor an observable is built.
+        monkeypatch.setattr(measurement, "_unit_matrix", None)
+        monkeypatch.setattr(np, "eye", None)
+        code, out, err = run(capsys, "povm-check", "--scheme", "klevel-pairs", "--dim", str(dim))
+        assert (code, out) == (2, "")
+        assert f"--dim: dimension must be an integer from 2 to {MAX_DIM}" in err
 
     def test_matrix_of_another_dim_exit_2(self, capsys):
         matrix = json.dumps(matrix_to_json(np.eye(2) / 2))

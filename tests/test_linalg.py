@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.linalg import (
+    PSD_ATOL,
+    SCREEN_MARGIN,
     EigenDecompositionError,
     InvariantError,
     closed_form_eigvalsh,
@@ -12,6 +16,7 @@ from qtomo.linalg import (
     fidelity_rows,
     hs_distance,
     psd_mask,
+    psd_rows,
     psd_screen,
     require_hermitian,
     row_dots,
@@ -310,3 +315,126 @@ class TestClosedFormEigvalsh:
         assert values.shape == (5, k)
         assert np.array_equal(np.arange(5)[near], np.arange(5))
         assert np.shares_memory(stack[near], stack)
+
+
+PSD_ROWS_K = [1, 2, 3, 4, 5, 10]
+# Where a row's smallest eigenvalue is drawn: both edges of the screen's
+# band and the PSD rule's own edge.
+EDGES = [SCREEN_MARGIN, -SCREEN_MARGIN, -PSD_ATOL]
+
+
+def rotated_rows(spectra, seed):
+    """Each row of an (m, k) spectrum array as a Haar-rotated Hermitian."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(spectra.shape + spectra.shape[1:], dtype=complex)
+    for row, spectrum in enumerate(spectra):
+        u = haar_unitary(len(spectrum), rng) if len(spectrum) > 1 else np.ones((1, 1))
+        out[row] = (u * spectrum) @ u.conj().T
+    return out
+
+
+@st.composite
+def edge_stacks(draw):
+    """A stack of 1 to 8 Haar-rotated trace-one rows of one k, each with its
+    smallest eigenvalue within a factor of 2 of a drawn edge, or 0, or -x
+    with x from 1e-10 to 1e6; its other eigenvalues share 1 - lambda_min."""
+    k = draw(st.sampled_from(PSD_ROWS_K))
+    m = draw(st.integers(1, 8))
+    spectra = np.empty((m, k))
+    for row in range(m):
+        kind = draw(st.sampled_from(["edge", "zero", "large"]))
+        if kind == "edge":
+            low = draw(st.sampled_from(EDGES)) * draw(st.floats(0.5, 2.0))
+        elif kind == "zero":
+            low = 0.0
+        else:
+            low = -(10.0 ** draw(st.floats(-10.0, 6.0)))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k - 1, max_size=k - 1)))
+        spectra[row] = np.r_[low, (1.0 - low) * weights / weights.sum()]
+    return rotated_rows(spectra, draw(st.integers(0, 2**32 - 1))), spectra.min(axis=1)
+
+
+class CountedEigvalsh:
+    """Wraps ``np.linalg.eigvalsh``, keeping every stack it was handed."""
+
+    def __init__(self):
+        self.stacks = []
+        self.original = np.linalg.eigvalsh
+
+    def __call__(self, a, *args, **kwargs):
+        self.stacks.append(np.array(a))
+        return self.original(a, *args, **kwargs)
+
+    def __enter__(self):
+        self.patch = mock.patch.object(np.linalg, "eigvalsh", self)
+        self.patch.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self.patch.__exit__(*exc)
+
+
+class TestPsdRows:
+    @SCREEN
+    @given(edge_stacks())
+    def test_agrees_with_lapack_and_leaves_the_band_to_it(self, case):
+        stack, low = case
+        before = stack.copy()
+        with np.errstate(all="raise"), CountedEigvalsh() as counted:
+            psd = psd_rows(stack)
+        assert np.array_equal(stack, before)
+        assert psd.dtype == bool
+        assert np.array_equal(psd, psd_mask(np.linalg.eigvalsh(stack)))
+        # Every row inside the margin reaches LAPACK; the screen's rounding
+        # is about 1e-13, far below the 1e-9 slack used here.
+        (solved,) = counted.stacks
+        for row in stack[np.abs(low) < SCREEN_MARGIN - 1e-9]:
+            assert any(np.array_equal(row, s) for s in solved)
+        if stack.shape[1] <= 2:
+            assert np.array_equal(solved, stack)
+
+    @SCREEN
+    @given(edge_stacks(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_rows_reach_lapack(self, case, bad, data):
+        stack, _ = case
+        m, k, _ = stack.shape
+        row = data.draw(st.integers(0, m - 1))
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        stack[row, i, j] = bad
+        before = stack.copy()
+        try:
+            expected = psd_mask(np.linalg.eigvalsh(stack))
+        except np.linalg.LinAlgError:
+            # LAPACK does not converge on some NaN rows: psd_rows raises alike.
+            expected = None
+        with CountedEigvalsh() as counted:
+            if expected is None:
+                with pytest.raises(np.linalg.LinAlgError):
+                    psd_rows(stack)
+            else:
+                assert np.array_equal(psd_rows(stack), expected)
+        assert stack.tobytes() == before.tobytes()
+        (solved,) = counted.stacks
+        assert (~np.isfinite(solved)).sum() == 1
+
+    @pytest.mark.parametrize("k", PSD_ROWS_K)
+    def test_empty_stack(self, k):
+        psd = psd_rows(np.empty((0, k, k), dtype=complex))
+        assert psd.shape == (0,) and psd.dtype == bool
+
+    def test_sweep_keeps_far_rows_from_lapack(self):
+        # Random ten-level trace-one rows, PSD and not, none near the edge.
+        rng = rng_for(40)
+        spectra = rng.dirichlet(np.ones(10), size=64)
+        spectra[::2, 0] = -0.05
+        spectra[::2, 1:] *= 1.05 / spectra[::2, 1:].sum(axis=1, keepdims=True)
+        stack = rotated_rows(spectra, 41)
+        with CountedEigvalsh() as counted:
+            psd = psd_rows(stack)
+        assert psd.tolist() == [False, True] * 32
+        assert [len(s) for s in counted.stacks] == [0]
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (4,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(InvariantError):
+            psd_rows(np.zeros(shape))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtomo import measurement
 from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
 from qtomo.estimators import (
     minimal_estimate,
@@ -12,6 +13,7 @@ from qtomo.estimators import (
 )
 from qtomo.linalg import InvariantError, hs_distance
 from qtomo.measurement import (
+    MAX_DIM,
     SCHEMES,
     TETRAHEDRON,
     MeasurementPlan,
@@ -297,6 +299,17 @@ class TestMeasurementPlan:
             with pytest.raises(InvariantError, match="integer"):
                 MeasurementPlan(dim, repetitions)
         assert MeasurementPlan(np.int64(3), np.int32(2)).total_copies == 16
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 2**62])
+    def test_dim_above_the_bound_is_rejected_before_building(self, monkeypatch, dim):
+        # Every observable builder starts from _unit_matrix.
+        monkeypatch.setattr(measurement, "_unit_matrix", None)
+        with pytest.raises(InvariantError, match=f"from 2 to {MAX_DIM}"):
+            MeasurementPlan(dim, 1)
+
+    def test_dim_at_the_bound_is_accepted(self):
+        plan = MeasurementPlan(MAX_DIM, 1)
+        assert plan.total_copies == MAX_DIM**2 - 1
 
     def test_sample_plan_counts_complete_and_deterministic(self):
         rho = random_density(3, np.random.default_rng(12))

@@ -36,6 +36,13 @@ metric took their eigenvalues from a full ``eigh``, by running the same
 ``simulate`` command in a separate checkout of it.  They must match byte
 for byte.
 
+The ``trajectory.csv`` hashes of the random four-level config were recorded
+at commit 2c73573, the last commit whose chunks without a constrained
+metric sent every row at k >= 4 to ``eigvalsh``, by running the same
+``simulate`` command in a separate checkout of it.  Its PSD share runs from
+0.7% at r = 10 to 98% (seed 7) and 100% (seed 42) at r = 10000, so both
+sides of the PSD screen decide rows.  They must match byte for byte.
+
 The ``sample_plan_counts`` table of the README example was recorded at
 commit 00575e8, the last commit whose plan sampler drew each observable's
 counts through the checked one-vector sampler ``sample_counts``, by running
@@ -263,6 +270,15 @@ K10_TRAJECTORY_SHA256 = {
 }
 
 
+# A random four-level state sampled until nearly every estimate is PSD.
+K4_CONFIG = dict(K10_CONFIG, state={"random": {"dim": 4}}, schedule=[10, 100, 1000, 10000])
+# seed -> sha256 of trajectory.csv for K4_CONFIG at trials = CHUNK_TRIALS + 4
+K4_TRAJECTORY_SHA256 = {
+    42: "98e6604eac738572467a15ca438b94bc001976111e4b95bcc435db8effbe28a9",
+    7: "3f7317fc53e8b7b3a14a214df7d203b71cd9ad1fd220cc0e7adec598e119c2f3",
+}
+
+
 def _simulate_csv(config_path: Path, seed: int, out: Path) -> bytes:
     argv = ["simulate", "--config", str(config_path), "--seed", str(seed)]
     argv += ["--trials", str(CHUNK_TRIALS + 4), "--out", str(out)]
@@ -282,6 +298,14 @@ def test_k10_psd_only_trajectory_csv_bytes(seed, tmp_path):
     config_path.write_text(json.dumps(K10_CONFIG))
     data = _simulate_csv(config_path, seed, tmp_path)
     assert hashlib.sha256(data).hexdigest() == K10_TRAJECTORY_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(K4_TRAJECTORY_SHA256))
+def test_k4_psd_only_trajectory_csv_bytes(seed, tmp_path):
+    config_path = tmp_path / "k4.json"
+    config_path.write_text(json.dumps(K4_CONFIG))
+    data = _simulate_csv(config_path, seed, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == K4_TRAJECTORY_SHA256[seed]
 
 
 # povm-check arguments -> sha256 of the JSON payload written with --out

@@ -9,7 +9,7 @@ import pytest
 from qtomo import simulation
 from qtomo.estimators import constrained_estimate, constrained_rows, unconstrained_estimate
 from qtomo.linalg import InvariantError, hs_distance
-from qtomo.measurement import MeasurementPlan, linear_scheme, sample_plan_counts, stream_rng
+from qtomo.measurement import MAX_DIM, MeasurementPlan, linear_scheme, sample_plan_counts, stream_rng
 from qtomo.simulation import (
     CHUNK_TRIALS,
     METRICS,
@@ -47,6 +47,17 @@ class TestConfigValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             self.base(scheme="tetra")
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 2**62])
+    def test_random_dim_above_the_bound(self, dim):
+        with pytest.raises(ConfigError, match=f"from 2 to {MAX_DIM}"):
+            RandomState(dim)
+        assert RandomState(MAX_DIM).dim == MAX_DIM
+
+    def test_matrix_state_above_the_bound(self):
+        dim = MAX_DIM + 1
+        with pytest.raises(ConfigError, match=f"state dim {dim} exceeds {MAX_DIM}"):
+            self.base(state=np.eye(dim) / dim)
 
     def test_schedule_fits_the_sampler(self):
         # Shots per setting reach numpy's multinomial as a C long.
@@ -520,21 +531,22 @@ class TestEigenStage:
         eigvalsh = chunks if "psd-fraction" in metrics else 0
         assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
         trial_points = cfg.trials * len(cfg.schedule)
-        if eigvalsh and dim == 3:
-            # The closed-form screen keeps the clearly PSD rows from LAPACK.
-            assert 0 < rows["eigvalsh"] < trial_points / 2
-        elif eigvalsh:
+        if eigvalsh and dim == 2:
             assert rows["eigvalsh"] == trial_points
+        elif eigvalsh:
+            # psd_rows' screen keeps the rows far from the PSD edge from LAPACK.
+            assert rows["eigvalsh"] < trial_points / 2
 
     def test_psd_only_block_of_one_level_rows(self):
-        # psd_screen clears no row at k = 1: the whole stack goes to eigvalsh.
+        # psd_rows screens no row at k = 1: the whole stack goes to eigvalsh.
         values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
         assert values["psd-fraction"].tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
     def test_eigen_paths_leave_the_stack_unchanged(self, dim):
         # Half the rows indefinite; at k != 3 psd_screen hands back a view
-        # of the caller's stack, which neither path may write through.
+        # of the caller's stack, and psd_rows sweeps over a copy: neither
+        # path may write through.
         rng = np.random.default_rng(dim)
         phi = np.stack([random_density(dim, rng) for _ in range(8)])
         phi[::2] += np.diag(np.r_[-1.0, 1.0, np.zeros(dim - 2)])
