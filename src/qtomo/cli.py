@@ -154,18 +154,30 @@ def _atomic_write(path: Path, chunks):
 
 def _csv_chunks(header, tables):
     """The header line, then each table of equal-length columns as one string
-    of CSV lines.  Floats are %.17g, formatted once per distinct bit pattern
-    (bits, not values, keep 0.0 apart from -0.0); other columns go through str."""
+    of CSV lines.
+
+    A float64 column is %.17g, applied by one %-format to its distinct bit
+    patterns (bits, not values, keep 0.0 apart from -0.0); an integer or
+    bool column goes through str once per distinct value, any other column
+    once per row.  Each text carries the comma or newline after it, so a
+    table is one join of its texts in row order."""
     yield ",".join(header) + "\n"
     for columns in tables:
+        columns = list(map(np.asarray, columns))
         texts = []
-        for col in map(np.asarray, columns):
+        for j, col in enumerate(columns):
             if col.dtype == np.float64:
                 bits, where = np.unique(col.view(np.int64), return_inverse=True)
-                text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-                col = np.array(text, dtype=object)[where]
-            texts.append(map(str, col.tolist()))
-        yield "".join([",".join(row) + "\n" for row in zip(*texts)])
+                values = bits.view(np.float64).tolist()
+                distinct = ("%.17g " * len(values) % tuple(values)).split()
+            elif col.dtype.kind in "biu":
+                values, where = np.unique(col, return_inverse=True)
+                distinct = map(str, values.tolist())
+            else:
+                distinct, where = map(str, col.tolist()), slice(None)
+            end = "\n" if j == len(columns) - 1 else ","
+            texts.append(np.array([text + end for text in distinct], dtype=object)[where])
+        yield "".join(np.stack(texts, axis=1).ravel().tolist())
 
 
 def _emit_json(payload, out: str | None) -> int:
@@ -451,6 +463,8 @@ def _grid_rows(axis, n, min_eigs):
 
 
 def _cmd_compare(args) -> int:
+    if args.theta is not None and (args.grid is not None or args.svg):
+        raise ConfigError("--theta takes neither --grid nor --svg")
     n = args.copies
     if n % 3:
         raise ConfigError("comparisons need copies divisible by 3")
@@ -474,7 +488,7 @@ def _cmd_compare(args) -> int:
             "ball_average_det_orthogonal": avg_det,
         }
         return _emit_json(payload, args.out)
-    grid = args.grid
+    grid = 9 if args.grid is None else args.grid
     if not 2 <= grid <= _MAX_GRID:
         raise ConfigError(f"grid must be from 2 to {_MAX_GRID} points per axis")
     axis = np.linspace(-1.0, 1.0, grid)
@@ -584,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare the qubit schemes at equal copy budget")
     p_cmp.add_argument("--copies", type=int, default=300, help="total copies n, divisible by 3")
     p_cmp.add_argument("--theta", help="single Bloch vector; JSON output")
-    p_cmp.add_argument("--grid", type=int, default=9, help=f"points per axis, 2 to {_MAX_GRID}")
+    p_cmp.add_argument("--grid", type=int, help=f"points per axis, 2 to {_MAX_GRID} (default 9)")
     p_cmp.add_argument("--out", help="output directory for the CSV (or file for --theta)")
     p_cmp.add_argument("--svg", action="store_true", help="also write an SVG chart")
     p_cmp.set_defaults(func=_cmd_compare)

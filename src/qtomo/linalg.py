@@ -101,8 +101,12 @@ def require_hermitian(matrix) -> np.ndarray:
 def psd_mask(eigenvalues) -> np.ndarray:
     """The one PSD rule: which rows of ascending eigenvalues belong to a
     positive semidefinite matrix, i.e. have a smallest eigenvalue >=
-    ``-PSD_ATOL``."""
-    return np.asarray(eigenvalues)[..., 0] >= -PSD_ATOL
+    ``-PSD_ATOL``.
+
+    Every value of a row is compared, not just the first: LAPACK does not
+    sort a row that holds a NaN, and a row with any NaN is not PSD.
+    """
+    return (np.asarray(eigenvalues) >= -PSD_ATOL).all(axis=-1)
 
 
 def closed_form_eigvalsh(mats) -> np.ndarray:

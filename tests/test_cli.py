@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,8 @@ from qtomo import cli, measurement
 from qtomo.cli import _atomic_write, _csv_chunks, main, matrix_from_json, matrix_to_json
 from qtomo.measurement import MAX_DIM
 from qtomo.simulation import ConfigError
+
+from test_pinned_draws import GRID_SHA256
 
 
 IDENTITY_ROWS = json.dumps(np.eye(3).tolist())
@@ -604,6 +607,43 @@ class TestCompare:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("copies", ["30", "0"])
+    @pytest.mark.parametrize(
+        "extra", [("--grid", "5"), ("--grid", "9"), ("--svg",), ("--grid", "5", "--svg")]
+    )
+    def test_theta_with_grid_or_svg_exit_2(self, capsys, tmp_path, extra, copies):
+        # An explicit --grid is rejected even at its default value, and
+        # before the copy count is judged.
+        out = tmp_path / "never.json"
+        code, stdout, err = run(
+            capsys, "compare", "--theta", "0.1,0.2,0.3", "--copies", copies, "--out", str(out), *extra
+        )
+        assert code == 2
+        assert "--theta takes neither --grid nor --svg" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_grid_defaults_to_nine(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "compare", "--copies", "30", "--out", str(tmp_path / "a"))
+        assert code == 0
+        code, _, _ = run(
+            capsys, "compare", "--grid", "9", "--copies", "30", "--out", str(tmp_path / "b")
+        )
+        assert code == 0
+        default = (tmp_path / "a" / "comparison.csv").read_bytes()
+        assert default == (tmp_path / "b" / "comparison.csv").read_bytes()
+
+    def test_svg_grid_writes_the_pinned_csv(self, capsys, tmp_path):
+        # --svg collects each plane's min_eig next to the writer; the CSV
+        # keeps the bytes that test_pinned_draws pins for grid 41.
+        code, _, _ = run(
+            capsys, "compare", "--grid", "41", "--copies", "300", "--out", str(tmp_path), "--svg"
+        )
+        assert code == 0
+        data = (tmp_path / "comparison.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GRID_SHA256[41, 300]
+        assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
+
 
 def _pooled_columns(pool_size):
     # Columns drawn from a small pool, so values repeat, with the
@@ -617,7 +657,62 @@ def _pooled_columns(pool_size):
     return pool.flatmap(lambda p: st.lists(st.sampled_from(p), max_size=60)).map(np.array)
 
 
+# Column values drawn from a small pool per column, so values repeat.
+_COLUMN_POOLS = {
+    np.float64: st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    np.float32: st.floats(width=32),
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.int8: st.integers(-128, 127),
+    np.uint64: st.integers(0, 2**64 - 1),
+    bool: st.booleans(),
+    str: st.text(max_size=4) | st.sampled_from(["%", "%s", "%%", "%(a)s", ","]),
+}
+
+
+@st.composite
+def _mixed_tables(draw):
+    """A header and 1-3 tables whose columns share one dtype per position."""
+    dtypes = draw(st.lists(st.sampled_from(list(_COLUMN_POOLS)), min_size=1, max_size=6))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 30))
+        table = []
+        for dtype in dtypes:
+            pool = draw(st.lists(_COLUMN_POOLS[dtype], min_size=1, max_size=4))
+            values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            table.append(np.array(values, dtype=object if dtype is str else dtype))
+        tables.append(table)
+    return [f"c{j}" for j in range(len(dtypes))], tables
+
+
+def _row_by_row_csv(header, tables):
+    """The CSV text built one row at a time: f"{v:.17g}" for float64, str
+    for everything else."""
+    lines = [",".join(header)]
+    for table in tables:
+        texts = [
+            [f"{v:.17g}" if col.dtype == np.float64 else str(v) for v in col.tolist()]
+            for col in map(np.asarray, table)
+        ]
+        lines += [",".join(row) for row in zip(*texts)]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvChunks:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_mixed_tables())
+    def test_mixed_tables_match_row_by_row_text(self, case):
+        header, tables = case
+        assert "".join(_csv_chunks(header, tables)) == _row_by_row_csv(header, tables)
+
+    def test_percent_signs_are_text(self):
+        # Values are never read as format directives.
+        tables = [(("%", "%s", "%%", "%(a)s"), np.array([1.0, 1.0, 0.5, 1.0]), np.array([3] * 4))]
+        assert "".join(_csv_chunks(("s", "f", "i"), tables)) == (
+            "s,f,i\n%,1,3\n%s,1,3\n%%,0.5,3\n%(a)s,1,3\n"
+        )
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(_pooled_columns(8), st.booleans())
     def test_float_column_text(self, col, as_tuple):

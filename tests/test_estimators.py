@@ -449,6 +449,15 @@ class TestPsdScreen:
             assert np.array_equal(got, expect)
         assert result[1].sum() == (4 if k == 2 else 0)
 
+    def test_unsorted_nan_row_is_projected_and_rejected(self):
+        # eigh leaves this row's NaN eigenvalues unsorted in the middle; the
+        # row is not PSD, so it reaches the simplex projection, whose sum
+        # check rejects it instead of returning it unprojected.
+        phi = np.stack([np.eye(4, dtype=complex) / 4] * 2)
+        phi[1, 2, 1] = np.nan
+        with pytest.raises(InvariantError, match="row 0 sums to nan"):
+            constrained_rows(phi)
+
     def test_nan_row_still_raises(self):
         phi = rotated_rows([0.1, 0.1], seed=14)
         phi[1] = np.nan

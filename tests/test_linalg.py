@@ -110,6 +110,16 @@ class TestPsdAndDeterminant:
         assert psd_mask(np.linalg.eigvalsh(np.diag([1.0, -1e-10])))
         assert not psd_mask(np.linalg.eigvalsh(np.diag([1.0, -1e-6])))
 
+    def test_unsorted_nan_row_is_not_psd(self):
+        # LAPACK returns [0.25, nan, nan, 0.25] for this row: the NaNs sit
+        # in the middle, so the first value alone would call it PSD.
+        row = np.eye(4, dtype=complex) / 4
+        row[2, 1] = np.nan
+        eigenvalues = np.linalg.eigvalsh(row)
+        assert eigenvalues[0] >= 0.0 and np.isnan(eigenvalues).any()
+        assert not psd_mask(eigenvalues)
+        assert psd_rows(np.stack([row, np.eye(4) / 4])).tolist() == [False, True]
+
     def test_determinant_is_eigenvalue_product(self):
         h = random_trace_one_hermitian(4, rng_for(21))
         w, _ = hermitian_eig(h)
