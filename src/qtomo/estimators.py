@@ -54,6 +54,19 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
+def _require_unit_sums(rows, index):
+    """Raise ``InvariantError`` unless each of the (m, k) ``rows`` sums to one
+    within ``TRACE_ATOL``; the message calls row i by ``index[i]``."""
+    sums = rows.sum(axis=1)
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= TRACE_ATOL))[0]
+    if bad.size:
+        first = int(bad[0])
+        raise InvariantError(
+            f"row {int(index[first])} sums to {float(sums[first])!r}, "
+            f"expected 1 within {TRACE_ATOL:.1e}"
+        )
+
+
 def project_nonneg_simplex_rows(values):
     """Closest points of the probability simplex to a stack of rows that sum
     to one within ``TRACE_ATOL``.
@@ -74,13 +87,7 @@ def project_nonneg_simplex_rows(values):
     y = np.array(values, dtype=float)
     if y.ndim != 2 or y.shape[1] < 1:
         raise InvariantError("expected a 2-d array of nonempty rows")
-    sums = y.sum(axis=1)
-    bad = np.nonzero(~(np.abs(sums - 1.0) <= TRACE_ATOL))[0]
-    if bad.size:
-        first = int(bad[0])
-        raise InvariantError(
-            f"row {first} sums to {float(sums[first])!r}, expected 1 within {TRACE_ATOL:.1e}"
-        )
+    _require_unit_sums(y, range(len(y)))
     alive = np.ones(y.shape, dtype=bool)
     steps = np.zeros(y.shape[0], dtype=int)
     while True:
@@ -117,7 +124,8 @@ def constrained_rows(phi):
     their LAPACK eigenvalues.  The input is not modified.  Returns the
     projected stack, the per-row sweep counts and the input's eigenvalues,
     ascending, as (m, k) rows; raises ``EigenDecompositionError`` if the
-    eigensolver fails.
+    eigensolver fails, and ``InvariantError``, naming the row's index in the
+    stack, if a projected row's eigenvalues do not sum to one.
     """
     eigvals, near = psd_screen(phi)
     out = phi.copy()
@@ -129,7 +137,12 @@ def constrained_rows(phi):
     bad = np.nonzero(~psd_mask(w))[0]
     rows = np.arange(len(out))[near][bad]
     steps = np.zeros(len(out), dtype=int)
-    clipped, steps[rows] = project_nonneg_simplex_rows(w[bad])
+    try:
+        clipped, steps[rows] = project_nonneg_simplex_rows(w[bad])
+    except InvariantError:
+        # Raise again, naming the rejected row by its index in the stack.
+        _require_unit_sums(w[bad], rows)
+        raise
     u = u[bad]
     out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
     return out, steps, eigvals

@@ -50,6 +50,14 @@ _MAX_SHOTS = int(np.iinfo(np.int64).max)
 # Stream namespaces under the master seed.
 _NS_STATE = 0
 _NS_SAMPLE = 1
+# Bytes of one row block's complex k x k estimates.  Each stage after
+# sampling briefly holds about two more copies of its block (phi - rho, the
+# Cholesky working copy, the rebuilt projected rows), so a 4,096-trial chunk
+# scored whole holds three 64 MiB stacks at k = 32.  2 MiB blocks (1,310
+# trials at k = 10; a whole chunk at k <= 5) bound that working set; smaller
+# blocks cost time at large k, where each block pays psd_rows' per-pivot
+# numpy calls again.
+_BLOCK_BYTES = 2**21
 
 
 class ConfigError(ValueError):
@@ -201,14 +209,17 @@ class TrajectoryRecord:
 
 
 def _metric_block(phi, state, metrics):
-    """Per-trial metric values for a block of unconstrained estimates.
+    """Per-trial metric values for a row block of unconstrained estimates,
+    one of the consecutive blocks ``_chunk_task`` cuts a chunk into.
 
-    A block solves at most one eigenproblem: a constrained metric brings the
-    one ``eigh`` inside ``constrained_rows``, at k = 3 on the rows that
-    ``linalg.psd_screen`` leaves, and its eigenvalues also decide
-    ``psd-fraction``; ``psd-fraction`` alone asks ``linalg.psd_rows``, whose
-    ``eigvalsh`` sees at k >= 3 only the rows within ``SCREEN_MARGIN`` of
-    the PSD edge; the other metrics need no eigensolve.
+    Every value is computed row by row, so a row's values do not depend on
+    the block it sits in.  A block solves at most one eigenproblem: a
+    constrained metric brings the one ``eigh`` inside ``constrained_rows``,
+    at k = 3 on the rows that ``linalg.psd_screen`` leaves, and its
+    eigenvalues also decide ``psd-fraction``; ``psd-fraction`` alone asks
+    ``linalg.psd_rows``, whose ``eigvalsh`` sees at k >= 3 only the rows
+    within ``SCREEN_MARGIN`` of the PSD edge; the other metrics need no
+    eigensolve.
     """
     constrained = psd = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
@@ -237,8 +248,13 @@ def _chunk_task(run, job):
     scheme, probs, state, metrics, seed = run
     point, amount, chunk, m = job
     rng = stream_rng(seed, _NS_SAMPLE, point, chunk)
-    phi = scheme.to_matrix(scheme.sample(probs, amount, m, rng))
-    return _metric_block(phi, state, metrics)
+    params = scheme.sample(probs, amount, m, rng)
+    rows = max(1, _BLOCK_BYTES // (16 * state.size))
+    blocks = [
+        _metric_block(scheme.to_matrix(params[start : start + rows]), state, metrics)
+        for start in range(0, m, rows)
+    ]
+    return {metric: np.concatenate([b[metric] for b in blocks]) for metric in metrics}
 
 
 # A pool process's run constants, sent once by its initializer so that each

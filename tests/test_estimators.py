@@ -452,10 +452,11 @@ class TestPsdScreen:
     def test_unsorted_nan_row_is_projected_and_rejected(self):
         # eigh leaves this row's NaN eigenvalues unsorted in the middle; the
         # row is not PSD, so it reaches the simplex projection, whose sum
-        # check rejects it instead of returning it unprojected.
+        # check rejects it, by its index in the stack, instead of returning it
+        # unprojected.
         phi = np.stack([np.eye(4, dtype=complex) / 4] * 2)
         phi[1, 2, 1] = np.nan
-        with pytest.raises(InvariantError, match="row 0 sums to nan"):
+        with pytest.raises(InvariantError, match="row 1 sums to nan"):
             constrained_rows(phi)
 
     def test_nan_row_still_raises(self):

@@ -528,7 +528,10 @@ class TestEigenStage:
         calls, rows = self.count_chunk_eigensolves(monkeypatch)
         run_trajectory(cfg)
         chunks = 2 * len(cfg.schedule)
-        eigvalsh = chunks if "psd-fraction" in metrics else 0
+        # Each chunk is scored in row blocks, each solving its own eigenproblem.
+        block = max(1, simulation._BLOCK_BYTES // (16 * dim * dim))
+        blocks = len(cfg.schedule) * sum(-(-m // block) for m in (CHUNK_TRIALS, 4))
+        eigvalsh = blocks if "psd-fraction" in metrics else 0
         assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
         trial_points = cfg.trials * len(cfg.schedule)
         if eigvalsh and dim == 2:
@@ -577,6 +580,40 @@ class TestEigenStage:
         alone = run_trajectory(ExperimentConfig(metrics=("psd-fraction",), **kwargs))
         assert 0.0 < both.means["psd-fraction"][0] < 1.0
         assert np.array_equal(alone.means["psd-fraction"], both.means["psd-fraction"])
+
+
+class TestRowBlocks:
+    """A chunk scored in row blocks gives the bits of the chunk scored whole."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 10])
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            TestEigenStage.PSD_ONLY,
+            ("hs-constrained", "fidelity-constrained", "psd-fraction"),
+            ("det-mean",),
+            ("hs-unconstrained",),
+        ],
+        ids=["psd", "constrained", "det", "hs"],
+    )
+    # The module's budget leaves a chunk whole at small k and ends it in a
+    # ragged block at k = 6 and 10; 1,000-row blocks cut every k, with a
+    # ragged last block of 96 rows.
+    @pytest.mark.parametrize("rows", [None, 1000], ids=["budget", "1000-rows"])
+    def test_blocks_keep_the_bits(self, monkeypatch, dim, metrics, rows):
+        if rows is not None:
+            monkeypatch.setattr(simulation, "_BLOCK_BYTES", rows * 16 * dim * dim)
+        state = random_density(dim, np.random.default_rng(40 + dim))
+        scheme = linear_scheme("klevel-pairs", dim)
+        probs = scheme.probabilities(state)
+        run = (scheme, probs, state, metrics, 43)
+        blocked = simulation._chunk_task(run, (0, 30, 1, CHUNK_TRIALS))
+        rng = stream_rng(43, simulation._NS_SAMPLE, 0, 1)
+        phi = scheme.to_matrix(scheme.sample(probs, 30, CHUNK_TRIALS, rng))
+        whole = simulation._metric_block(phi, state, metrics)
+        assert list(blocked) == list(metrics)
+        for metric in metrics:
+            assert np.array_equal(blocked[metric], whole[metric])
 
 
 class TestDecayRate:
