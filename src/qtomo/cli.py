@@ -410,6 +410,8 @@ def _cmd_mse(args) -> int:
     if args.scheme in ("comp", "three-direction"):
         if n % 3:
             raise ConfigError("the per-direction schemes need copies divisible by 3")
+        if n < 1:
+            raise InvariantError("the number of copies must be at least 1")
         rows = np.eye(3) if directions is None else directions
         matrix = mse_three_direction(theta, rows, n // 3)
     elif args.scheme == "standard":

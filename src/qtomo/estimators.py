@@ -88,6 +88,12 @@ def project_nonneg_simplex_rows(values):
     if y.ndim != 2 or y.shape[1] < 1:
         raise InvariantError("expected a 2-d array of nonempty rows")
     _require_unit_sums(y, range(len(y)))
+    return _redistribute(y)
+
+
+def _redistribute(y):
+    """The sweeps of ``project_nonneg_simplex_rows`` on an (m, k) float array
+    of rows that sum to one, in place; returns it and the sweep counts."""
     alive = np.ones(y.shape, dtype=bool)
     steps = np.zeros(y.shape[0], dtype=int)
     while True:
@@ -113,39 +119,34 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    ``linalg.psd_screen`` runs first: at k = 3 a row whose closed-form
-    smallest eigenvalue is at least ``SCREEN_MARGIN`` is PSD, returned
-    unchanged with 0 sweeps and its closed-form eigenvalues; at any other k
-    it clears no row.  The rows it selects go to one batched ``eigh``; each
-    of those that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue
-    below -1e-9) has its eigenvalues projected by
+    A row that ``linalg.psd_screen`` decides PSD is returned unchanged with
+    0 sweeps.  Every other row goes to one batched ``eigh``; each of those
+    that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue below -1e-9)
+    has its eigenvalues projected onto the simplex as by
     ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
-    its eigenbasis, and the rest are returned unchanged, with 0 sweeps and
-    their LAPACK eigenvalues.  The input is not modified.  Returns the
-    projected stack, the per-row sweep counts and the input's eigenvalues,
-    ascending, as (m, k) rows; raises ``EigenDecompositionError`` if the
-    eigensolver fails, and ``InvariantError``, naming the row's index in the
-    stack, if a projected row's eigenvalues do not sum to one.
+    its eigenbasis, and the rest are returned unchanged with 0 sweeps.  The
+    input is not modified.  Returns the projected stack, the per-row sweep
+    counts and the bool mask of the rows that are PSD, i.e. that were not
+    projected; raises ``EigenDecompositionError`` if the eigensolver fails,
+    and ``InvariantError``, naming the row's index in the stack, if a
+    projected row's eigenvalues do not sum to one.
     """
-    eigvals, near = psd_screen(phi)
+    psd, _ = psd_screen(phi)
+    near = np.nonzero(~psd)[0]
     out = phi.copy()
     try:
         w, u = np.linalg.eigh(out[near])
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    eigvals[near] = w
-    bad = np.nonzero(~psd_mask(w))[0]
-    rows = np.arange(len(out))[near][bad]
+    keep = psd_mask(w)
+    psd[near] = keep
+    rows = near[~keep]
+    w, u = w[~keep], u[~keep]
+    _require_unit_sums(w, rows)
     steps = np.zeros(len(out), dtype=int)
-    try:
-        clipped, steps[rows] = project_nonneg_simplex_rows(w[bad])
-    except InvariantError:
-        # Raise again, naming the rejected row by its index in the stack.
-        _require_unit_sums(w[bad], rows)
-        raise
-    u = u[bad]
+    clipped, steps[rows] = _redistribute(w)
     out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return out, steps, eigvals
+    return out, steps, psd
 
 
 def constrained_estimate(matrix):

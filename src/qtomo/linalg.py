@@ -36,9 +36,9 @@ __all__ = [
 HERMITIAN_ATOL = 1e-12
 # Slack on eigenvalues when deciding positive semidefiniteness.
 PSD_ATOL = 1e-9
-# A 3x3 row whose closed-form smallest eigenvalue is at least this is PSD
-# without LAPACK.  For trace one the closed form errs by at most about
-# ||A|| sqrt(eps), about 1e-8 near a double root, far below the margin.
+# ``psd_screen`` decides a row whose smallest eigenvalue is at least this
+# (PSD) or at most minus this (not PSD) without LAPACK.  For trace one its
+# rules err by at most about 1e-8, far below the margin.
 SCREEN_MARGIN = 1e-6
 # Slack on unit-trace and unit-sum checks.
 TRACE_ATOL = 1e-9
@@ -138,30 +138,6 @@ def closed_form_eigvalsh(mats) -> np.ndarray:
     return np.stack([low, 3.0 * q - high - low, high], axis=1)
 
 
-def psd_screen(mats):
-    """The rows of an (m, k, k) Hermitian stack that LAPACK must judge
-    before ``estimators.constrained_rows`` projects them.
-
-    At k = 3 these are the rows whose closed-form smallest eigenvalue is not
-    at least ``SCREEN_MARGIN`` (NaN rows included); every other row is PSD.
-    Returns the closed-form eigenvalues, ascending, and the indices of those
-    rows; ``psd_rows`` reads the same values and also decides the rows at or
-    below -SCREEN_MARGIN.  At any other k no closed form runs: the
-    eigenvalues come back unfilled and every row is selected by
-    ``slice(None)``, so ``mats[near]`` is a view.  At k = 2 a whole-stack
-    ``eigvalsh`` is already cheap, and a pure qubit state leaves every row at
-    the PSD edge, where a screen would clear none.  At k >= 4 no closed form
-    gives the eigenvalues that ``constrained_rows`` returns for every row;
-    the pivots ``psd_rows`` screens with there decide PSD rows but give no
-    eigenvalues.
-    """
-    a = np.asarray(mats)
-    if a.shape[1:] != (3, 3):
-        return np.empty(a.shape[:2]), slice(None)
-    values = closed_form_eigvalsh(a)
-    return values, np.nonzero(~(values[:, 0] >= SCREEN_MARGIN))[0]
-
-
 def _positive_pivots(work, shift) -> np.ndarray:
     """Indices of the rows of an (m, k, k) Hermitian stack, read from the
     diagonal and the lower triangle, for which ``row + shift I`` has only
@@ -186,44 +162,52 @@ def _positive_pivots(work, shift) -> np.ndarray:
     return live
 
 
-def psd_rows(mats) -> np.ndarray:
-    """Which rows of an (m, k, k) Hermitian stack are PSD: for rows of trace
-    one exactly ``psd_mask(np.linalg.eigvalsh(mats))``, with LAPACK solving
-    only the rows within ``SCREEN_MARGIN`` of the PSD edge.
+def psd_screen(mats):
+    """The rows of an (m, k, k) Hermitian stack, read as LAPACK reads it
+    (diagonal and lower triangle), that are decided without LAPACK.
 
-    The stack, complex128 or float64, is read as ``eigvalsh`` reads it:
-    diagonal and lower triangle.  At k >= 4 an unpivoted Cholesky sweep
-    screens the rows.  A row where ``A + SCREEN_MARGIN I`` has a pivot that
-    is not positive has a smallest eigenvalue of at most -SCREEN_MARGIN +
+    Returns ``(psd, near)``: a bool mask of the rows decided PSD, and the
+    indices of the rows within ``SCREEN_MARGIN`` of the PSD edge, which
+    LAPACK must judge.  Every other row is decided not PSD.  At k = 3 the
+    smallest value of ``closed_form_eigvalsh`` decides the rows outside
+    (-SCREEN_MARGIN, SCREEN_MARGIN).  At every other k an unpivoted Cholesky
+    sweep does.  A row where ``A + SCREEN_MARGIN I`` has a pivot that is not
+    positive has a smallest eigenvalue of at most -SCREEN_MARGIN +
     O(k^2 eps max_i A_ii), so it is not PSD.  A row where every pivot of
     ``A - SCREEN_MARGIN I`` is positive has one of at least SCREEN_MARGIN -
     O(k eps tr A), so it is PSD (N. J. Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2002, ch. 10).  A trace-one row near the
-    edge has a norm of about 1, so both terms are at most about 1e-13.  At
-    k = 3 the closed-form values of ``psd_screen`` decide the rows whose
-    smallest value lies outside (-SCREEN_MARGIN, SCREEN_MARGIN).  Every
-    other row, every row with a non-finite entry and every row at k <= 2
-    goes to one ``eigvalsh``.  The input is not modified.
+    edge has a norm of about 1, so these terms are at most about 1e-13, and
+    the closed form errs by about 1e-8: both far below the margin.  A row
+    with a non-finite entry is in ``near``.  The input is not modified.
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvariantError(f"expected an (m, k, k) stack, got shape {a.shape}")
+    # Any inf or NaN entry makes its row's sum non-finite.
+    rows = np.nonzero(np.isfinite(a.sum(axis=(1, 2))))[0]
+    if a.shape[1] == 3:
+        low = closed_form_eigvalsh(a[rows])[:, 0]
+        maybe, sure = rows[~(low <= -SCREEN_MARGIN)], rows[low >= SCREEN_MARGIN]
+    else:
+        maybe = rows[_positive_pivots(a[rows], SCREEN_MARGIN)]
+        sure = maybe[_positive_pivots(a[maybe], -SCREEN_MARGIN)]
     psd = np.zeros(len(a), dtype=bool)
     near = np.ones(len(a), dtype=bool)
-    if a.shape[1] >= 3:
-        # Any inf or NaN entry makes its row's sum non-finite.
-        rows = np.nonzero(np.isfinite(a.sum(axis=(1, 2))))[0]
-        if a.shape[1] == 3:
-            low = psd_screen(a[rows])[0][:, 0]
-            maybe, sure = rows[~(low <= -SCREEN_MARGIN)], rows[low >= SCREEN_MARGIN]
-        else:
-            maybe = rows[_positive_pivots(a[rows], SCREEN_MARGIN)]
-            sure = maybe[_positive_pivots(a[maybe], -SCREEN_MARGIN)]
-        near[rows] = False
-        near[maybe] = True
-        near[sure] = False
-        psd[sure] = True
-    psd[near] = psd_mask(np.linalg.eigvalsh(a[near]))
+    near[rows] = False
+    near[maybe] = True
+    near[sure] = False
+    psd[sure] = True
+    return psd, np.nonzero(near)[0]
+
+
+def psd_rows(mats) -> np.ndarray:
+    """Which rows of an (m, k, k) Hermitian stack are PSD: for rows of trace
+    one exactly ``psd_mask(np.linalg.eigvalsh(mats))``, with LAPACK solving
+    only the rows ``psd_screen`` leaves to it.  The input is not modified.
+    """
+    psd, near = psd_screen(mats)
+    psd[near] = psd_mask(np.linalg.eigvalsh(np.asarray(mats)[near]))
     return psd
 
 

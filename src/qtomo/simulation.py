@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_mask, psd_rows
+from .linalg import InvariantError, fidelity_rows, is_integer, psd_rows
 from .measurement import CHUNK_TRIALS, MAX_DIM, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -55,7 +55,7 @@ _NS_SAMPLE = 1
 # Cholesky working copy, the rebuilt projected rows), so a 4,096-trial chunk
 # scored whole holds three 64 MiB stacks at k = 32.  2 MiB blocks (1,310
 # trials at k = 10; a whole chunk at k <= 5) bound that working set; smaller
-# blocks cost time at large k, where each block pays psd_rows' per-pivot
+# blocks cost time at large k, where each block pays psd_screen's per-pivot
 # numpy calls again.
 _BLOCK_BYTES = 2**21
 
@@ -213,18 +213,15 @@ def _metric_block(phi, state, metrics):
     one of the consecutive blocks ``_chunk_task`` cuts a chunk into.
 
     Every value is computed row by row, so a row's values do not depend on
-    the block it sits in.  A block solves at most one eigenproblem: a
-    constrained metric brings the one ``eigh`` inside ``constrained_rows``,
-    at k = 3 on the rows that ``linalg.psd_screen`` leaves, and its
-    eigenvalues also decide ``psd-fraction``; ``psd-fraction`` alone asks
-    ``linalg.psd_rows``, whose ``eigvalsh`` sees at k >= 3 only the rows
-    within ``SCREEN_MARGIN`` of the PSD edge; the other metrics need no
-    eigensolve.
+    the block it sits in.  A block solves at most one eigenproblem, on the
+    rows that ``linalg.psd_screen`` leaves: a constrained metric brings the
+    ``eigh`` inside ``constrained_rows``, whose PSD mask also decides
+    ``psd-fraction``; ``psd-fraction`` alone asks ``linalg.psd_rows`` and
+    its ``eigvalsh``; the other metrics need no eigensolve.
     """
     constrained = psd = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
-        constrained, _, eigvals = constrained_rows(phi)
-        psd = psd_mask(eigvals)
+        constrained, _, psd = constrained_rows(phi)
     elif "psd-fraction" in metrics:
         psd = psd_rows(phi)
     values = {}

@@ -493,6 +493,16 @@ class TestMse:
         code, _, _ = run(capsys, "mse", "--scheme", "comp", "--theta", "0,0,0", "--copies", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", ["comp", "three-direction", "standard"])
+    @pytest.mark.parametrize("copies", ["0", "-3"])
+    def test_copies_below_one_exit_3(self, capsys, scheme, copies):
+        code, _, err = run(
+            capsys, "mse", "--scheme", scheme, "--theta", "0,0,0", "--copies", copies
+        )
+        assert code == 3
+        assert "the number of copies must be at least 1" in err
+        assert "repetitions" not in err
+
     def test_theta_outside_ball_exit_3(self, capsys):
         code, _, _ = run(
             capsys, "mse", "--scheme", "standard", "--theta", "1.2,0,0", "--copies", "300"

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from qtomo.linalg import (
     InvariantError,
     hs_distance,
     psd_mask,
+    psd_screen,
     require_hermitian,
 )
 from qtomo.measurement import (
@@ -44,6 +48,7 @@ from oracles import (
     random_trace_one_hermitian,
     random_unit_rows,
 )
+from strategies import edge_stacks
 
 
 def expected_counts(plan: MeasurementPlan, rho) -> dict:
@@ -375,39 +380,42 @@ def lapack_constrained_rows(phi):
     w, u = np.linalg.eigh(phi)
     out = phi.copy()
     steps = np.zeros(phi.shape[0], dtype=int)
-    rows = np.nonzero(~psd_mask(w))[0]
+    psd = psd_mask(w)
+    rows = np.nonzero(~psd)[0]
     clipped, steps[rows] = project_nonneg_simplex_rows(w[rows])
     out[rows] = (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2)
-    return out, steps, w
+    return out, steps, psd
+
+
+@contextmanager
+def recorded_eigh():
+    """Patches ``np.linalg.eigh`` to keep a copy of every stack it is handed."""
+    seen = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", recorded):
+        yield seen
 
 
 class TestPsdScreen:
-    """At k = 3 constrained_rows sends only the rows the closed-form screen
-    cannot clear to eigh, and decides them as eigh on the whole stack
-    would; every other k sends the whole stack."""
+    """constrained_rows sends only the rows the screen cannot clear to eigh,
+    at every k, and decides them as eigh on the whole stack would."""
 
-    @staticmethod
-    def record_eigh(monkeypatch):
-        seen = []
-        original = np.linalg.eigh
-
-        def recorded(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        return seen
-
-    def test_rows_inside_the_margin_reach_eigh(self, monkeypatch):
+    def test_rows_inside_the_margin_reach_eigh(self):
         edge = np.linspace(-2 * PSD_ATOL, SCREEN_MARGIN, 40, endpoint=False)
         smallest = np.concatenate([edge, [0.05, 0.2, -0.1, -0.3]])
         phi = rotated_rows(smallest, seed=11)
-        seen = self.record_eigh(monkeypatch)
-        _, steps, eigvals = constrained_rows(phi)
+        with recorded_eigh() as seen:
+            _, steps, psd = constrained_rows(phi)
         near = np.nonzero(smallest < SCREEN_MARGIN)[0]
         assert len(seen) == 1
         assert np.array_equal(seen[0], phi[near])
-        assert np.array_equal(eigvals[near], np.linalg.eigh(phi[near])[0])
+        assert np.array_equal(psd[near], psd_mask(np.linalg.eigh(phi[near])[0]))
+        assert psd[-4:].tolist() == [True, True, False, False]
         assert steps[-2:].tolist() == [1, 1]
 
     def test_edge_rows_decided_as_by_one_eigh(self):
@@ -419,35 +427,41 @@ class TestPsdScreen:
         smallest[0::2] = -PSD_ATOL + offsets
         smallest[1::2] = 0.1
         phi = rotated_rows(smallest, seed=12)
-        out, steps, eigvals = constrained_rows(phi)
-        expect_out, expect_steps, expect_eigvals = lapack_constrained_rows(phi)
-        assert np.array_equal(out, expect_out)
-        assert np.array_equal(steps, expect_steps)
-        assert np.array_equal(eigvals[0::2], expect_eigvals[0::2])
-        assert np.abs(eigvals[1::2] - expect_eigvals[1::2]).max() < 1e-12
-        assert 0 < steps.sum() < 64
+        result = constrained_rows(phi)
+        for got, expect in zip(result, lapack_constrained_rows(phi)):
+            assert np.array_equal(got, expect)
+        assert 0 < result[1].sum() < 64
 
-    def test_screened_rows_return_unchanged(self, monkeypatch):
+    @ROWS
+    @given(edge_stacks())
+    def test_matches_one_eigh_at_every_k(self, case):
+        stack, _ = case
+        before = stack.copy()
+        try:
+            expected = lapack_constrained_rows(stack)
+        except InvariantError:
+            # A one-level row other than [[1]] is not trace one: both paths
+            # reject its projection.
+            expected = None
+        with recorded_eigh() as seen:
+            if expected is None:
+                with pytest.raises(InvariantError):
+                    constrained_rows(stack)
+            else:
+                for got, want in zip(constrained_rows(stack), expected):
+                    assert np.array_equal(got, want)
+        assert stack.tobytes() == before.tobytes()
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], stack[~psd_screen(stack)[0]])
+
+    def test_screened_rows_return_unchanged(self):
         phi = rotated_rows([0.05, 0.1, 0.2], seed=13)
-        seen = self.record_eigh(monkeypatch)
-        out, steps, _ = constrained_rows(phi)
+        with recorded_eigh() as seen:
+            out, steps, psd = constrained_rows(phi)
         assert [a.shape[0] for a in seen] == [0]
         assert np.array_equal(out, phi)
         assert steps.tolist() == [0, 0, 0]
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_other_k_send_the_whole_stack(self, monkeypatch, k):
-        phi = np.ones((4, 1, 1), dtype=complex)
-        if k == 2:
-            rng = np.random.default_rng(15)
-            phi = np.stack([random_density(2, rng) for _ in range(8)])
-            phi[::2] += np.diag([-1.0, 1.0])  # indefinite, still trace one
-        seen = self.record_eigh(monkeypatch)
-        result = constrained_rows(phi)
-        assert [a.shape for a in seen] == [phi.shape]
-        for got, expect in zip(result, lapack_constrained_rows(phi)):
-            assert np.array_equal(got, expect)
-        assert result[1].sum() == (4 if k == 2 else 0)
+        assert psd.all()
 
     def test_unsorted_nan_row_is_projected_and_rejected(self):
         # eigh leaves this row's NaN eigenvalues unsorted in the middle; the

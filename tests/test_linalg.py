@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.linalg import (
-    PSD_ATOL,
     SCREEN_MARGIN,
     EigenDecompositionError,
     InvariantError,
@@ -24,6 +23,7 @@ from qtomo.linalg import (
 from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
 from oracles import fidelity_eig, hermitian_eig, hs_distance_brute, random_trace_one_hermitian
+from strategies import PSD_ROWS_K, edge_stacks, rotated_rows
 
 
 def rng_for(label: int) -> np.random.Generator:
@@ -291,9 +291,9 @@ class TestClosedFormEigvalsh:
         # Any trace-one row near the PSD edge has a norm of about 1, so the
         # closed form's error stays far below SCREEN_MARGIN; a large norm
         # comes with a large negative eigenvalue.
-        _, near = psd_screen(h[None])
+        psd, _ = psd_screen(h[None])
         if not psd_mask(np.linalg.eigvalsh(h[None]))[0]:
-            assert near.tolist() == [0]
+            assert not psd[0]
 
     def test_ascending_rows_of_a_stack(self):
         rng = rng_for(33)
@@ -314,54 +314,25 @@ class TestClosedFormEigvalsh:
     def test_screen_sends_nan_rows_to_lapack(self):
         stack = np.stack([np.eye(3) / 3] * 3).astype(complex)
         stack[1, 2, 0] = np.nan
-        values, near = psd_screen(stack)
-        assert np.isnan(values[1]).all()
+        psd, near = psd_screen(stack)
+        assert psd.tolist() == [True, False, True]
         assert near.tolist() == [1]
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 10])
-    def test_other_k_select_every_row_as_a_view(self, k):
-        stack = np.stack([np.eye(k) / k] * 5).astype(complex)
-        values, near = psd_screen(stack)
-        assert values.shape == (5, k)
-        assert np.array_equal(np.arange(5)[near], np.arange(5))
-        assert np.shares_memory(stack[near], stack)
 
-
-PSD_ROWS_K = [1, 2, 3, 4, 5, 10]
-# Where a row's smallest eigenvalue is drawn: both edges of the screen's
-# band and the PSD rule's own edge.
-EDGES = [SCREEN_MARGIN, -SCREEN_MARGIN, -PSD_ATOL]
-
-
-def rotated_rows(spectra, seed):
-    """Each row of an (m, k) spectrum array as a Haar-rotated Hermitian."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(spectra.shape + spectra.shape[1:], dtype=complex)
-    for row, spectrum in enumerate(spectra):
-        u = haar_unitary(len(spectrum), rng) if len(spectrum) > 1 else np.ones((1, 1))
-        out[row] = (u * spectrum) @ u.conj().T
-    return out
-
-
-@st.composite
-def edge_stacks(draw):
-    """A stack of 1 to 8 Haar-rotated trace-one rows of one k, each with its
-    smallest eigenvalue within a factor of 2 of a drawn edge, or 0, or -x
-    with x from 1e-10 to 1e6; its other eigenvalues share 1 - lambda_min."""
-    k = draw(st.sampled_from(PSD_ROWS_K))
-    m = draw(st.integers(1, 8))
-    spectra = np.empty((m, k))
-    for row in range(m):
-        kind = draw(st.sampled_from(["edge", "zero", "large"]))
-        if kind == "edge":
-            low = draw(st.sampled_from(EDGES)) * draw(st.floats(0.5, 2.0))
-        elif kind == "zero":
-            low = 0.0
-        else:
-            low = -(10.0 ** draw(st.floats(-10.0, 6.0)))
-        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k - 1, max_size=k - 1)))
-        spectra[row] = np.r_[low, (1.0 - low) * weights / weights.sum()]
-    return rotated_rows(spectra, draw(st.integers(0, 2**32 - 1))), spectra.min(axis=1)
+class TestPsdScreen:
+    @pytest.mark.parametrize("k", PSD_ROWS_K)
+    def test_one_contract_at_every_k(self, k):
+        # A row far on each side of the edge is decided without LAPACK; a row
+        # on the edge and a row with a NaN entry are left to it.
+        lows = np.array([1.0 / k, 0.0, -0.1, 1.0 / k])
+        spectra = np.c_[lows, np.outer(1.0 - lows, np.ones(k - 1)) / max(k - 1, 1)]
+        stack = rotated_rows(spectra, 50 + k)
+        stack[3, k - 1, 0] = np.nan
+        before = stack.copy()
+        psd, near = psd_screen(stack)
+        assert psd.dtype == bool and psd.tolist() == [True, False, False, False]
+        assert near.tolist() == [1, 3]
+        assert stack.tobytes() == before.tobytes()
 
 
 class CountedEigvalsh:
@@ -400,8 +371,7 @@ class TestPsdRows:
         (solved,) = counted.stacks
         for row in stack[np.abs(low) < SCREEN_MARGIN - 1e-9]:
             assert any(np.array_equal(row, s) for s in solved)
-        if stack.shape[1] <= 2:
-            assert np.array_equal(solved, stack)
+        assert np.array_equal(solved, stack[psd_screen(stack)[1]])
 
     @SCREEN
     @given(edge_stacks(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())

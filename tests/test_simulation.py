@@ -473,8 +473,8 @@ class TestRunTrajectory:
         rng = stream_rng(42, simulation._NS_SAMPLE, 0, 0)
         phi = scheme.to_matrix(scheme.sample(scheme.probabilities(state), 30, CHUNK_TRIALS, rng))
         psd = simulation._metric_block(phi, state, metrics)["psd-fraction"]
-        _, steps, eigvals = constrained_rows(phi)
-        smallest = eigvals[:, 0]
+        _, steps, _ = constrained_rows(phi)
+        smallest = np.linalg.eigh(phi)[0][:, 0]
         assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 51
         assert np.array_equal(psd == 1.0, steps == 0)
 
@@ -534,22 +534,20 @@ class TestEigenStage:
         eigvalsh = blocks if "psd-fraction" in metrics else 0
         assert calls == {"chunks": chunks, "eigh": 0, "eigvalsh": eigvalsh}
         trial_points = cfg.trials * len(cfg.schedule)
-        if eigvalsh and dim == 2:
-            assert rows["eigvalsh"] == trial_points
-        elif eigvalsh:
-            # psd_rows' screen keeps the rows far from the PSD edge from LAPACK.
+        if eigvalsh:
+            # psd_screen keeps the rows far from the PSD edge from LAPACK.
             assert rows["eigvalsh"] < trial_points / 2
 
     def test_psd_only_block_of_one_level_rows(self):
-        # psd_rows screens no row at k = 1: the whole stack goes to eigvalsh.
+        # psd_screen clears one-level rows too: [[1]] has the pivot 1.
         values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
         assert values["psd-fraction"].tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
     def test_eigen_paths_leave_the_stack_unchanged(self, dim):
-        # Half the rows indefinite; at k != 3 psd_screen hands back a view
-        # of the caller's stack, and psd_rows sweeps over a copy: neither
-        # path may write through.
+        # Half the rows indefinite; psd_screen sweeps over a copy of the
+        # caller's stack and constrained_rows rebuilds rows in its own copy:
+        # neither path may write through.
         rng = np.random.default_rng(dim)
         phi = np.stack([random_density(dim, rng) for _ in range(8)])
         phi[::2] += np.diag(np.r_[-1.0, 1.0, np.zeros(dim - 2)])
