@@ -49,6 +49,7 @@ from oracles import (
     random_unit_rows,
 )
 from strategies import edge_stacks
+from strategies import rotated_rows as rotated_rows_k
 
 
 def expected_counts(plan: MeasurementPlan, rho) -> dict:
@@ -462,6 +463,26 @@ class TestPsdScreen:
         assert np.array_equal(out, phi)
         assert steps.tolist() == [0, 0, 0]
         assert psd.all()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_other_k_send_the_whole_stack(self, k):
+        # No row is cleared by the Cholesky sweep: at k = 1 every row sits
+        # inside the margin and is PSD; at k = 2 four rows sit inside it and
+        # four are indefinite. eigh must see every row, once, as one stack.
+        inside = [0.0, 1e-12, -PSD_ATOL / 2, SCREEN_MARGIN / 2]
+        if k == 1:
+            phi = np.array(inside, dtype=complex)[:, None, None]
+        else:
+            lows = np.ravel(np.column_stack([[-1.0, -0.3, -0.1, -0.01], inside]))
+            phi = rotated_rows_k(np.column_stack([lows, 1.0 - lows]), seed=15)
+        assert not psd_screen(phi)[0].any()
+        with recorded_eigh() as seen:
+            result = constrained_rows(phi)
+        assert [a.shape for a in seen] == [phi.shape]
+        for got, expect in zip(result, lapack_constrained_rows(phi)):
+            assert np.array_equal(got, expect)
+        assert result[1].sum() == (4 if k == 2 else 0)
+        assert result[2].sum() == 4
 
     def test_unsorted_nan_row_is_projected_and_rejected(self):
         # eigh leaves this row's NaN eigenvalues unsorted in the middle; the
