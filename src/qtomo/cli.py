@@ -442,20 +442,30 @@ _GRID_HEADER = (
 )
 
 
+# Cube points per slab of consecutive t1 planes that ``_grid_rows`` scores
+# and hands the writer as one table; a plane larger than this is a slab alone.
+_SLAB_POINTS = 2**13
+
+
 def _grid_rows(axis, n, min_eigs):
-    """CSV columns of the cube points in the closed unit ball, one t1 plane at
-    a time, in the order of a triple loop over ``axis``; each plane's smallest
+    """CSV columns of the cube points in the closed unit ball, in the order of
+    a triple loop over ``axis``, one slab of ``max(1, _SLAB_POINTS //
+    len(axis)**2)`` consecutive t1 planes at a time, so memory is bounded by
+    the larger of the budget and one plane.  Every value is computed row by
+    row, so the text does not depend on the slab size.  Each slab's smallest
     eigenvalues are appended to ``min_eigs`` unless it is None."""
-    for t1 in axis:
-        plane = np.stack(np.meshgrid([t1], axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        plane = plane[in_bloch_ball(plane)]
-        if not len(plane):
+    planes = max(1, _SLAB_POINTS // len(axis) ** 2)
+    for start in range(0, len(axis), planes):
+        t1 = axis[start : start + planes]
+        slab = np.stack(np.meshgrid(t1, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        slab = slab[in_bloch_ball(slab)]
+        if not len(slab):
             continue
-        c = compare_batch(plane, n)
+        c = compare_batch(slab, n)
         if min_eigs is not None:
             min_eigs.append(c.min_eig)
         yield (
-            *plane.T,
+            *slab.T,
             c.min_eig,
             c.dominated.astype(int),
             c.trace_comp,

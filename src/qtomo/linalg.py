@@ -205,9 +205,14 @@ def psd_rows(mats) -> np.ndarray:
     """Which rows of an (m, k, k) Hermitian stack are PSD: for rows of trace
     one exactly ``psd_mask(np.linalg.eigvalsh(mats))``, with LAPACK solving
     only the rows ``psd_screen`` leaves to it.  The input is not modified.
+    Raises ``EigenDecompositionError`` if the eigensolver fails.
     """
     psd, near = psd_screen(mats)
-    psd[near] = psd_mask(np.linalg.eigvalsh(np.asarray(mats)[near]))
+    try:
+        w = np.linalg.eigvalsh(np.asarray(mats)[near])
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+    psd[near] = psd_mask(w)
     return psd
 
 

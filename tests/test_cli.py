@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qtomo import cli, measurement
 from qtomo.cli import _atomic_write, _csv_chunks, main, matrix_from_json, matrix_to_json
+from qtomo.error_analysis import compare_batch
 from qtomo.measurement import MAX_DIM
 from qtomo.simulation import ConfigError
 
@@ -36,6 +37,11 @@ MALFORMED_DIRECTIONS = (
 )
 # --theta values with an entry that parses as a float but is not finite.
 NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
+# (grid, copies) -> sha256 of comparison.svg, written one t1 plane per table.
+GRID_SVG_SHA256 = {
+    (41, 300): "28a2456d0ff82339c2603fc453682f1e4bb6a203b22303b8261bdf5a0eb99214",
+    (7, 30): "37f1002f138754563f894c4d53d96f4be4a0e4420c946c535fdd725951977ac1",
+}
 
 
 def run(capsys, *argv):
@@ -598,8 +604,9 @@ class TestCompare:
         assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
 
     def test_grid_memory_does_not_grow_with_the_cube(self, capsys, tmp_path):
-        # Rows are written one t1 plane at a time. Holding all 33,401 rows
-        # of grid 41 and then the whole CSV text peaks at about 21 MiB.
+        # Rows are scored and written a slab of t1 planes at a time, a few
+        # planes at grid 41. Scoring and writing all 33,401 rows of grid 41
+        # as one table peaks at about 16 MiB.
         tracemalloc.start()
         try:
             code, _, _ = run(
@@ -644,7 +651,7 @@ class TestCompare:
         assert default == (tmp_path / "b" / "comparison.csv").read_bytes()
 
     def test_svg_grid_writes_the_pinned_csv(self, capsys, tmp_path):
-        # --svg collects each plane's min_eig next to the writer; the CSV
+        # --svg collects each slab's min_eig next to the writer; the CSV
         # keeps the bytes that test_pinned_draws pins for grid 41.
         code, _, _ = run(
             capsys, "compare", "--grid", "41", "--copies", "300", "--out", str(tmp_path), "--svg"
@@ -653,6 +660,39 @@ class TestCompare:
         data = (tmp_path / "comparison.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == GRID_SHA256[41, 300]
         assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("grid, copies", sorted(GRID_SVG_SHA256))
+    @pytest.mark.parametrize("planes", [0, 3, None], ids=["floor", "ragged", "whole-cube"])
+    def test_slab_size_keeps_the_bytes(self, capsys, tmp_path, monkeypatch, grid, copies, planes):
+        # A budget below one plane, three planes (both grids end on a
+        # ragged slab), and the whole cube in one slab.
+        points = grid**3 if planes is None else planes * grid**2
+        monkeypatch.setattr(cli, "_SLAB_POINTS", points)
+        slabs = []
+
+        def counted(thetas, n):
+            slabs.append(len(thetas))
+            return compare_batch(thetas, n)
+
+        monkeypatch.setattr(cli, "compare_batch", counted)
+        argv = ["--grid", str(grid), "--copies", str(copies), "--out", str(tmp_path), "--svg"]
+        code, _, _ = run(capsys, "compare", *argv)
+        assert code == 0
+        assert len(slabs) == {0: grid, 3: -(-grid // 3), None: 1}[planes]
+        csv = (tmp_path / "comparison.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == GRID_SHA256[grid, copies]
+        svg = (tmp_path / "comparison.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == GRID_SVG_SHA256[grid, copies]
+
+    def test_largest_grid_keeps_one_plane_per_table(self):
+        # A t1 plane of grid 401 holds 160,801 cube points, more than the
+        # budget, so each table is one plane; only the first few, small
+        # ones near t1 = -1 are computed.
+        axis = np.linspace(-1.0, 1.0, cli._MAX_GRID)
+        tables = cli._grid_rows(axis, 300, None)
+        for t1 in axis[:3]:
+            table = next(tables)
+            assert np.array_equal(np.unique(table[0]), [t1])
 
 
 def _pooled_columns(pool_size):
@@ -715,6 +755,17 @@ class TestCsvChunks:
     def test_mixed_tables_match_row_by_row_text(self, case):
         header, tables = case
         assert "".join(_csv_chunks(header, tables)) == _row_by_row_csv(header, tables)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_pooled_columns(8), st.lists(st.integers(0, 60), max_size=6))
+    def test_cutting_rows_into_tables_keeps_the_bytes(self, col, cuts):
+        # What lets compare --grid hand the writer slabs of any size.
+        col = col.astype(float)
+        table = (col, np.signbit(col), col[::-1].copy(), np.arange(len(col)) % 3)
+        bounds = [0, *sorted(min(c, len(col)) for c in cuts), len(col)]
+        pieces = [[c[a:b] for c in table] for a, b in zip(bounds, bounds[1:])]
+        header = ("a", "b", "c", "d")
+        assert "".join(_csv_chunks(header, pieces)) == "".join(_csv_chunks(header, [table]))
 
     def test_percent_signs_are_text(self):
         # Values are never read as format directives.

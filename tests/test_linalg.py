@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo.estimators import constrained_rows
 from qtomo.linalg import (
     SCREEN_MARGIN,
     EigenDecompositionError,
@@ -385,17 +386,28 @@ class TestPsdRows:
         try:
             expected = psd_mask(np.linalg.eigvalsh(stack))
         except np.linalg.LinAlgError:
-            # LAPACK does not converge on some NaN rows: psd_rows raises alike.
+            # LAPACK does not converge on some NaN rows: psd_rows raises
+            # EigenDecompositionError, as constrained_rows does.
             expected = None
         with CountedEigvalsh() as counted:
             if expected is None:
-                with pytest.raises(np.linalg.LinAlgError):
+                with pytest.raises(EigenDecompositionError):
                     psd_rows(stack)
             else:
                 assert np.array_equal(psd_rows(stack), expected)
         assert stack.tobytes() == before.tobytes()
         (solved,) = counted.stacks
         assert (~np.isfinite(solved)).sum() == 1
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_nan_row_raises_as_constrained_rows_does(self, k):
+        # eigvalsh and eigh do not converge on an all-NaN row at k = 3 and 4;
+        # both eigen paths wrap LAPACK's error alike.
+        phi = np.stack([np.eye(k, dtype=complex) / k] * 2)
+        phi[1] = np.nan
+        for solve in (psd_rows, constrained_rows):
+            with pytest.raises(EigenDecompositionError, match="did not converge"):
+                solve(phi)
 
     @pytest.mark.parametrize("k", PSD_ROWS_K)
     def test_empty_stack(self, k):

@@ -8,7 +8,7 @@ import pytest
 
 from qtomo import simulation
 from qtomo.estimators import constrained_estimate, constrained_rows, unconstrained_estimate
-from qtomo.linalg import InvariantError, hs_distance
+from qtomo.linalg import EigenDecompositionError, InvariantError, hs_distance
 from qtomo.measurement import MAX_DIM, MeasurementPlan, linear_scheme, sample_plan_counts, stream_rng
 from qtomo.simulation import (
     CHUNK_TRIALS,
@@ -542,6 +542,16 @@ class TestEigenStage:
         # psd_screen clears one-level rows too: [[1]] has the pivot 1.
         values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
         assert values["psd-fraction"].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_nan_row_raises_on_both_branches(self, dim):
+        # LAPACK does not converge on an all-NaN row at these k; the
+        # psd-only branch raises the constrained branch's error.
+        phi = np.stack([np.eye(dim, dtype=complex) / dim] * 2)
+        phi[1] = np.nan
+        for metrics in (self.PSD_ONLY, ("hs-constrained", "psd-fraction")):
+            with pytest.raises(EigenDecompositionError, match="did not converge"):
+                simulation._metric_block(phi, phi[0], metrics)
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
     def test_eigen_paths_leave_the_stack_unchanged(self, dim):
