@@ -8,8 +8,8 @@ import numpy as np
 
 from .linalg import (
     TRACE_ATOL,
-    EigenDecompositionError,
     InvariantError,
+    eigen_rows,
     psd_mask,
     psd_screen,
     require_trace_one,
@@ -127,17 +127,14 @@ def constrained_rows(phi):
     its eigenbasis, and the rest are returned unchanged with 0 sweeps.  The
     input is not modified.  Returns the projected stack, the per-row sweep
     counts and the bool mask of the rows that are PSD, i.e. that were not
-    projected; raises ``EigenDecompositionError`` if the eigensolver fails,
-    and ``InvariantError``, naming the row's index in the stack, if a
+    projected; raises ``EigenDecompositionError`` as ``linalg.eigen_rows``
+    does, and ``InvariantError``, naming the row's index in the stack, if a
     projected row's eigenvalues do not sum to one.
     """
     psd, _ = psd_screen(phi)
     near = np.nonzero(~psd)[0]
     out = phi.copy()
-    try:
-        w, u = np.linalg.eigh(out[near])
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+    w, u = eigen_rows(out[near], vectors=True)
     keep = psd_mask(w)
     psd[near] = keep
     rows = near[~keep]

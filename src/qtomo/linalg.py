@@ -22,6 +22,7 @@ __all__ = [
     "psd_mask",
     "closed_form_eigvalsh",
     "psd_screen",
+    "eigen_rows",
     "psd_rows",
     "require_trace_one",
     "determinant",
@@ -49,7 +50,8 @@ class InvariantError(ValueError):
 
 
 class EigenDecompositionError(RuntimeError):
-    """The iterative eigensolver failed to converge."""
+    """The iterative eigensolver failed to converge or returned a non-finite
+    eigenvalue."""
 
 
 def is_integer(value) -> bool:
@@ -143,22 +145,25 @@ def _positive_pivots(work, shift) -> np.ndarray:
     diagonal and the lower triangle, for which ``row + shift I`` has only
     positive pivots in an unpivoted Cholesky factorization.
 
-    Step j turns row j of each live matrix into row j of its factor, in
-    place.  A row leaves at its first pivot that is not positive, so no
+    The factorization is column-oriented and left-looking, the gaxpy form
+    (G. H. Golub and C. F. Van Loan, Matrix Computations, 4th ed., 2013,
+    Alg. 4.2.1): step j updates the lower part of column j of each live
+    matrix with one product against the factor's first j columns, tests the
+    pivot, and divides by its square root, in place, in a handful of numpy
+    calls.  A row leaves at its first pivot that is not positive, so no
     arithmetic touches it afterwards.  ``work`` is overwritten.
     """
     live = np.arange(len(work))
     for j in range(work.shape[1]):
-        row = work[:, j, : j + 1]
-        for i in range(j):
-            if i:
-                row[:, i] -= (row[:, :i] * work[:, i, :i].conj()).sum(axis=1)
-            row[:, i] /= work[:, i, i].real
-        pivot = row[:, j].real + shift - (row[:, :j].real ** 2 + row[:, :j].imag ** 2).sum(axis=1)
+        if j:
+            work[:, j:, j] -= np.einsum("mip,mp->mi", work[:, j:, :j], work[:, j, :j].conj())
+        pivot = work[:, j, j].real + shift
         keep = pivot > 0.0
         if not keep.all():
             work, live, pivot = work[keep], live[keep], pivot[keep]
-        work[:, j, j] = np.sqrt(pivot)
+        root = np.sqrt(pivot)
+        work[:, j, j] = root
+        work[:, j + 1 :, j] /= root[:, None]
     return live
 
 
@@ -201,18 +206,31 @@ def psd_screen(mats):
     return psd, np.nonzero(near)[0]
 
 
+def eigen_rows(mats, vectors: bool = False):
+    """``np.linalg.eigvalsh`` of an (m, k, k) Hermitian stack, or
+    ``np.linalg.eigh`` with ``vectors``.
+
+    Raises ``EigenDecompositionError`` where LAPACK does not converge or
+    returns a non-finite eigenvalue, as it does at any k for a row with a
+    NaN or infinite entry in the triangle it reads.
+    """
+    try:
+        out = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
+    if not np.isfinite(out[0] if vectors else out).all():
+        raise EigenDecompositionError("eigensolver did not converge: a non-finite eigenvalue")
+    return out
+
+
 def psd_rows(mats) -> np.ndarray:
     """Which rows of an (m, k, k) Hermitian stack are PSD: for rows of trace
     one exactly ``psd_mask(np.linalg.eigvalsh(mats))``, with LAPACK solving
     only the rows ``psd_screen`` leaves to it.  The input is not modified.
-    Raises ``EigenDecompositionError`` if the eigensolver fails.
+    Raises ``EigenDecompositionError`` as ``eigen_rows`` does.
     """
     psd, near = psd_screen(mats)
-    try:
-        w = np.linalg.eigvalsh(np.asarray(mats)[near])
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    psd[near] = psd_mask(w)
+    psd[near] = psd_mask(eigen_rows(np.asarray(mats)[near]))
     return psd
 
 

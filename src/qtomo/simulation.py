@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -53,11 +54,11 @@ _NS_SAMPLE = 1
 # Bytes of one row block's complex k x k estimates.  Each stage after
 # sampling briefly holds about two more copies of its block (phi - rho, the
 # Cholesky working copy, the rebuilt projected rows), so a 4,096-trial chunk
-# scored whole holds three 64 MiB stacks at k = 32.  2 MiB blocks (1,310
-# trials at k = 10; a whole chunk at k <= 5) bound that working set; smaller
-# blocks cost time at large k, where each block pays psd_screen's per-pivot
-# numpy calls again.
-_BLOCK_BYTES = 2**21
+# scored whole holds three 64 MiB stacks at k = 32.  1 MiB blocks (655
+# trials at k = 10, 64 at k = 32; a whole chunk at k <= 4) bound that
+# working set; psd_screen's column sweep makes about five numpy calls per
+# column, so a small block costs little time even at k = 32.
+_BLOCK_BYTES = 2**20
 
 
 class ConfigError(ValueError):
@@ -285,6 +286,11 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     state = config.resolve_state()
     scheme = linear_scheme(config.scheme, state.shape[0], config.directions)
     probs = scheme.probabilities(state)
+    schedule = np.array(config.schedule)
+    copies = schedule * len(scheme.settings)
+    # Sampling reads only the read-out; dropping the settings frees their
+    # projectors for the run and keeps them out of every pool process.
+    scheme = replace(scheme, settings=())
     run = (scheme, probs, state, config.metrics, config.seed)
     sizes = [min(CHUNK_TRIALS, config.trials - s) for s in range(0, config.trials, CHUNK_TRIALS)]
     jobs = [
@@ -292,30 +298,34 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
         for point, amount in enumerate(config.schedule)
         for chunk, m in enumerate(sizes)
     ]
-    processes = _pool_size(workers, len(jobs))
-    if processes == 1:
-        results = list(map(partial(_chunk_task, run), jobs))
-    else:
-        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=(run,)) as pool:
-            results = list(pool.map(_worker_task, jobs))
     n_points = len(config.schedule)
     means = {metric: np.empty(n_points) for metric in config.metrics}
     stderrs = {metric: np.zeros(n_points) for metric in config.metrics}
-    for point in range(n_points):
-        block = results[point * len(sizes) : (point + 1) * len(sizes)]
-        for metric in config.metrics:
-            samples = np.concatenate([b[metric] for b in block])
-            means[metric][point] = samples.mean()
-            if config.trials > 1:
-                stderrs[metric][point] = samples.std(ddof=1) / np.sqrt(config.trials)
-    schedule = np.array(config.schedule)
+
+    def summarize(results):
+        # Chunks arrive in job order; each point is summarized as its last
+        # chunk arrives, so only one point's per-trial values are held.
+        for point in range(n_points):
+            block = list(islice(results, len(sizes)))
+            for metric in config.metrics:
+                samples = np.concatenate([b[metric] for b in block])
+                means[metric][point] = samples.mean()
+                if config.trials > 1:
+                    stderrs[metric][point] = samples.std(ddof=1) / np.sqrt(config.trials)
+
+    processes = _pool_size(workers, len(jobs))
+    if processes == 1:
+        summarize(map(partial(_chunk_task, run), jobs))
+    else:
+        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=(run,)) as pool:
+            summarize(pool.map(_worker_task, jobs))
     return TrajectoryRecord(
         scheme=config.scheme,
         seed=config.seed,
         trials=config.trials,
         state=state,
         schedule=schedule,
-        copies=schedule * len(scheme.settings),
+        copies=copies,
         means=means,
         stderrs=stderrs,
     )

@@ -5,9 +5,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qtomo.linalg import PSD_ATOL, SCREEN_MARGIN
+from qtomo.measurement import MAX_DIM
 from qtomo.states import haar_unitary
 
-PSD_ROWS_K = [1, 2, 3, 4, 5, 10]
+PSD_ROWS_K = [1, 2, 3, 4, 5, 10, MAX_DIM]
 # Where a row's smallest eigenvalue is drawn: both edges of the screen's
 # band and the PSD rule's own edge.
 EDGES = [SCREEN_MARGIN, -SCREEN_MARGIN, -PSD_ATOL]

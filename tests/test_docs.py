@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from qtomo import simulation
 from qtomo.cli import main
+from qtomo.measurement import CHUNK_TRIALS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -40,6 +42,22 @@ def test_readme_python_blocks_run():
 def test_readme_cli_lines_found():
     # Eight in README.md, one in demos/README.md.
     assert len(CLI_LINES) == 9
+
+
+def test_readme_block_budget_matches_the_module():
+    # Determinism's row-block formula, its k = 10 trial count and its
+    # whole-chunk bound read the module's budget.
+    readme = (ROOT / "README.md").read_text()
+    formula = re.search(r"`max\(1, 2\*\*(\d+) // \(16 k²\)\)`", readme)
+    trials = re.search(
+        r"([\d,]+) trials at k = 10, and one\s+block for the whole chunk at k ≤ (\d+)", readme
+    )
+    assert formula and trials, "Determinism no longer states the block budget"
+    assert 2 ** int(formula.group(1)) == simulation._BLOCK_BYTES
+    assert int(trials.group(1).replace(",", "")) == simulation._BLOCK_BYTES // (16 * 10**2)
+    whole = int(trials.group(2))
+    assert simulation._BLOCK_BYTES // (16 * whole**2) >= CHUNK_TRIALS
+    assert simulation._BLOCK_BYTES // (16 * (whole + 1) ** 2) < CHUNK_TRIALS
 
 
 @pytest.mark.parametrize("line", CLI_LINES)

@@ -484,14 +484,12 @@ class TestPsdScreen:
         assert result[1].sum() == (4 if k == 2 else 0)
         assert result[2].sum() == 4
 
-    def test_unsorted_nan_row_is_projected_and_rejected(self):
-        # eigh leaves this row's NaN eigenvalues unsorted in the middle; the
-        # row is not PSD, so it reaches the simplex projection, whose sum
-        # check rejects it, by its index in the stack, instead of returning it
-        # unprojected.
+    def test_unsorted_nan_row_raises(self):
+        # eigh converges on this row but leaves NaN eigenvalues unsorted in
+        # the middle; the row is neither judged PSD nor projected.
         phi = np.stack([np.eye(4, dtype=complex) / 4] * 2)
         phi[1, 2, 1] = np.nan
-        with pytest.raises(InvariantError, match="row 1 sums to nan"):
+        with pytest.raises(EigenDecompositionError, match="non-finite eigenvalue"):
             constrained_rows(phi)
 
     def test_nan_row_still_raises(self):

@@ -119,7 +119,9 @@ class TestPsdAndDeterminant:
         eigenvalues = np.linalg.eigvalsh(row)
         assert eigenvalues[0] >= 0.0 and np.isnan(eigenvalues).any()
         assert not psd_mask(eigenvalues)
-        assert psd_rows(np.stack([row, np.eye(4) / 4])).tolist() == [False, True]
+        # psd_rows does not judge such a row: it raises, as constrained_rows does.
+        with pytest.raises(EigenDecompositionError, match="non-finite eigenvalue"):
+            psd_rows(np.stack([row, np.eye(4) / 4]))
 
     def test_determinant_is_eigenvalue_product(self):
         h = random_trace_one_hermitian(4, rng_for(21))
@@ -384,25 +386,27 @@ class TestPsdRows:
         stack[row, i, j] = bad
         before = stack.copy()
         try:
-            expected = psd_mask(np.linalg.eigvalsh(stack))
+            w = np.linalg.eigvalsh(stack)
         except np.linalg.LinAlgError:
-            # LAPACK does not converge on some NaN rows: psd_rows raises
-            # EigenDecompositionError, as constrained_rows does.
-            expected = None
+            w = np.full(k, np.nan)
+        # Where LAPACK does not converge or returns a non-finite eigenvalue,
+        # psd_rows raises EigenDecompositionError, as constrained_rows does;
+        # an entry above the diagonal is not read, and the row is judged.
         with CountedEigvalsh() as counted:
-            if expected is None:
+            if not np.isfinite(w).all():
                 with pytest.raises(EigenDecompositionError):
                     psd_rows(stack)
             else:
-                assert np.array_equal(psd_rows(stack), expected)
+                assert np.array_equal(psd_rows(stack), psd_mask(w))
         assert stack.tobytes() == before.tobytes()
         (solved,) = counted.stacks
         assert (~np.isfinite(solved)).sum() == 1
 
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_nan_row_raises_as_constrained_rows_does(self, k):
-        # eigvalsh and eigh do not converge on an all-NaN row at k = 3 and 4;
-        # both eigen paths wrap LAPACK's error alike.
+        # eigvalsh and eigh return NaN eigenvalues for an all-NaN row at k = 1
+        # and 2 and do not converge on it at k = 3 and 4; both eigen paths
+        # raise the same error either way.
         phi = np.stack([np.eye(k, dtype=complex) / k] * 2)
         phi[1] = np.nan
         for solve in (psd_rows, constrained_rows):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -348,6 +349,33 @@ class TestRunTrajectory:
         assert sizes[10]["jobs"] == sizes[2]["jobs"]
         assert max(sizes[10]["jobs"]) < 200
         assert sizes[10]["run"] > 10 * sizes[2]["run"]
+        # The run carries the read-out, not the 99 observables' projectors,
+        # which pickle to about 480 kB at k = 10.
+        assert sizes[10]["run"] < 50_000
+
+    def test_memory_does_not_grow_with_the_schedule(self):
+        # Each point is summarized as its last chunk arrives, so a run holds
+        # one point's per-trial values, not every point's.
+        def peak(points):
+            cfg = ExperimentConfig(
+                state=RandomState(3),
+                scheme="klevel-pairs",
+                schedule=tuple(10 * 2**i for i in range(points)),
+                trials=2 * CHUNK_TRIALS,
+                seed=5,
+            )
+            tracemalloc.start()
+            try:
+                run_trajectory(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # A point holds 8 bytes per trial for each of the five metrics a
+        # three-level state gets by default.
+        one_point = 2 * CHUNK_TRIALS * 5 * 8
+        short = peak(2)
+        assert peak(8) - short < one_point
 
     def test_invalid_worker_count(self):
         cfg = ExperimentConfig(
@@ -543,10 +571,11 @@ class TestEigenStage:
         values = simulation._metric_block(np.ones((4, 1, 1)), np.ones((1, 1)), self.PSD_ONLY)
         assert values["psd-fraction"].tolist() == [1.0] * 4
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_nan_row_raises_on_both_branches(self, dim):
-        # LAPACK does not converge on an all-NaN row at these k; the
-        # psd-only branch raises the constrained branch's error.
+        # LAPACK returns NaN eigenvalues for an all-NaN row at k = 1 and 2
+        # and does not converge on it at k = 3 and 4; both branches raise
+        # the same error either way.
         phi = np.stack([np.eye(dim, dtype=complex) / dim] * 2)
         phi[1] = np.nan
         for metrics in (self.PSD_ONLY, ("hs-constrained", "psd-fraction")):
