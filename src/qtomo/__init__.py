@@ -16,13 +16,7 @@ from .error_analysis import (
     mse_standard,
     mse_three_direction,
 )
-from .estimators import (
-    constrained_estimate,
-    minimal_estimate,
-    standard_estimate,
-    three_direction_estimate,
-    unconstrained_estimate,
-)
+from .estimators import constrained_estimate, unconstrained_estimate
 from .linalg import (
     EigenDecompositionError,
     InvariantError,
@@ -99,7 +93,6 @@ __all__ = [
     "hs_distance",
     "indefinite_decay_rate",
     "is_bloch_state",
-    "minimal_estimate",
     "minimal_povm",
     "mse_minimal",
     "mse_standard",
@@ -113,10 +106,8 @@ __all__ = [
     "require_trace_one",
     "run_trajectory",
     "sample_plan_counts",
-    "standard_estimate",
     "standard_povm",
     "stream_rng",
-    "three_direction_estimate",
     "unconstrained_estimate",
     "__version__",
 ]

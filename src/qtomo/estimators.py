@@ -1,29 +1,19 @@
-"""Point estimators: entrywise unconstrained estimate, its least-squares
-projection onto density matrices (``constrained_rows`` for a stack, the one
-projection path), and the three qubit scheme estimators."""
+"""Point estimators: the entrywise unconstrained estimate and its
+least-squares projection onto density matrices (``constrained_rows`` for a
+stack, the one projection path)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    TRACE_ATOL,
-    InvariantError,
-    eigen_rows,
-    psd_mask,
-    psd_screen,
-    require_trace_one,
-)
-from .measurement import MeasurementPlan, count_frequencies, linear_scheme
+from .linalg import TRACE_ATOL, InvariantError, eigen_rows, psd_rows, require_trace_one
+from .measurement import MeasurementPlan, count_frequencies
 
 __all__ = [
     "unconstrained_estimate",
     "project_nonneg_simplex_rows",
     "constrained_rows",
     "constrained_estimate",
-    "three_direction_estimate",
-    "standard_estimate",
-    "minimal_estimate",
 ]
 
 
@@ -119,26 +109,20 @@ def constrained_rows(phi):
     """Closest density matrices to an (m, k, k) stack of trace-one
     Hermitians, in Hilbert-Schmidt norm.
 
-    A row that ``linalg.psd_screen`` decides PSD is returned unchanged with
-    0 sweeps.  Every other row goes to one batched ``eigh``; each of those
-    that is not PSD by ``linalg.psd_mask`` (smallest eigenvalue below -1e-9)
-    has its eigenvalues projected onto the simplex as by
+    A row that ``linalg.psd_rows`` calls PSD is returned unchanged with 0
+    sweeps.  Every other row goes to one batched ``eigh``, has its
+    eigenvalues projected onto the simplex as by
     ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
-    its eigenbasis, and the rest are returned unchanged with 0 sweeps.  The
-    input is not modified.  Returns the projected stack, the per-row sweep
-    counts and the bool mask of the rows that are PSD, i.e. that were not
-    projected; raises ``EigenDecompositionError`` as ``linalg.eigen_rows``
-    does, and ``InvariantError``, naming the row's index in the stack, if a
-    projected row's eigenvalues do not sum to one.
+    its eigenbasis.  The input is not modified.  Returns the projected
+    stack, the per-row sweep counts and the ``psd_rows`` mask, i.e. the rows
+    that were not projected; raises ``EigenDecompositionError`` as
+    ``linalg.eigen_rows`` does, and ``InvariantError``, naming the row's
+    index in the stack, if a projected row's eigenvalues do not sum to one.
     """
-    psd, _ = psd_screen(phi)
-    near = np.nonzero(~psd)[0]
+    psd = psd_rows(phi)
+    rows = np.nonzero(~psd)[0]
     out = phi.copy()
-    w, u = eigen_rows(out[near], vectors=True)
-    keep = psd_mask(w)
-    psd[near] = keep
-    rows = near[~keep]
-    w, u = w[~keep], u[~keep]
+    w, u = eigen_rows(out[rows], vectors=True)
     _require_unit_sums(w, rows)
     steps = np.zeros(len(out), dtype=int)
     clipped, steps[rows] = _redistribute(w)
@@ -157,44 +141,3 @@ def constrained_estimate(matrix):
     require_trace_one(matrix)
     out, steps, _ = constrained_rows(np.asarray(matrix, dtype=complex)[None])
     return out[0], int(steps[0])
-
-
-def three_direction_estimate(frequencies, directions) -> np.ndarray:
-    """Bloch estimate from +1 frequencies along three measurement directions.
-
-    With T the matrix whose rows are the (unit) directions, the +1
-    probability along row u is (1 + u . theta) / 2, so the estimate solves
-    T theta = 2 nu - 1.
-
-    Parameters
-    ----------
-    frequencies : array_like
-        The three relative frequencies of outcome +1, each in [0, 1].
-    directions : array_like
-        3x3 matrix of unit rows with |det| > 1e-12.
-    """
-    nu = np.asarray(frequencies, dtype=float)
-    if nu.shape != (3,):
-        raise InvariantError(f"expected 3 frequencies, got shape {nu.shape}")
-    if not np.all((nu >= 0) & (nu <= 1)):
-        raise InvariantError("frequencies must lie in [0, 1]")
-    scheme = linear_scheme("three-direction", directions=directions)
-    return scheme.estimate(np.stack([nu, 1.0 - nu], axis=1))[0]
-
-
-def standard_estimate(counts) -> np.ndarray:
-    """Bloch estimate from the six-outcome axis POVM.
-
-    theta_i = 3 (nu_i - nu_{i+3}), the scaled frequency gap between the +1
-    and -1 effects of axis i.
-    """
-    return linear_scheme("standard").estimate([count_frequencies(counts, 6)])[0]
-
-
-def minimal_estimate(counts) -> np.ndarray:
-    """Bloch estimate from the four-outcome tetrahedral POVM.
-
-    theta = 3 sum_i nu_i a_i over the tetrahedron directions a_i; the factor
-    3 inverts sum_i a_i a_i^T = (4/3) I once the 1/4 effect weights are in.
-    """
-    return linear_scheme("minimal").estimate([count_frequencies(counts, 4)])[0]

@@ -11,8 +11,8 @@ tetrahedral one.
 Every scheme's estimator is linear in the outcome frequencies, so a scheme
 is described once, as a ``LinearScheme``: its settings in measurement order,
 one real read-out block per setting, and the map from the estimated
-parameters to a matrix.  Sampling and the scalar estimators share its one
-read-out.
+parameters to a matrix.  Sampling and ``LinearScheme.estimate``, the one
+estimator of every scheme, share its one read-out.
 """
 
 from __future__ import annotations

@@ -214,11 +214,10 @@ def _metric_block(phi, state, metrics):
     one of the consecutive blocks ``_chunk_task`` cuts a chunk into.
 
     Every value is computed row by row, so a row's values do not depend on
-    the block it sits in.  A block solves at most one eigenproblem, on the
-    rows that ``linalg.psd_screen`` leaves: a constrained metric brings the
-    ``eigh`` inside ``constrained_rows``, whose PSD mask also decides
-    ``psd-fraction``; ``psd-fraction`` alone asks ``linalg.psd_rows`` and
-    its ``eigvalsh``; the other metrics need no eigensolve.
+    the block it sits in.  ``psd-fraction`` is ``linalg.psd_rows``'s mask on
+    either branch: a constrained metric reads it from ``constrained_rows``,
+    which adds one ``eigh`` on the rows that are not PSD; ``psd-fraction``
+    alone asks ``psd_rows``; the other metrics need no eigensolve.
     """
     constrained = psd = None
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:

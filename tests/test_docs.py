@@ -15,6 +15,8 @@ from qtomo import simulation
 from qtomo.cli import main
 from qtomo.measurement import CHUNK_TRIALS
 
+from test_exports import DELETED
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_TIMEOUT_S = 300
@@ -42,6 +44,16 @@ def test_readme_python_blocks_run():
 def test_readme_cli_lines_found():
     # Eight in README.md, one in demos/README.md.
     assert len(CLI_LINES) == 9
+
+
+def test_readme_gone_paragraph_names_every_deleted_name():
+    # Every name deleted from the exports is named in a code span of the
+    # README paragraph that says what is gone and what replaces it.
+    readme = (ROOT / "README.md").read_text()
+    (gone,) = [para for para in readme.split("\n\n") if " are gone" in para]
+    spans = " ".join(re.findall(r"`([^`]*)`", gone))
+    missing = sorted({name for _, name in DELETED if not re.search(rf"\b{name}\b", spans)})
+    assert missing == []
 
 
 def test_readme_block_budget_matches_the_module():

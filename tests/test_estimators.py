@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from qtomo.estimators import (
     constrained_estimate,
     constrained_rows,
-    minimal_estimate,
     project_nonneg_simplex_rows,
-    standard_estimate,
-    three_direction_estimate,
     unconstrained_estimate,
 )
 from qtomo.linalg import (
@@ -22,12 +19,15 @@ from qtomo.linalg import (
     InvariantError,
     hs_distance,
     psd_mask,
+    psd_rows,
     psd_screen,
     require_hermitian,
 )
 from qtomo.measurement import (
     TETRAHEDRON,
     MeasurementPlan,
+    count_frequencies,
+    linear_scheme,
     minimal_povm,
     outcome_probabilities,
     sample_plan_counts,
@@ -377,52 +377,65 @@ def rotated_rows(smallest, seed):
 
 
 def lapack_constrained_rows(phi):
-    """The projection with one eigh on the whole stack and no screen."""
+    """The projection with no screen: one eigvalsh on the whole stack decides
+    which rows are PSD, and one eigh on the whole stack projects the rest."""
+    psd = psd_mask(np.linalg.eigvalsh(phi))
     w, u = np.linalg.eigh(phi)
     out = phi.copy()
     steps = np.zeros(phi.shape[0], dtype=int)
-    psd = psd_mask(w)
     rows = np.nonzero(~psd)[0]
     clipped, steps[rows] = project_nonneg_simplex_rows(w[rows])
     out[rows] = (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2)
     return out, steps, psd
 
 
-@contextmanager
-def recorded_eigh():
-    """Patches ``np.linalg.eigh`` to keep a copy of every stack it is handed."""
-    seen = []
-    original = np.linalg.eigh
-
+def _recorder(original, seen):
     def recorded(a, *args, **kwargs):
         seen.append(np.array(a))
         return original(a, *args, **kwargs)
 
-    with mock.patch.object(np.linalg, "eigh", recorded):
+    return recorded
+
+
+@contextmanager
+def recorded_lapack():
+    """Patches ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` to keep a copy
+    of every stack each is handed, listed under its name."""
+    seen = {"eigvalsh": [], "eigh": []}
+    with (
+        mock.patch.object(np.linalg, "eigvalsh", _recorder(np.linalg.eigvalsh, seen["eigvalsh"])),
+        mock.patch.object(np.linalg, "eigh", _recorder(np.linalg.eigh, seen["eigh"])),
+    ):
         yield seen
 
 
 class TestPsdScreen:
-    """constrained_rows sends only the rows the screen cannot clear to eigh,
-    at every k, and decides them as eigh on the whole stack would."""
+    """constrained_rows decides PSD as linalg.psd_rows does, with eigvalsh
+    on the rows the screen leaves, and sends only the rows that are not PSD
+    to eigh, at every k."""
 
     def test_rows_inside_the_margin_reach_eigh(self):
+        # eigvalsh judges the rows inside the margin; eigh sees those it
+        # calls not PSD and the rows the screen decides not PSD.
         edge = np.linspace(-2 * PSD_ATOL, SCREEN_MARGIN, 40, endpoint=False)
         smallest = np.concatenate([edge, [0.05, 0.2, -0.1, -0.3]])
         phi = rotated_rows(smallest, seed=11)
-        with recorded_eigh() as seen:
+        with recorded_lapack() as seen:
             _, steps, psd = constrained_rows(phi)
-        near = np.nonzero(smallest < SCREEN_MARGIN)[0]
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], phi[near])
-        assert np.array_equal(psd[near], psd_mask(np.linalg.eigh(phi[near])[0]))
+        near = psd_screen(phi)[1]
+        not_psd = ~psd_mask(np.linalg.eigvalsh(phi))
+        assert near.tolist() == list(range(40))
+        assert len(seen["eigvalsh"]) == 1 and np.array_equal(seen["eigvalsh"][0], phi[near])
+        assert len(seen["eigh"]) == 1 and np.array_equal(seen["eigh"][0], phi[not_psd])
+        assert 0 < not_psd[near].sum() < len(near)
+        assert np.array_equal(psd, ~not_psd)
         assert psd[-4:].tolist() == [True, True, False, False]
         assert steps[-2:].tolist() == [1, 1]
 
     def test_edge_rows_decided_as_by_one_eigh(self):
         # Rows within 1e-15 of the PSD slack, mixed with rows the screen
-        # clears: every near row must come out bit for bit as eigh on the
-        # whole stack leaves it, psd or projected alike.
+        # clears: every near row must come out bit for bit as one eigvalsh
+        # and one eigh on the whole stack leave it, psd or projected alike.
         offsets = np.linspace(-1e-15, 1e-15, 64)
         smallest = np.empty(128)
         smallest[0::2] = -PSD_ATOL + offsets
@@ -444,22 +457,25 @@ class TestPsdScreen:
             # A one-level row other than [[1]] is not trace one: both paths
             # reject its projection.
             expected = None
-        with recorded_eigh() as seen:
+        with recorded_lapack() as seen:
             if expected is None:
                 with pytest.raises(InvariantError):
                     constrained_rows(stack)
             else:
-                for got, want in zip(constrained_rows(stack), expected):
+                result = constrained_rows(stack)
+                for got, want in zip(result, expected):
                     assert np.array_equal(got, want)
+                assert (result[1][~result[2]] >= 1).all()
         assert stack.tobytes() == before.tobytes()
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], stack[~psd_screen(stack)[0]])
+        assert len(seen["eigvalsh"]) == len(seen["eigh"]) == 1
+        assert np.array_equal(seen["eigvalsh"][0], stack[psd_screen(stack)[1]])
+        assert np.array_equal(seen["eigh"][0], stack[~psd_rows(stack)])
 
     def test_screened_rows_return_unchanged(self):
         phi = rotated_rows([0.05, 0.1, 0.2], seed=13)
-        with recorded_eigh() as seen:
+        with recorded_lapack() as seen:
             out, steps, psd = constrained_rows(phi)
-        assert [a.shape[0] for a in seen] == [0]
+        assert [a.shape[0] for a in seen["eigvalsh"] + seen["eigh"]] == [0, 0]
         assert np.array_equal(out, phi)
         assert steps.tolist() == [0, 0, 0]
         assert psd.all()
@@ -468,17 +484,23 @@ class TestPsdScreen:
     def test_other_k_send_the_whole_stack(self, k):
         # No row is cleared by the Cholesky sweep: at k = 1 every row sits
         # inside the margin and is PSD; at k = 2 four rows sit inside it and
-        # four are indefinite. eigh must see every row, once, as one stack.
+        # four are indefinite. Every row must reach LAPACK once: eigvalsh
+        # judges the rows inside the margin, eigh projects the indefinite.
         inside = [0.0, 1e-12, -PSD_ATOL / 2, SCREEN_MARGIN / 2]
         if k == 1:
             phi = np.array(inside, dtype=complex)[:, None, None]
+            near = np.arange(4)
         else:
             lows = np.ravel(np.column_stack([[-1.0, -0.3, -0.1, -0.01], inside]))
             phi = rotated_rows_k(np.column_stack([lows, 1.0 - lows]), seed=15)
-        assert not psd_screen(phi)[0].any()
-        with recorded_eigh() as seen:
+            near = np.arange(1, 8, 2)
+        psd, screened_near = psd_screen(phi)
+        assert not psd.any() and np.array_equal(screened_near, near)
+        with recorded_lapack() as seen:
             result = constrained_rows(phi)
-        assert [a.shape for a in seen] == [phi.shape]
+        assert len(seen["eigvalsh"]) == 1 and np.array_equal(seen["eigvalsh"][0], phi[near])
+        assert len(seen["eigh"]) == 1
+        assert np.array_equal(seen["eigh"][0], np.delete(phi, near, axis=0))
         for got, expect in zip(result, lapack_constrained_rows(phi)):
             assert np.array_equal(got, expect)
         assert result[1].sum() == (4 if k == 2 else 0)
@@ -500,10 +522,16 @@ class TestPsdScreen:
 
 
 class TestThreeDirectionEstimate:
+    """The three-direction scheme's read-out solves T theta = 2 nu - 1."""
+
+    @staticmethod
+    def estimate(nu, directions):
+        scheme = linear_scheme("three-direction", directions=directions)
+        return scheme.estimate(np.stack([nu, 1.0 - nu], axis=1))[0]
+
     def test_identity_directions(self):
         nu = np.array([0.8, 0.5, 0.3])
-        est = three_direction_estimate(nu, np.eye(3))
-        assert np.abs(est - (2 * nu - 1)).max() < 1e-15
+        assert np.abs(self.estimate(nu, np.eye(3)) - (2 * nu - 1)).max() < 1e-15
 
     def test_forward_map_round_trip(self):
         rng = np.random.default_rng(500)
@@ -511,60 +539,45 @@ class TestThreeDirectionEstimate:
             t = random_unit_rows(rng)
             theta = random_ball_point(rng)
             nu = 0.5 * (1.0 + t @ theta)
-            assert np.abs(three_direction_estimate(nu, t) - theta).max() < 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(InvariantError):
-            three_direction_estimate([0.5, 0.5], np.eye(3))
-        with pytest.raises(InvariantError):
-            three_direction_estimate([1.5, 0.5, 0.5], np.eye(3))
-        with pytest.raises(InvariantError):
-            three_direction_estimate([0.5, 0.5, 0.5], 2 * np.eye(3))
-        singular = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]])
-        with pytest.raises(InvariantError):
-            three_direction_estimate([0.5, 0.5, 0.5], singular)
+            assert np.abs(self.estimate(nu, t) - theta).max() < 1e-10
 
 
 class TestPovmEstimates:
+    """The axis and tetrahedral POVMs' read-outs, from outcome counts."""
+
+    @staticmethod
+    def estimate(name, counts):
+        return linear_scheme(name).estimate([count_frequencies(counts, len(counts))])[0]
+
     def test_standard_estimate_formula(self):
         counts = np.array([30, 10, 20, 10, 20, 10])
         nu = counts / 100
         expect = 3 * (nu[:3] - nu[3:])
-        assert np.abs(standard_estimate(counts) - expect).max() < 1e-15
+        assert np.abs(self.estimate("standard", counts) - expect).max() < 1e-15
 
     def test_standard_unbiased_at_expected_counts(self):
         rng = np.random.default_rng(510)
         for _ in range(25):
             theta = random_ball_point(rng)
             probs = outcome_probabilities(standard_povm(), bloch_to_matrix(theta))
-            assert np.abs(standard_estimate(1000 * probs) - theta).max() < 1e-12
+            assert np.abs(self.estimate("standard", 1000 * probs) - theta).max() < 1e-12
 
     def test_minimal_unbiased_at_expected_counts(self):
         rng = np.random.default_rng(511)
         for _ in range(25):
             theta = random_ball_point(rng)
             probs = outcome_probabilities(minimal_povm(), bloch_to_matrix(theta))
-            assert np.abs(minimal_estimate(1000 * probs) - theta).max() < 1e-12
+            assert np.abs(self.estimate("minimal", 1000 * probs) - theta).max() < 1e-12
 
     def test_minimal_estimate_formula(self):
         counts = np.array([4, 3, 2, 1])
         expect = 3.0 * TETRAHEDRON.T @ (counts / 10)
-        assert np.abs(minimal_estimate(counts) - expect).max() < 1e-15
+        assert np.abs(self.estimate("minimal", counts) - expect).max() < 1e-15
 
     def test_estimates_give_trace_one_hermitian(self):
         rng = stream_rng(77, 0)
         counts = rng.multinomial(60, np.ones(6) / 6)
-        theta = standard_estimate(counts)
+        theta = self.estimate("standard", counts)
         m = bloch_to_matrix(theta)
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-14)
         assert np.abs(matrix_to_bloch(m) - theta).max() < 1e-14
-
-    def test_count_validation(self):
-        with pytest.raises(InvariantError):
-            standard_estimate([1, 2, 3, 4])
-        with pytest.raises(InvariantError):
-            minimal_estimate([0, 0, 0, 0])
-        with pytest.raises(InvariantError):
-            minimal_estimate([-1, 1, 1, 1])
-        with pytest.raises(InvariantError, match="finite"):
-            standard_estimate([np.inf, 1, 1, 1, 1, 1])

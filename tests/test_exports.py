@@ -33,6 +33,9 @@ DELETED = [
         ("measurement", "relative_frequency"),
         ("measurement", "sample_counts"),
         ("estimators", "project_nonneg_simplex"),
+        ("estimators", "three_direction_estimate"),
+        ("estimators", "standard_estimate"),
+        ("estimators", "minimal_estimate"),
     )
     for module_name in ("qtomo", f"qtomo.{owner}")
 ]

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from qtomo import measurement
 from qtomo.error_analysis import average_mse_over_ball, mse_three_direction
-from qtomo.estimators import (
-    minimal_estimate,
-    standard_estimate,
-    three_direction_estimate,
-    unconstrained_estimate,
-)
+from qtomo.estimators import unconstrained_estimate
 from qtomo.linalg import InvariantError, hs_distance
 from qtomo.measurement import (
     MAX_DIM,
@@ -355,9 +350,6 @@ NON_FINITE_INPUTS = {
     "Observable-values": lambda x: Observable((x, -1.0), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
     "Povm": lambda x: Povm(np.full((2, 2, 2), x)),
     "Povm-3x3": lambda x: Povm(np.array([np.diag([1.0, x, 1.0])] * 3)),
-    "three_direction_estimate": lambda x: three_direction_estimate([x, 0.5, 0.5], np.eye(3)),
-    "standard_estimate": lambda x: standard_estimate([x, 1, 1, 1, 1, 1]),
-    "minimal_estimate": lambda x: minimal_estimate([x, 1, 1, 1]),
     "random_density": lambda x: random_density(2, stream_rng(0, 0), [x, 1.0]),
     "unconstrained_estimate": lambda x: unconstrained_estimate(MeasurementPlan(2, 1), _counts(x)),
     "run_trajectory": lambda x: run_trajectory(

@@ -601,8 +601,9 @@ class TestEigenStage:
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_both_branches_decide_psd_alike(self, seed):
-        # eigvalsh on the psd-only branch, eigh inside constrained_rows on
-        # the other: the same sampled trials must count as PSD on both.
+        # Both branches read linalg.psd_rows's mask, the psd-only one
+        # directly and the other through constrained_rows: the same sampled
+        # trials must count as PSD with and without a constrained metric.
         obj = json.loads((CONFIGS / "three_level_error.json").read_text())
         spec = obj["state"]["random"]
         kwargs = dict(
