@@ -408,10 +408,10 @@ def _cmd_mse(args) -> int:
     directions = _directions_option(args)
     n = args.copies
     if args.scheme in ("comp", "three-direction"):
-        if n % 3:
-            raise ConfigError("the per-direction schemes need copies divisible by 3")
         if n < 1:
             raise InvariantError("the number of copies must be at least 1")
+        if n % 3:
+            raise ConfigError("the per-direction schemes need copies divisible by 3")
         rows = np.eye(3) if directions is None else directions
         matrix = mse_three_direction(theta, rows, n // 3)
     elif args.scheme == "standard":
@@ -428,7 +428,7 @@ def _cmd_mse(args) -> int:
     return _emit_json(payload, args.out)
 
 
-# About 3.4e7 ball points: a 3.9 GB comparison.csv and minutes of work.
+# About 3.4e7 ball points: a 3.5 GB comparison.csv and minutes of work.
 _MAX_GRID = 401
 _GRID_HEADER = (
     "theta1",
@@ -478,11 +478,11 @@ def _cmd_compare(args) -> int:
     if args.theta is not None and (args.grid is not None or args.svg):
         raise ConfigError("--theta takes neither --grid nor --svg")
     n = args.copies
-    if n % 3:
-        raise ConfigError("comparisons need copies divisible by 3")
     if n < 1:
         # Checked before the grid's output directory is made.
         raise InvariantError("the number of copies must be at least 1")
+    if n % 3:
+        raise ConfigError("comparisons need copies divisible by 3")
     if args.theta is not None:
         theta = _parse_theta(args.theta)
         c = compare_batch(theta[None], n)

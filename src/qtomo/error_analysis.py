@@ -173,8 +173,8 @@ class Comparison(NamedTuple):
     """Closed-form scheme comparison at each row of an (m, 3) stack of theta."""
 
     diff: np.ndarray  # (m, 3, 3) V_standard - V_comp
-    min_eig: np.ndarray  # smallest eigenvalue of each diff
-    dominated: np.ndarray  # diff is PSD within 1e-12 of V_standard's Frobenius norm
+    min_eig: np.ndarray  # smallest eigenvalue of each diff: +0.0 at every row
+    dominated: np.ndarray  # diff is PSD: True at every row
     trace_comp: np.ndarray  # Tr V_comp
     trace_min: np.ndarray  # Tr V_min
     trace_ok: np.ndarray  # Tr V_comp <= Tr V_min within 1e-12
@@ -185,13 +185,21 @@ def compare_batch(thetas, total: int) -> Comparison:
 
     Row i holds what ``compare_standard_vs_complementary`` and
     ``compare_traces_min_vs_comp`` return at ``thetas[i]``, plus the
-    smallest eigenvalue of the difference; one ``eigvalsh`` call covers the
-    whole stack.  Every row must lie in the closed unit ball within 1e-9,
-    and n must be an integer of at least 1 divisible by 3.
+    smallest eigenvalue of the difference.  With Theta = diag(theta) and J
+    the all-ones matrix, V_standard - V_comp = Theta (3I - J) Theta / n, and
+    3I - J has spectrum {0, 3, 3}.  So the difference is PSD and singular at
+    every theta: 1 / theta entrywise is a null vector, or a coordinate axis
+    where some theta_i is 0.  ``min_eig`` is therefore +0.0 and
+    ``dominated`` True at every row, by rank rather than by an
+    eigensolver's rounding; no eigensolver runs.  Every row must lie in the
+    closed unit ball within 1e-9, and n must be an integer of at least 1
+    divisible by 3.
     """
     t = _check_thetas(thetas)
     n = _check_total(total, divisor=3)
-    return Comparison(*_standard_minus_comp(t, n), *_trace_rows(t, n))
+    diff = _standard_rows(t, n) - _complementary_rows(t, float(n))
+    m = len(t)
+    return Comparison(diff, np.zeros(m), np.ones(m, dtype=bool), *_trace_rows(t, n))
 
 
 def compare_standard_vs_complementary(theta, total: int):
@@ -201,8 +209,10 @@ def compare_standard_vs_complementary(theta, total: int):
     coordinate axes with r = n / 3, so n must be divisible by 3.  Returns
     the difference matrix and a flag for whether it is PSD, i.e. whether the
     axis POVM is dominated at this theta.  The difference works out to
-    (2 diag(theta_i^2) - offdiag(theta_i theta_j)) / n, which is PSD for
-    every theta.  This is row 0 of ``compare_batch``.
+    (2 diag(theta_i^2) - offdiag(theta_i theta_j)) / n, the Hadamard
+    product (3I - J) o theta theta^T / n, which is PSD with smallest
+    eigenvalue 0 for every theta, so the flag is always True.  This is row
+    0 of ``compare_batch``, whose docstring gives the factorization.
     """
     c = compare_batch(bloch_vector(theta)[None], total)
     return c.diff[0], bool(c.dominated[0])
@@ -224,21 +234,6 @@ def compare_traces_min_vs_comp(theta, total: int):
     """
     c = compare_batch(bloch_vector(theta)[None], total)
     return float(c.trace_comp[0]), float(c.trace_min[0]), bool(c.trace_ok[0])
-
-
-def _standard_minus_comp(t: np.ndarray, n: int):
-    """V_standard - V_comp at each row, its smallest eigenvalue, and whether
-    that is at least -1e-12 times the Frobenius norm of V_standard.
-
-    The slack scales with V_standard, not the difference: near theta = 0 the
-    diagonal of the difference cancels to rounding of V_standard, and a
-    difference-relative slack would call that rounding indefinite.
-    """
-    standard = _standard_rows(t, n)
-    diff = standard - _complementary_rows(t, float(n))
-    smallest = np.linalg.eigvalsh(diff)[:, 0]
-    flat = standard.reshape(len(t), 9)
-    return diff, smallest, smallest >= -1e-12 * np.sqrt(row_dots(flat))
 
 
 def _trace_rows(t: np.ndarray, n: int):

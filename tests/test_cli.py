@@ -39,8 +39,8 @@ MALFORMED_DIRECTIONS = (
 NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
 # (grid, copies) -> sha256 of comparison.svg, written one t1 plane per table.
 GRID_SVG_SHA256 = {
-    (41, 300): "28a2456d0ff82339c2603fc453682f1e4bb6a203b22303b8261bdf5a0eb99214",
-    (7, 30): "37f1002f138754563f894c4d53d96f4be4a0e4420c946c535fdd725951977ac1",
+    (41, 300): "67603b9be0f1fb28de1bd66f2106573f07048bad7899d55b84caeb9c09c26030",
+    (7, 30): "e84cf6d7e2012e6a015c052bf5168915410bcd268cb518befedf6cf6b818a6c0",
 }
 
 
@@ -500,8 +500,9 @@ class TestMse:
         assert code == 2
 
     @pytest.mark.parametrize("scheme", ["comp", "three-direction", "standard"])
-    @pytest.mark.parametrize("copies", ["0", "-3"])
+    @pytest.mark.parametrize("copies", ["0", "-3", "-1", "-2"])
     def test_copies_below_one_exit_3(self, capsys, scheme, copies):
+        # Judged before divisibility by 3, so -1 and -2 read like 0 and -3.
         code, _, err = run(
             capsys, "mse", "--scheme", scheme, "--theta", "0,0,0", "--copies", copies
         )
@@ -565,11 +566,18 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--theta", "0,0,0", "--copies", "31")
         assert code == 2
 
-    @pytest.mark.parametrize("copies", ["0", "-3"])
+    @pytest.mark.parametrize("copies", ["0", "-3", "-1", "-2"])
+    def test_theta_copies_below_one_exit_3(self, capsys, copies):
+        code, stdout, err = run(capsys, "compare", "--theta", "0.1,0.2,0.3", "--copies", copies)
+        assert code == 3
+        assert "the number of copies must be at least 1" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("copies", ["0", "-3", "-1", "-2"])
     @pytest.mark.parametrize("grid", ["2", "5"])
     def test_grid_copies_below_one_exit_3(self, capsys, tmp_path, copies, grid):
         # Checked before anything is written, also when no grid point lies
-        # in the ball (grid 2).
+        # in the ball (grid 2), and before divisibility by 3.
         out = tmp_path / "never"
         code, _, err = run(
             capsys, "compare", "--grid", grid, "--copies", copies, "--out", str(out)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qtomo import simulation
-from qtomo.cli import main
+from qtomo.cli import _GRID_HEADER, main
 from qtomo.measurement import CHUNK_TRIALS
 
 from test_exports import DELETED
@@ -54,6 +54,15 @@ def test_readme_gone_paragraph_names_every_deleted_name():
     spans = " ".join(re.findall(r"`([^`]*)`", gone))
     missing = sorted({name for _, name in DELETED if not re.search(rf"\b{name}\b", spans)})
     assert missing == []
+
+
+def test_readme_grid_paragraph_names_every_csv_column():
+    # The paragraph that describes comparison.csv, not the --theta keys,
+    # which share most of the names.
+    readme = (ROOT / "README.md").read_text()
+    (grid,) = [para for para in readme.split("\n\n") if "writes `comparison.csv`" in para]
+    spans = set(re.findall(r"`([^`]*)`", grid))
+    assert [column for column in _GRID_HEADER if column not in spans] == []
 
 
 def test_readme_block_budget_matches_the_module():

@@ -205,9 +205,9 @@ def test_empirical_mse_matches_pinned_values(case):
 
 # (grid, copies) -> sha256 of comparison.csv
 GRID_SHA256 = {
-    (41, 300): "c53581963825f40bfd0076de8ee47d5256d418ca79c345caf568328d16fd03b3",
-    (7, 30): "4fc2e872af1999b1d0602670c9c84c9c7dcf91130695501a19ef6d51db4167f9",
-    (40, 3): "fedd40c2a4c20f439b3b6dc7d5206ee8805b312ed1e60f0d6dbc1261b0d69b55",
+    (41, 300): "ff45143e79f3267a3b1fbef09d39d8946edc9e108e156b49714eb7b83a51cf73",
+    (7, 30): "18c8006187a23a0d313a9dc24a92b1a4633dbb5cee854e54040e2a05fa5107d8",
+    (40, 3): "7f846a71e5b8ee6addfab296edabf685fd125742b8a80c3e044d17e371647c80",
 }
 COMPARE_THETA = {
     "ball_average_det_orthogonal": 0.5120000000000001,
@@ -219,7 +219,7 @@ COMPARE_THETA = {
         [-0.00039999999999999996, 0.0010666666666666672, -0.0006666666666666668],
         [-0.0005, -0.0006666666666666668, 0.001666666666666667],
     ],
-    "standard_minus_comp_min_eig": -1.7356495060686468e-19,
+    "standard_minus_comp_min_eig": 0.0,
     "theta": [0.3, 0.4, 0.5],
     "trace_comp": 0.025,
     "trace_comp_le_trace_min": True,
