@@ -189,14 +189,15 @@ def _emit_json(payload, out: str | None) -> int:
     return 0
 
 
-def _svg_line_chart(x, y, title: str, xlabel: str, ylabel: str) -> str:
-    """Minimal standalone SVG line chart: axes, ticks, polyline, markers."""
+def _svg_line_chart(x, y, title: str, ylabel: str) -> str:
+    """Minimal standalone SVG line chart of a metric against the copy count
+    (never empty): axes, ticks, polyline, markers."""
     width, height = 640.0, 440.0
     left, right, top, bottom = 70.0, 20.0, 40.0, 50.0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
-    y_lo, y_hi = (float(y.min()), float(y.max())) if y.size else (0.0, 0.0)
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -219,7 +220,7 @@ def _svg_line_chart(x, y, title: str, xlabel: str, ylabel: str) -> str:
         'stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>',
         f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12:.1f}" text-anchor="middle" '
-        f'font-size="12">{xlabel}</text>',
+        'font-size="12">copies n</text>',
         f'<text x="16" y="{(top + height - bottom) / 2:.1f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 16 {(top + height - bottom) / 2:.1f})">{ylabel}</text>',
     ]
@@ -390,7 +391,6 @@ def _cmd_simulate(args) -> int:
                 record.copies,
                 record.means[metric],
                 title=f"{config.scheme}: {metric}",
-                xlabel="copies n",
                 ylabel=metric,
             )
             _atomic_write(svg_path, [chart])
@@ -447,13 +447,12 @@ _GRID_HEADER = (
 _SLAB_POINTS = 2**13
 
 
-def _grid_rows(axis, n, min_eigs):
+def _grid_rows(axis, n):
     """CSV columns of the cube points in the closed unit ball, in the order of
     a triple loop over ``axis``, one slab of ``max(1, _SLAB_POINTS //
     len(axis)**2)`` consecutive t1 planes at a time, so memory is bounded by
     the larger of the budget and one plane.  Every value is computed row by
-    row, so the text does not depend on the slab size.  Each slab's smallest
-    eigenvalues are appended to ``min_eigs`` unless it is None."""
+    row, so the text does not depend on the slab size."""
     planes = max(1, _SLAB_POINTS // len(axis) ** 2)
     for start in range(0, len(axis), planes):
         t1 = axis[start : start + planes]
@@ -462,8 +461,6 @@ def _grid_rows(axis, n, min_eigs):
         if not len(slab):
             continue
         c = compare_batch(slab, n)
-        if min_eigs is not None:
-            min_eigs.append(c.min_eig)
         yield (
             *slab.T,
             c.min_eig,
@@ -475,8 +472,8 @@ def _grid_rows(axis, n, min_eigs):
 
 
 def _cmd_compare(args) -> int:
-    if args.theta is not None and (args.grid is not None or args.svg):
-        raise ConfigError("--theta takes neither --grid nor --svg")
+    if args.theta is not None and args.grid is not None:
+        raise ConfigError("--theta does not take --grid")
     n = args.copies
     if n < 1:
         # Checked before the grid's output directory is made.
@@ -506,19 +503,7 @@ def _cmd_compare(args) -> int:
     axis = np.linspace(-1.0, 1.0, grid)
     out_dir = Path(args.out if args.out is not None else ".")
     csv_path = out_dir / "comparison.csv"
-    min_eigs = [np.empty(0)] if args.svg else None
-    _atomic_write(csv_path, _csv_chunks(_GRID_HEADER, _grid_rows(axis, n, min_eigs)))
-    if args.svg:
-        eigs = np.sort(np.concatenate(min_eigs))
-        chart = _svg_line_chart(
-            np.arange(len(eigs)),
-            eigs,
-            title="min eig of V_standard - V_comp, sorted over the grid",
-            xlabel="grid point (sorted)",
-            ylabel="min eigenvalue",
-        )
-        _atomic_write(out_dir / "comparison.svg", [chart])
-        print(out_dir / "comparison.svg")
+    _atomic_write(csv_path, _csv_chunks(_GRID_HEADER, _grid_rows(axis, n)))
     print(csv_path)
     return 0
 
@@ -612,7 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--theta", help="single Bloch vector; JSON output")
     p_cmp.add_argument("--grid", type=int, help=f"points per axis, 2 to {_MAX_GRID} (default 9)")
     p_cmp.add_argument("--out", help="output directory for the CSV (or file for --theta)")
-    p_cmp.add_argument("--svg", action="store_true", help="also write an SVG chart")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_chk = sub.add_parser("povm-check", help="structural checks of a measurement scheme")

@@ -37,11 +37,8 @@ MALFORMED_DIRECTIONS = (
 )
 # --theta values with an entry that parses as a float but is not finite.
 NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
-# (grid, copies) -> sha256 of comparison.svg, written one t1 plane per table.
-GRID_SVG_SHA256 = {
-    (41, 300): "67603b9be0f1fb28de1bd66f2106573f07048bad7899d55b84caeb9c09c26030",
-    (7, 30): "e84cf6d7e2012e6a015c052bf5168915410bcd268cb518befedf6cf6b818a6c0",
-}
+# sha256 of trajectory_hs-unconstrained.svg for the sim_config defaults.
+TRAJECTORY_SVG_SHA256 = "75c572a211a9a6640a6c77e1e905df081aa30fec27b9fbe9b0883e874573b06a"
 
 
 def run(capsys, *argv):
@@ -308,11 +305,8 @@ class TestSimulate:
             capsys, "simulate", "--config", sim_config(), "--out", str(out), "--svg"
         )
         assert code == 0
-        svg = out / "trajectory_hs-unconstrained.svg"
-        assert svg.exists()
-        text = svg.read_text()
-        assert text.startswith("<svg")
-        assert "<polyline" in text
+        svg = (out / "trajectory_hs-unconstrained.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == TRAJECTORY_SVG_SHA256
         assert (out / "trajectory_psd-fraction.svg").exists()
 
     @pytest.mark.parametrize("svg", ["false", 1, None])
@@ -555,13 +549,6 @@ class TestCompare:
             assert fields[4] == "1"
             assert fields[7] == "1"
 
-    def test_grid_svg(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "compare", "--grid", "3", "--copies", "30", "--out", str(tmp_path), "--svg"
-        )
-        assert code == 0
-        assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
-
     def test_copies_divisibility(self, capsys):
         code, _, _ = run(capsys, "compare", "--theta", "0,0,0", "--copies", "31")
         assert code == 2
@@ -604,27 +591,26 @@ class TestCompare:
         assert code == 2
 
     def test_grid_without_ball_points(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "compare", "--grid", "2", "--copies", "3", "--out", str(tmp_path), "--svg"
-        )
+        code, _, _ = run(capsys, "compare", "--grid", "2", "--copies", "3", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "comparison.csv").read_text().count("\n") == 1
-        assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
 
     def test_grid_memory_does_not_grow_with_the_cube(self, capsys, tmp_path):
-        # Rows are scored and written a slab of t1 planes at a time, a few
-        # planes at grid 41. Scoring and writing all 33,401 rows of grid 41
-        # as one table peaks at about 16 MiB.
-        tracemalloc.start()
-        try:
-            code, _, _ = run(
-                capsys, "compare", "--grid", "41", "--copies", "300", "--out", str(tmp_path)
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 4 * 2**20
+        # Rows are scored and written a slab of t1 planes at a time: four
+        # planes at grid 41, and one plane from grid 65 up. Scoring and
+        # writing all 33,401 rows of grid 41 as one table peaks at about
+        # 16 MiB.
+        for grid in ("41", "65"):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(
+                    capsys, "compare", "--grid", grid, "--copies", "300", "--out", str(tmp_path)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 4 * 2**20, grid
 
     @pytest.mark.parametrize("theta", NON_FINITE_THETA)
     def test_non_finite_theta_exit_2(self, capsys, theta):
@@ -633,18 +619,28 @@ class TestCompare:
         assert "finite" in err
 
     @pytest.mark.parametrize("copies", ["30", "0"])
-    @pytest.mark.parametrize(
-        "extra", [("--grid", "5"), ("--grid", "9"), ("--svg",), ("--grid", "5", "--svg")]
-    )
-    def test_theta_with_grid_or_svg_exit_2(self, capsys, tmp_path, extra, copies):
+    @pytest.mark.parametrize("grid", ["5", "9"])
+    def test_theta_with_grid_exit_2(self, capsys, tmp_path, grid, copies):
         # An explicit --grid is rejected even at its default value, and
         # before the copy count is judged.
         out = tmp_path / "never.json"
         code, stdout, err = run(
-            capsys, "compare", "--theta", "0.1,0.2,0.3", "--copies", copies, "--out", str(out), *extra
+            capsys, "compare", "--theta", "0.1,0.2,0.3", "--copies", copies, "--out", str(out),
+            "--grid", grid,
         )
         assert code == 2
-        assert "--theta takes neither --grid nor --svg" in err
+        assert "--theta does not take --grid" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [(), ("--theta", "0.1,0.2,0.3")], ids=["grid", "theta"])
+    def test_svg_is_not_an_option(self, capsys, tmp_path, theta):
+        out = tmp_path / "never"
+        code, stdout, err = run(
+            capsys, "compare", *theta, "--copies", "300", "--out", str(out), "--svg"
+        )
+        assert code == 2
+        assert "unrecognized arguments: --svg" in err
         assert stdout == ""
         assert not out.exists()
 
@@ -658,18 +654,7 @@ class TestCompare:
         default = (tmp_path / "a" / "comparison.csv").read_bytes()
         assert default == (tmp_path / "b" / "comparison.csv").read_bytes()
 
-    def test_svg_grid_writes_the_pinned_csv(self, capsys, tmp_path):
-        # --svg collects each slab's min_eig next to the writer; the CSV
-        # keeps the bytes that test_pinned_draws pins for grid 41.
-        code, _, _ = run(
-            capsys, "compare", "--grid", "41", "--copies", "300", "--out", str(tmp_path), "--svg"
-        )
-        assert code == 0
-        data = (tmp_path / "comparison.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == GRID_SHA256[41, 300]
-        assert (tmp_path / "comparison.svg").read_text().startswith("<svg")
-
-    @pytest.mark.parametrize("grid, copies", sorted(GRID_SVG_SHA256))
+    @pytest.mark.parametrize("grid, copies", [(7, 30), (41, 300)])
     @pytest.mark.parametrize("planes", [0, 3, None], ids=["floor", "ragged", "whole-cube"])
     def test_slab_size_keeps_the_bytes(self, capsys, tmp_path, monkeypatch, grid, copies, planes):
         # A budget below one plane, three planes (both grids end on a
@@ -683,21 +668,19 @@ class TestCompare:
             return compare_batch(thetas, n)
 
         monkeypatch.setattr(cli, "compare_batch", counted)
-        argv = ["--grid", str(grid), "--copies", str(copies), "--out", str(tmp_path), "--svg"]
+        argv = ["--grid", str(grid), "--copies", str(copies), "--out", str(tmp_path)]
         code, _, _ = run(capsys, "compare", *argv)
         assert code == 0
         assert len(slabs) == {0: grid, 3: -(-grid // 3), None: 1}[planes]
         csv = (tmp_path / "comparison.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == GRID_SHA256[grid, copies]
-        svg = (tmp_path / "comparison.svg").read_bytes()
-        assert hashlib.sha256(svg).hexdigest() == GRID_SVG_SHA256[grid, copies]
 
     def test_largest_grid_keeps_one_plane_per_table(self):
         # A t1 plane of grid 401 holds 160,801 cube points, more than the
         # budget, so each table is one plane; only the first few, small
         # ones near t1 = -1 are computed.
         axis = np.linspace(-1.0, 1.0, cli._MAX_GRID)
-        tables = cli._grid_rows(axis, 300, None)
+        tables = cli._grid_rows(axis, 300)
         for t1 in axis[:3]:
             table = next(tables)
             assert np.array_equal(np.unique(table[0]), [t1])

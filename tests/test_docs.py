@@ -1,6 +1,7 @@
 """Documented code runs: the python blocks of README.md and PAPER.md, the
 ``qtomo`` lines of the READMEs' shell blocks, and every demo script."""
 
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qtomo import simulation
-from qtomo.cli import _GRID_HEADER, main
+from qtomo.cli import _GRID_HEADER, _build_parser, main
 from qtomo.measurement import CHUNK_TRIALS
 
 from test_exports import DELETED
@@ -63,6 +64,39 @@ def test_readme_grid_paragraph_names_every_csv_column():
     (grid,) = [para for para in readme.split("\n\n") if "writes `comparison.csv`" in para]
     spans = set(re.findall(r"`([^`]*)`", grid))
     assert [column for column in _GRID_HEADER if column not in spans] == []
+
+
+def test_readme_cli_sections_name_only_existing_flags():
+    # Every --flag in a code span or `qtomo` shell line of a subcommand's
+    # section is one of that subcommand's options; a span that starts with
+    # another subcommand's name, such as `povm-check --dim`, is read
+    # against that one.
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {name: set(p._option_string_actions) for name, p in subparsers.choices.items()}
+    readme = (ROOT / "README.md").read_text()
+    cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    unknown = []
+    for section in cli.split("\n### ")[1:]:
+        title, body = section.split("\n", 1)
+        if title == "Exit codes":
+            continue
+        assert title in options, title
+        shell = [
+            line.removeprefix("qtomo ")
+            for block in re.findall(r"```sh\n(.*?)```", body, flags=re.DOTALL)
+            for line in block.splitlines()
+            if line.startswith("qtomo ")
+        ]
+        spans = re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", body, flags=re.DOTALL))
+        for text in shell + spans:
+            first = text.split(" ", 1)[0]
+            command = first if first in options else title
+            flags = re.findall(r"--[a-z][a-z-]*", text)
+            unknown += [(title, flag) for flag in flags if flag not in options[command]]
+    assert unknown == []
 
 
 def test_readme_block_budget_matches_the_module():
