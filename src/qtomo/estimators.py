@@ -106,28 +106,27 @@ def _redistribute(y):
 
 
 def constrained_rows(phi):
-    """Closest density matrices to an (m, k, k) stack of trace-one
-    Hermitians, in Hilbert-Schmidt norm.
+    """Closest density matrices to the rows of an (m, k, k) stack of
+    trace-one Hermitians that are not PSD, in Hilbert-Schmidt norm.
 
-    A row that ``linalg.psd_rows`` calls PSD is returned unchanged with 0
-    sweeps.  Every other row goes to one batched ``eigh``, has its
-    eigenvalues projected onto the simplex as by
-    ``project_nonneg_simplex_rows`` and is rebuilt as ``(u * w) @ u^H`` in
-    its eigenbasis.  The input is not modified.  Returns the projected
-    stack, the per-row sweep counts and the ``psd_rows`` mask, i.e. the rows
-    that were not projected; raises ``EigenDecompositionError`` as
-    ``linalg.eigen_rows`` does, and ``InvariantError``, naming the row's
-    index in the stack, if a projected row's eigenvalues do not sum to one.
+    A row that ``linalg.psd_rows`` calls PSD is its own projection and is
+    not touched.  The rows ``np.flatnonzero(~psd)`` go to one batched
+    ``eigh``, have their eigenvalues projected onto the simplex as by
+    ``project_nonneg_simplex_rows`` and are rebuilt as ``(u * w) @ u^H`` in
+    their eigenbasis.  The input is not modified.  Returns the rebuilt rows
+    in that order, their sweep counts and the ``psd_rows`` mask; raises
+    ``EigenDecompositionError`` as ``linalg.eigen_rows`` does, and
+    ``InvariantError``, naming the row's index in the stack, if a projected
+    row's eigenvalues do not sum to one.
     """
     psd = psd_rows(phi)
-    rows = np.nonzero(~psd)[0]
-    out = phi.copy()
-    w, u = eigen_rows(out[rows], vectors=True)
+    rows = np.flatnonzero(~psd)
+    w, u = eigen_rows(phi[rows], vectors=True)
     _require_unit_sums(w, rows)
-    steps = np.zeros(len(out), dtype=int)
-    clipped, steps[rows] = _redistribute(w)
-    out[rows] = (u * clipped[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return out, steps, psd
+    clipped, steps = _redistribute(w)
+    uh = u.conj().swapaxes(1, 2)  # before u is scaled in place
+    u *= clipped[:, None, :]
+    return u @ uh, steps, psd
 
 
 def constrained_estimate(matrix):
@@ -139,5 +138,6 @@ def constrained_estimate(matrix):
     so the constrained and unconstrained estimates then coincide exactly.
     """
     require_trace_one(matrix)
-    out, steps, _ = constrained_rows(np.asarray(matrix, dtype=complex)[None])
-    return out[0], int(steps[0])
+    h = np.array(matrix, dtype=complex)
+    projected, steps, psd = constrained_rows(h[None])
+    return (h, 0) if psd[0] else (projected[0], int(steps[0]))

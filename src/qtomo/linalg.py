@@ -190,20 +190,21 @@ def psd_screen(mats):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvariantError(f"expected an (m, k, k) stack, got shape {a.shape}")
     # Any inf or NaN entry makes its row's sum non-finite.
-    rows = np.nonzero(np.isfinite(a.sum(axis=(1, 2))))[0]
+    finite = np.isfinite(a.sum(axis=(1, 2)))
     if a.shape[1] == 3:
-        low = closed_form_eigvalsh(a[rows])[:, 0]
-        maybe, sure = rows[~(low <= -SCREEN_MARGIN)], rows[low >= SCREEN_MARGIN]
-    else:
-        maybe = rows[_positive_pivots(a[rows], SCREEN_MARGIN)]
-        sure = maybe[_positive_pivots(a[maybe], -SCREEN_MARGIN)]
+        # It reads the whole stack; ``finite`` overrules its non-finite rows.
+        with np.errstate(invalid="ignore"):
+            low = closed_form_eigvalsh(a)[:, 0]
+        psd = finite & (low >= SCREEN_MARGIN)
+        return psd, np.flatnonzero(~psd & ~(finite & (low <= -SCREEN_MARGIN)))
+    rows = np.flatnonzero(finite)
+    maybe = rows[_positive_pivots(a[rows], SCREEN_MARGIN)]
+    sure = maybe[_positive_pivots(a[maybe], -SCREEN_MARGIN)]
     psd = np.zeros(len(a), dtype=bool)
-    near = np.ones(len(a), dtype=bool)
-    near[rows] = False
-    near[maybe] = True
-    near[sure] = False
     psd[sure] = True
-    return psd, np.nonzero(near)[0]
+    near = ~finite
+    near[maybe] = True
+    return psd, np.flatnonzero(near & ~psd)
 
 
 def eigen_rows(mats, vectors: bool = False):

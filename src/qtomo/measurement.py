@@ -435,11 +435,12 @@ def _entrywise_matrices(params: np.ndarray) -> np.ndarray:
     rows, cols = np.triu_indices(k, 1)
     diag = np.arange(k - 1)
     phi = np.zeros((params.shape[0], k, k), dtype=complex)
-    phi[:, diag, diag] = params[:, : k - 1]
-    phi[:, k - 1, k - 1] = 1.0 - params[:, : k - 1].sum(axis=1)
-    off = params[:, k - 1 : k - 1 + rows.size] + 1j * params[:, k - 1 + rows.size :]
-    phi[:, rows, cols] = off
-    phi[:, cols, rows] = off.conj()
+    # Real and imaginary views, no complex temporaries; -0.0 where conj() puts it.
+    phi.real[:, diag, diag] = params[:, : k - 1]
+    phi.real[:, k - 1, k - 1] = 1.0 - params[:, : k - 1].sum(axis=1)
+    phi.real[:, rows, cols] = phi.real[:, cols, rows] = params[:, k - 1 : k - 1 + rows.size]
+    phi.imag[:, rows, cols] = params[:, k - 1 + rows.size :]
+    phi.imag[:, cols, rows] = -params[:, k - 1 + rows.size :]
     return phi
 
 

@@ -213,27 +213,35 @@ def _metric_block(phi, state, metrics):
     """Per-trial metric values for a row block of unconstrained estimates,
     one of the consecutive blocks ``_chunk_task`` cuts a chunk into.
 
-    Every value is computed row by row, so a row's values do not depend on
-    the block it sits in.  ``psd-fraction`` is ``linalg.psd_rows``'s mask on
-    either branch: a constrained metric reads it from ``constrained_rows``,
-    which adds one ``eigh`` on the rows that are not PSD; ``psd-fraction``
-    alone asks ``psd_rows``; the other metrics need no eigensolve.
+    Every value is computed row by row, so it does not depend on the block
+    or the subset of rows it is scored in.  ``psd-fraction`` is
+    ``linalg.psd_rows``'s mask on either branch: a constrained metric reads
+    it from ``constrained_rows``, which adds one ``eigh`` on, and rebuilds,
+    only the rows that are not PSD; the other metrics need no eigensolve.
+    A PSD row is its own projection: ``hs-constrained`` is ``||phi - rho||``
+    with the projected rows' distances written over it, and
+    ``fidelity-constrained`` scores ``phi[psd]`` and the projected rows.
     """
-    constrained = psd = None
+    projected = psd = distance = None
+    if "hs-unconstrained" in metrics or "hs-constrained" in metrics:
+        distance = np.linalg.norm(phi - state, axis=(1, 2))
     if "hs-constrained" in metrics or "fidelity-constrained" in metrics:
-        constrained, _, psd = constrained_rows(phi)
+        projected, _, psd = constrained_rows(phi)
     elif "psd-fraction" in metrics:
         psd = psd_rows(phi)
     values = {}
     for metric in metrics:
         if metric == "hs-unconstrained":
-            values[metric] = np.linalg.norm(phi - state, axis=(1, 2))
+            values[metric] = distance
         elif metric == "hs-constrained":
-            values[metric] = np.linalg.norm(constrained - state, axis=(1, 2))
+            values[metric] = distance.copy()
+            values[metric][~psd] = np.linalg.norm(projected - state, axis=(1, 2))
         elif metric == "fidelity-unconstrained":
             values[metric] = fidelity_rows(phi, state)
         elif metric == "fidelity-constrained":
-            values[metric] = fidelity_rows(constrained, state)
+            values[metric] = np.empty(len(phi))
+            values[metric][psd] = fidelity_rows(phi[psd], state)
+            values[metric][~psd] = fidelity_rows(projected, state)
         elif metric == "psd-fraction":
             values[metric] = psd.astype(float)
         else:

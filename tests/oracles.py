@@ -9,7 +9,9 @@ eigenvalue-based fidelity instead of the qubit closed form, a radial
 Bloch rescaling instead of the qubit eigenvalue projection, Bloch
 coordinates read from matrix entries to invert ``bloch_to_matrix``'s
 Pauli sum, and a checked, descending eigendecomposition instead of the
-bare ascending ``eigh``.
+bare ascending ``eigh``; a projection is also certified by its optimality
+conditions, with no solver, and the entrywise estimates are rebuilt with
+complex temporaries instead of real and imaginary views.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from qtomo.linalg import EigenDecompositionError, require_hermitian
 
 # A spectral decomposition must reproduce its input to this relative accuracy.
 RECONSTRUCTION_RTOL = 1e-10
+# A projection's optimality residuals must stay below this times 1 + ||H||.
+CERTIFICATE_RTOL = 1e-12
 
 
 def hermitian_eig(matrix):
@@ -153,6 +157,51 @@ def project_density_dykstra(h, tol: float = 1e-14, max_iterations: int = 100_000
         if moved <= tol:
             return x
     raise RuntimeError("Dykstra iteration did not converge")
+
+
+def projection_certificate(h, x):
+    """Residuals of the conditions under which X is the closest density
+    matrix to the Hermitian H in Hilbert-Schmidt norm, and the tolerance
+    they must meet.
+
+    X minimizes ||X - H||^2 subject to tr X = 1 and X >= 0 exactly when,
+    with Z = X - H + mu I for some real mu, Z >= 0 and ZX = 0 (the KKT
+    conditions of this convex problem; S. Boyd and L. Vandenberghe, Convex
+    Optimization, 2004, secs. 5.5.3 and 5.9.2).  ZX = 0 gives tr(ZX) = 0,
+    which fixes mu = tr((H - X) X) / tr X.  Returns the residuals of X >= 0,
+    tr X = 1, Z >= 0 and ZX = 0 (the smallest eigenvalues' shortfalls below
+    0, the trace's gap to 1 and the Frobenius norm of ZX), and the
+    tolerance ``CERTIFICATE_RTOL * (1 + ||H||)``.
+    """
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    trace = float(np.trace(x).real)
+    mu = float(np.trace((h - x) @ x).real) / trace
+    z = x - h + mu * np.eye(len(h))
+    residuals = {
+        "x_psd": max(0.0, -float(np.linalg.eigvalsh(x)[0])),
+        "trace": abs(trace - 1.0),
+        "z_psd": max(0.0, -float(np.linalg.eigvalsh(z)[0])),
+        "complementarity": float(np.linalg.norm(z @ x)),
+    }
+    return residuals, CERTIFICATE_RTOL * (1.0 + float(np.linalg.norm(h)))
+
+
+def entrywise_matrices_complex(params) -> np.ndarray:
+    """The k-level pair scheme's (m, k, k) estimates from (m, k^2 - 1)
+    parameter rows, written with a complex array of the off-diagonal
+    entries and its conjugate: diagonal first, then the real and then the
+    imaginary parts of the upper triangle in ``triu_indices`` order."""
+    k = int(round(np.sqrt(params.shape[1] + 1)))
+    rows, cols = np.triu_indices(k, 1)
+    diag = np.arange(k - 1)
+    phi = np.zeros((params.shape[0], k, k), dtype=complex)
+    phi[:, diag, diag] = params[:, : k - 1]
+    phi[:, k - 1, k - 1] = 1.0 - params[:, : k - 1].sum(axis=1)
+    off = params[:, k - 1 : k - 1 + rows.size] + 1j * params[:, k - 1 + rows.size :]
+    phi[:, rows, cols] = off
+    phi[:, cols, rows] = off.conj()
+    return phi
 
 
 def random_trace_one_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0):

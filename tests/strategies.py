@@ -25,12 +25,14 @@ def rotated_rows(spectra, seed):
 
 
 @st.composite
-def edge_stacks(draw):
-    """A stack of 1 to 8 Haar-rotated rows of one k, each with its smallest
-    eigenvalue within a factor of 2 of a drawn edge, within 1e-15 of
-    -PSD_ATOL, 0, or -x with x from 1e-10 to 1e6; its other eigenvalues share
-    1 - lambda_min, so every row has trace one unless k = 1."""
-    k = draw(st.sampled_from(PSD_ROWS_K))
+def edge_stacks(draw, k=None):
+    """A stack of 1 to 8 Haar-rotated rows of one k, drawn from
+    ``PSD_ROWS_K`` unless given, each with its smallest eigenvalue within a
+    factor of 2 of a drawn edge, within 1e-15 of -PSD_ATOL, 0, or -x with x
+    from 1e-10 to 1e6; its other eigenvalues share 1 - lambda_min, so every
+    row has trace one unless k = 1."""
+    if k is None:
+        k = draw(st.sampled_from(PSD_ROWS_K))
     m = draw(st.integers(1, 8))
     spectra = np.empty((m, k))
     for row in range(m):

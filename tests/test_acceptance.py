@@ -41,7 +41,14 @@ from qtomo.simulation import (
 )
 from qtomo.states import bloch_to_matrix, random_density
 
-from oracles import hermitian_eig, project_simplex_sort, random_trace_one_hermitian, random_unit_rows
+from oracles import (
+    CERTIFICATE_RTOL,
+    hermitian_eig,
+    project_simplex_sort,
+    projection_certificate,
+    random_trace_one_hermitian,
+    random_unit_rows,
+)
 
 # --- pinned tolerances and experiment parameters ---------------------------
 
@@ -145,6 +152,23 @@ def test_criterion_02_constrained_estimate_matches_sort_oracle():
     assert worst_sort <= QP_ORACLE_ATOL
     report(2, f"constrained estimate within {QP_ORACLE_ATOL:g} of sort oracle "
               f"(worst {worst_sort:.2e})")
+
+
+def test_criterion_02_constrained_estimate_meets_the_optimality_conditions():
+    # Solver-free, so it runs wherever the suite does: every estimate on the
+    # SDP battery and on the sort oracle's battery meets the projection's KKT
+    # conditions, within CERTIFICATE_RTOL times 1 + ||H||.
+    rng = np.random.default_rng(MASTER_SEED)
+    battery = _sdp_battery(rng)
+    battery += [random_trace_one_hermitian(dim, rng) for dim in (2, 3, 4, 6) for _ in range(50)]
+    worst = 0.0
+    for h in battery:
+        ours, _ = constrained_estimate(h)
+        residuals, tol = projection_certificate(h, ours)
+        worst = max(worst, max(residuals.values()) / tol)
+    assert worst <= 1.0
+    report(2, f"constrained estimate meets the projection's optimality conditions "
+              f"within {CERTIFICATE_RTOL:g} (1 + ||H||) (worst {worst:.2e} of that)")
 
 
 # --- criterion 3: unconstrained estimator is unbiased ------------------------

@@ -44,11 +44,12 @@ from oracles import (
     project_simplex_bisect,
     project_simplex_loop,
     project_simplex_sort,
+    projection_certificate,
     random_ball_point,
     random_trace_one_hermitian,
     random_unit_rows,
 )
-from strategies import edge_stacks
+from strategies import PSD_ROWS_K, edge_stacks
 from strategies import rotated_rows as rotated_rows_k
 
 
@@ -378,15 +379,13 @@ def rotated_rows(smallest, seed):
 
 def lapack_constrained_rows(phi):
     """The projection with no screen: one eigvalsh on the whole stack decides
-    which rows are PSD, and one eigh on the whole stack projects the rest."""
+    which rows are PSD, and one eigh on the whole stack projects the rest.
+    Returns the rows that are not PSD, rebuilt, their sweeps and the mask."""
     psd = psd_mask(np.linalg.eigvalsh(phi))
     w, u = np.linalg.eigh(phi)
-    out = phi.copy()
-    steps = np.zeros(phi.shape[0], dtype=int)
-    rows = np.nonzero(~psd)[0]
-    clipped, steps[rows] = project_nonneg_simplex_rows(w[rows])
-    out[rows] = (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2)
-    return out, steps, psd
+    rows = np.flatnonzero(~psd)
+    clipped, steps = project_nonneg_simplex_rows(w[rows])
+    return (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2), steps, psd
 
 
 def _recorder(original, seen):
@@ -465,19 +464,22 @@ class TestPsdScreen:
                 result = constrained_rows(stack)
                 for got, want in zip(result, expected):
                     assert np.array_equal(got, want)
-                assert (result[1][~result[2]] >= 1).all()
+                assert len(result[1]) == np.count_nonzero(~result[2])
+                assert (result[1] >= 1).all()
         assert stack.tobytes() == before.tobytes()
         assert len(seen["eigvalsh"]) == len(seen["eigh"]) == 1
         assert np.array_equal(seen["eigvalsh"][0], stack[psd_screen(stack)[1]])
         assert np.array_equal(seen["eigh"][0], stack[~psd_rows(stack)])
 
     def test_screened_rows_return_unchanged(self):
+        # PSD rows are their own projections: none is rebuilt or returned.
         phi = rotated_rows([0.05, 0.1, 0.2], seed=13)
+        before = phi.copy()
         with recorded_lapack() as seen:
             out, steps, psd = constrained_rows(phi)
         assert [a.shape[0] for a in seen["eigvalsh"] + seen["eigh"]] == [0, 0]
-        assert np.array_equal(out, phi)
-        assert steps.tolist() == [0, 0, 0]
+        assert out.shape == (0, 3, 3) and steps.shape == (0,)
+        assert np.array_equal(phi, before)
         assert psd.all()
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -519,6 +521,43 @@ class TestPsdScreen:
         phi[1] = np.nan
         with pytest.raises(EigenDecompositionError):
             constrained_rows(phi)
+
+
+class TestProjectionCertificate:
+    """Every row constrained_rows rebuilds meets the optimality conditions of
+    the projection, checked with no solver."""
+
+    @pytest.mark.parametrize("k", PSD_ROWS_K)
+    @ROWS
+    @given(data=st.data())
+    def test_every_projected_row_is_certified(self, k, data):
+        stack, _ = data.draw(edge_stacks(k))
+        try:
+            projected, _, psd = constrained_rows(stack)
+        except InvariantError:
+            # A one-level row other than [[1]] is not trace one.
+            assert k == 1
+            return
+        for h, x in zip(stack[~psd], projected):
+            residuals, tol = projection_certificate(h, x)
+            assert max(residuals.values()) <= tol, residuals
+            # Moving 1e-3 of the weight from X's top eigenvector to its
+            # bottom one keeps a density matrix, not the closest one.
+            v = np.linalg.eigh(x)[1]
+            moved = np.outer(v[:, 0], v[:, 0].conj()) - np.outer(v[:, -1], v[:, -1].conj())
+            residuals, tol = projection_certificate(h, x + 1e-3 * moved)
+            assert max(residuals.values()) > tol, residuals
+
+    @pytest.mark.parametrize("corrupt", ["trace", "indefinite"])
+    def test_corrupted_projection_fails(self, corrupt):
+        # Criterion 01's worked example: X = diag(0.25, 0, 0.75).
+        h = np.diag([0.5, -0.5, 1.0]).astype(complex)
+        x, _ = constrained_estimate(h)
+        residuals, tol = projection_certificate(h, x)
+        assert max(residuals.values()) <= tol
+        bad = 1.001 * x if corrupt == "trace" else x + 1e-6 * np.diag([0.0, -1.0, 1.0])
+        residuals, tol = projection_certificate(h, bad)
+        assert residuals["trace" if corrupt == "trace" else "x_psd"] > tol
 
 
 class TestThreeDirectionEstimate:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo import linalg
 from qtomo.estimators import constrained_rows
 from qtomo.linalg import (
     SCREEN_MARGIN,
@@ -321,6 +323,24 @@ class TestClosedFormEigvalsh:
         assert psd.tolist() == [True, False, True]
         assert near.tolist() == [1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_screen_reads_the_whole_stack_in_place(self, monkeypatch, bad):
+        # One closed form on the caller's stack, with no copy of its finite
+        # rows; a non-finite entry in either triangle still sends its row to
+        # LAPACK, and the values the closed form gives that row raise no
+        # floating-point warning.
+        stack = rotated_rows(np.array([[0.2, 0.3, 0.5], [-0.1, 0.5, 0.6]] * 3), 34)
+        stack[2, 0, 0] = stack[3, 2, 1] = stack[4, 0, 2] = stack[5, 1, 2] = bad
+        seen = []
+        original = linalg.closed_form_eigvalsh
+        monkeypatch.setattr(linalg, "closed_form_eigvalsh", lambda a: seen.append(a) or original(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd, near = psd_screen(stack)
+        assert len(seen) == 1 and seen[0] is stack
+        assert psd.tolist() == [True, False, False, False, False, False]
+        assert near.tolist() == [2, 3, 4, 5]
+
 
 class TestPsdScreen:
     @pytest.mark.parametrize("k", PSD_ROWS_K)
@@ -336,6 +356,20 @@ class TestPsdScreen:
         assert psd.dtype == bool and psd.tolist() == [True, False, False, False]
         assert near.tolist() == [1, 3]
         assert stack.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("k", PSD_ROWS_K)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stack_raises_no_warning(self, k, bad):
+        # Row 1 is bad in its last upper entry (its one entry at k = 1), and
+        # row 2 everywhere.
+        stack = np.stack([np.eye(k, dtype=complex) / k] * 3)
+        stack[1, 0, -1] = bad
+        stack[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psd, near = psd_screen(stack)
+        assert psd.tolist() == [True, False, False]
+        assert near.tolist() == [1, 2]
 
 
 class CountedEigvalsh:

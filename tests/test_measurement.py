@@ -29,7 +29,7 @@ from qtomo.measurement import (
 from qtomo.simulation import ExperimentConfig, run_trajectory
 from qtomo.states import PAULI, bloch_to_matrix, is_bloch_state, random_density
 
-from oracles import random_ball_point
+from oracles import entrywise_matrices_complex, random_ball_point
 
 
 class TestObservableStructure:
@@ -271,6 +271,36 @@ class TestSampling:
         ):
             with pytest.raises(InvariantError, match=message):
                 count_frequencies(counts, outcomes, shots)
+
+
+class TestEntrywiseMatrices:
+    """The pair scheme's estimates are filled through real and imaginary
+    views and keep every bit of the complex construction, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 10, 32])
+    def test_views_keep_the_complex_construction_bits(self, k):
+        rng = np.random.default_rng(60 + k)
+        # Quarter steps from -1/2 to 1/2 hold exact zeros in every column,
+        # and a zero row; the normal rows carry no zero.
+        params = np.concatenate(
+            [rng.integers(-2, 3, size=(40, k * k - 1)) / 4.0, rng.standard_normal((8, k * k - 1))]
+        )
+        params[0] = 0.0
+        got = measurement._entrywise_matrices(params)
+        want = entrywise_matrices_complex(params)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        rows, cols = np.triu_indices(k, 1)
+        assert np.signbit(got.imag[0, cols, rows]).all()
+        assert not np.signbit(got.imag[0, rows, cols]).any()
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_sampled_estimates_keep_the_bits(self, k):
+        scheme = linear_scheme("klevel-pairs", k)
+        probs = scheme.probabilities(random_density(k, np.random.default_rng(k)))
+        params = scheme.sample(probs, 5, 500, stream_rng(61, k))
+        got = scheme.to_matrix(params)
+        assert np.array_equal(got.view(np.int64), entrywise_matrices_complex(params).view(np.int64))
 
 
 class TestMeasurementPlan:

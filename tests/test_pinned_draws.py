@@ -43,6 +43,13 @@ metric sent every row at k >= 4 to ``eigvalsh``, by running the same
 0.7% at r = 10 to 98% (seed 7) and 100% (seed 42) at r = 10000, so both
 sides of the PSD screen decide rows.  They must match byte for byte.
 
+The ``trajectory.csv`` hashes of the three-level config scored with
+``fidelity-constrained`` too were recorded at commit 78cdf18, the last
+commit whose ``constrained_rows`` copied the whole stack and whose chunks
+scored the constrained metrics on every row of that copy, by running the
+same ``simulate`` command in a separate checkout of it.  They pin a
+fidelity line at k >= 3 and must match byte for byte.
+
 The ``sample_plan_counts`` table of the README example was recorded at
 commit 00575e8, the last commit whose plan sampler drew each observable's
 counts through the checked one-vector sampler ``sample_counts``, by running
@@ -279,6 +286,15 @@ K4_TRAJECTORY_SHA256 = {
 }
 
 
+# The three-level demo config with fidelity-constrained added to its metrics.
+K3_FIDELITY_METRICS = ["hs-unconstrained", "hs-constrained", "fidelity-constrained", "psd-fraction"]
+# seed -> sha256 of trajectory.csv for that config at trials = CHUNK_TRIALS + 4
+K3_FIDELITY_TRAJECTORY_SHA256 = {
+    42: "0bebf307fa9046221bed9d024983ffe030f9e1d76388640ce9655af417ed1f26",
+    7: "44fc4945bc3f13e0d1192f55b82b1ca2e5f382b52f4f1863bb4a281366768a83",
+}
+
+
 def _simulate_csv(config_path: Path, seed: int, out: Path) -> bytes:
     argv = ["simulate", "--config", str(config_path), "--seed", str(seed)]
     argv += ["--trials", str(CHUNK_TRIALS + 4), "--out", str(out)]
@@ -306,6 +322,15 @@ def test_k4_psd_only_trajectory_csv_bytes(seed, tmp_path):
     config_path.write_text(json.dumps(K4_CONFIG))
     data = _simulate_csv(config_path, seed, tmp_path)
     assert hashlib.sha256(data).hexdigest() == K4_TRAJECTORY_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(K3_FIDELITY_TRAJECTORY_SHA256))
+def test_k3_fidelity_trajectory_csv_bytes(seed, tmp_path):
+    obj = json.loads((CONFIGS / "three_level_error.json").read_text())
+    config_path = tmp_path / "k3.json"
+    config_path.write_text(json.dumps(dict(obj, metrics=K3_FIDELITY_METRICS)))
+    data = _simulate_csv(config_path, seed, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == K3_FIDELITY_TRAJECTORY_SHA256[seed]
 
 
 # povm-check arguments -> sha256 of the JSON payload written with --out

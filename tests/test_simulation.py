@@ -9,7 +9,7 @@ import pytest
 
 from qtomo import simulation
 from qtomo.estimators import constrained_estimate, constrained_rows, unconstrained_estimate
-from qtomo.linalg import EigenDecompositionError, InvariantError, hs_distance
+from qtomo.linalg import EigenDecompositionError, InvariantError, fidelity_rows, hs_distance, psd_rows
 from qtomo.measurement import MAX_DIM, MeasurementPlan, linear_scheme, sample_plan_counts, stream_rng
 from qtomo.simulation import (
     CHUNK_TRIALS,
@@ -482,13 +482,70 @@ class TestRunTrajectory:
         draws = scheme.sample(scheme.probabilities(state), shots, 300, stream_rng(31, dim))
         phi = scheme.to_matrix(draws)
         values = simulation._metric_block(phi, state, ("hs-constrained",))["hs-constrained"]
-        constrained, steps, _ = constrained_rows(phi)
+        projected, projected_steps, psd = constrained_rows(phi)
+        constrained = phi.copy()
+        constrained[~psd] = projected
+        steps = np.zeros(len(phi), dtype=int)
+        steps[~psd] = projected_steps
         assert np.array_equal(values, np.linalg.norm(constrained - state, axis=(1, 2)))
         for trial, sigma_row, steps_row in zip(phi, constrained, steps):
             sigma, trial_steps = constrained_estimate(trial)
             assert np.array_equal(sigma, sigma_row)
             assert trial_steps == steps_row
-        assert 0 < np.count_nonzero(steps) < len(phi)
+        assert 0 < np.count_nonzero(steps) == len(projected) < len(phi)
+
+    @pytest.mark.parametrize("dim, shots", [(2, 30), (3, 20), (4, 40), (10, 2000)])
+    def test_scoring_the_projected_rows_keeps_the_bits(self, monkeypatch, dim, shots):
+        # The constrained metrics score PSD rows of phi and the projected
+        # rows apart: each value must equal the one the whole constrained
+        # stack gives, and eigh must see exactly the rows that are not PSD.
+        state = random_density(dim, np.random.default_rng(70 + dim))
+        scheme = linear_scheme("klevel-pairs", dim)
+        draws = scheme.sample(scheme.probabilities(state), shots, 600, stream_rng(71, dim))
+        phi = scheme.to_matrix(draws)
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(np.array(a)) or eigh(a))
+        metrics = ("hs-unconstrained", "hs-constrained", "fidelity-constrained", "psd-fraction")
+        values = simulation._metric_block(phi, state, metrics)
+        monkeypatch.undo()
+        psd = values["psd-fraction"] == 1.0
+        assert 0 < psd.sum() < len(phi)
+        # fidelity_rows takes the square root of the 2-d true state at k > 2.
+        stacks = [a for a in seen if a.ndim == 3]
+        assert len(stacks) == 1 and np.array_equal(stacks[0], phi[~psd])
+        projected, _, _ = constrained_rows(phi)
+        constrained = phi.copy()
+        constrained[~psd] = projected
+        hs = np.linalg.norm(constrained - state, axis=(1, 2))
+        assert np.array_equal(values["hs-constrained"], hs)
+        assert np.array_equal(values["hs-constrained"][psd], values["hs-unconstrained"][psd])
+        assert np.array_equal(values["fidelity-constrained"], fidelity_rows(constrained, state))
+
+    @pytest.mark.parametrize(
+        "dim, shots, trials, bound", [(3, 20, CHUNK_TRIALS, 2.8), (10, 10, 655, 4.6)]
+    )
+    def test_constrained_block_peak(self, dim, shots, trials, bound):
+        # constrained_rows copies, solves and rebuilds only the rows that
+        # are not PSD: about half of this k = 3 block and all of this k = 10
+        # block, a 1 MiB block of the module's budget.  Whole-stack copies
+        # peaked at 3.1 and 5.1 times the block's bytes.
+        spectrum = FIGURE_SPECTRUM if dim == 3 else None
+        state = random_density(dim, np.random.default_rng(1), spectrum)
+        scheme = linear_scheme("klevel-pairs", dim)
+        draws = scheme.sample(scheme.probabilities(state), shots, trials, stream_rng(1, dim))
+        phi = scheme.to_matrix(draws)
+        share = psd_rows(phi).mean()
+        assert 0.4 < share < 0.6 if dim == 3 else share == 0.0
+        metrics = ("hs-constrained",)
+        simulation._metric_block(phi, state, metrics)
+        tracemalloc.start()
+        try:
+            simulation._metric_block(phi, state, metrics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * phi.nbytes
 
     @pytest.mark.parametrize("metrics", [("psd-fraction",), ("hs-constrained", "psd-fraction")])
     def test_psd_fraction_counts_the_unprojected_trials(self, metrics):
@@ -501,10 +558,11 @@ class TestRunTrajectory:
         rng = stream_rng(42, simulation._NS_SAMPLE, 0, 0)
         phi = scheme.to_matrix(scheme.sample(scheme.probabilities(state), 30, CHUNK_TRIALS, rng))
         psd = simulation._metric_block(phi, state, metrics)["psd-fraction"]
-        _, steps, _ = constrained_rows(phi)
+        _, steps, unprojected = constrained_rows(phi)
         smallest = np.linalg.eigh(phi)[0][:, 0]
         assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 51
-        assert np.array_equal(psd == 1.0, steps == 0)
+        assert np.array_equal(psd == 1.0, unprojected)
+        assert len(steps) == np.count_nonzero(psd == 0.0) and (steps >= 1).all()
 
 
 class TestEigenStage:
@@ -584,15 +642,16 @@ class TestEigenStage:
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
     def test_eigen_paths_leave_the_stack_unchanged(self, dim):
-        # Half the rows indefinite; psd_screen sweeps over a copy of the
-        # caller's stack and constrained_rows rebuilds rows in its own copy:
+        # Half the rows indefinite; psd_screen's closed form only reads the
+        # caller's stack, its Cholesky sweep works on a copy, and
+        # constrained_rows rebuilds the projected rows in arrays of its own:
         # neither path may write through.
         rng = np.random.default_rng(dim)
         phi = np.stack([random_density(dim, rng) for _ in range(8)])
         phi[::2] += np.diag(np.r_[-1.0, 1.0, np.zeros(dim - 2)])
         before = phi.copy()
-        _, steps, _ = constrained_rows(phi)
-        assert steps[::2].all() and not steps[1::2].any()
+        _, steps, psd = constrained_rows(phi)
+        assert psd.tolist() == [False, True] * 4 and len(steps) == 4 and steps.all()
         assert np.array_equal(phi, before)
         for metrics in (self.PSD_ONLY, ("hs-constrained", "psd-fraction")):
             values = simulation._metric_block(phi, phi[1], metrics)
