@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TRACE_ATOL, InvariantError, eigen_rows, psd_rows, require_trace_one
+from .linalg import SCREEN_MARGIN, SPECTRAL_GAP, SPECTRAL_SCALE, TRACE_ATOL, InvariantError
+from .linalg import closed_form_eigvalsh, eigen_rows, psd_rows, require_trace_one
 from .measurement import MeasurementPlan, count_frequencies
 
 __all__ = [
@@ -105,28 +106,62 @@ def _redistribute(y):
         steps[rows] += 1
 
 
+def _projector_rebuild(x, w, clipped):
+    """Rebuild the (m, 3, 3) rows ``x``, overwriting them, from spectra ``w`` and
+    their projections ``clipped`` by Sylvester's formula, with P_c = ((x - mI)^2 - h^2 I)
+    / ((c - a)(c - b)), a, b = m -+ h: x + (w_1/2)(I - 3 P_1) or clipped_3 P_3 by rank."""
+    two = clipped[:, 1] > 0.0
+    c, a, b = np.where(two[:, None], w, w[:, [2, 0, 1]]).T
+    scale = np.where(two, -1.5 * w[:, 0], clipped[:, 2]) / ((c - a) * (c - b))
+    mid = (a + b) / 2.0
+    shift = np.where(two, mid + 0.5 * w[:, 0], 0.0) - scale * ((b - a) / 2.0) ** 2
+    # x - mid I, read as eigh reads x; diagonals one at a time (a strided view buffers).
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        x[:, j, i] = x[:, i, j].conj()
+    for i in range(3):
+        x[:, i, i] = x[:, i, i].real - mid
+    out = x @ x
+    out.view(float)[:] *= scale[:, None, None]
+    x[~two] = 0.0
+    out += x
+    for i in range(3):
+        out[:, i, i].real += shift
+    return out
+
+
 def constrained_rows(phi):
     """Closest density matrices to the rows of an (m, k, k) stack of
     trace-one Hermitians that are not PSD, in Hilbert-Schmidt norm.
 
     A row that ``linalg.psd_rows`` calls PSD is its own projection and is
-    not touched.  The rows ``np.flatnonzero(~psd)`` go to one batched
-    ``eigh``, have their eigenvalues projected onto the simplex as by
-    ``project_nonneg_simplex_rows`` and are rebuilt as ``(u * w) @ u^H`` in
-    their eigenbasis.  The input is not modified.  Returns the rebuilt rows
-    in that order, their sweep counts and the ``psd_rows`` mask; raises
+    not touched.  The others keep their eigenvectors, with the eigenvalues
+    projected as by ``project_nonneg_simplex_rows``: at k = 3 the closed-form
+    ones, by one spectral projector, where the ``linalg.SPECTRAL_*`` limits
+    hold and l1 <= -SCREEN_MARGIN; else ``eigh``'s, in one batch.  Returns
+    the rebuilt rows in the order of ``np.flatnonzero(~psd)``, their sweep
+    counts and the mask, and leaves ``phi`` as it is.  Raises
     ``EigenDecompositionError`` as ``linalg.eigen_rows`` does, and
-    ``InvariantError``, naming the row's index in the stack, if a projected
-    row's eigenvalues do not sum to one.
+    ``InvariantError``, naming the row, where eigenvalues do not sum to one.
     """
     psd = psd_rows(phi)
     rows = np.flatnonzero(~psd)
-    w, u = eigen_rows(phi[rows], vectors=True)
+    w, fast = np.empty((len(rows), phi.shape[1])), np.zeros(len(rows), dtype=bool)
+    if phi.shape[1] == 3:
+        w = closed_form_eigvalsh(phi[rows])
+        scale = np.maximum(np.abs(w[:, 0]), w[:, 2])
+        fast = (w[:, 0] <= -SCREEN_MARGIN) & (np.diff(w).min(axis=1) >= SPECTRAL_GAP * scale)
+        fast &= scale <= SPECTRAL_SCALE
+    lapack = np.flatnonzero(~fast)
+    w[lapack], u = eigen_rows(phi[rows[lapack]], vectors=True)
     _require_unit_sums(w, rows)
-    clipped, steps = _redistribute(w)
+    clipped, steps = _redistribute(w.copy())
     uh = u.conj().swapaxes(1, 2)  # before u is scaled in place
-    u *= clipped[:, None, :]
-    return u @ uh, steps, psd
+    u *= clipped[lapack][:, None, :]
+    if not fast.any():
+        return u @ uh, steps, psd
+    out = _projector_rebuild(phi[rows], w, clipped)
+    out[lapack] = u @ uh
+    return out, steps, psd
 
 
 def constrained_estimate(matrix):

@@ -16,6 +16,8 @@ __all__ = [
     "HERMITIAN_ATOL",
     "PSD_ATOL",
     "SCREEN_MARGIN",
+    "SPECTRAL_GAP",
+    "SPECTRAL_SCALE",
     "TRACE_ATOL",
     "is_integer",
     "require_hermitian",
@@ -41,6 +43,9 @@ PSD_ATOL = 1e-9
 # (PSD) or at most minus this (not PSD) without LAPACK.  For trace one its
 # rules err by at most about 1e-8, far below the margin.
 SCREEN_MARGIN = 1e-6
+# A k = 3 projection uses the closed form at gaps >= SPECTRAL_GAP max(|l1|, l3) <= SPECTRAL_SCALE.
+SPECTRAL_GAP = 1e-3
+SPECTRAL_SCALE = 16.0
 # Slack on unit-trace and unit-sum checks.
 TRACE_ATOL = 1e-9
 

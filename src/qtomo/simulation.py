@@ -216,8 +216,8 @@ def _metric_block(phi, state, metrics):
     Every value is computed row by row, so it does not depend on the block
     or the subset of rows it is scored in.  ``psd-fraction`` is
     ``linalg.psd_rows``'s mask on either branch: a constrained metric reads
-    it from ``constrained_rows``, which adds one ``eigh`` on, and rebuilds,
-    only the rows that are not PSD; the other metrics need no eigensolve.
+    it from ``constrained_rows``, which rebuilds only the rows that are not
+    PSD (at k = 3 mostly without ``eigh``); the others need no eigensolve.
     A PSD row is its own projection: ``hs-constrained`` is ``||phi - rho||``
     with the projected rows' distances written over it, and
     ``fidelity-constrained`` scores ``phi[psd]`` and the projected rows.

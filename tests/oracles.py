@@ -10,13 +10,22 @@ Bloch rescaling instead of the qubit eigenvalue projection, Bloch
 coordinates read from matrix entries to invert ``bloch_to_matrix``'s
 Pauli sum, and a checked, descending eigendecomposition instead of the
 bare ascending ``eigh``; a projection is also certified by its optimality
-conditions, with no solver, and the entrywise estimates are rebuilt with
-complex temporaries instead of real and imaginary views.
+conditions, with no solver, the entrywise estimates are rebuilt with
+complex temporaries instead of real and imaginary views, and the rows that
+the k = 3 projection leaves to ``eigh`` are named from the closed-form
+spectrum by the limits as documented.
 """
 
 import numpy as np
 
-from qtomo.linalg import EigenDecompositionError, require_hermitian
+from qtomo.linalg import (
+    SCREEN_MARGIN,
+    SPECTRAL_GAP,
+    SPECTRAL_SCALE,
+    EigenDecompositionError,
+    closed_form_eigvalsh,
+    require_hermitian,
+)
 
 # A spectral decomposition must reproduce its input to this relative accuracy.
 RECONSTRUCTION_RTOL = 1e-10
@@ -185,6 +194,22 @@ def projection_certificate(h, x):
         "complementarity": float(np.linalg.norm(z @ x)),
     }
     return residuals, CERTIFICATE_RTOL * (1.0 + float(np.linalg.norm(h)))
+
+
+def eigh_rows(stack, psd):
+    """Positions, among the rows of an (m, k, k) stack that the mask ``psd``
+    calls not PSD, of the rows ``constrained_rows`` solves with ``eigh``:
+    every one at k != 3.  At k = 3, those whose closed-form spectrum
+    l1 <= l2 <= l3 has l1 > -SCREEN_MARGIN, a gap below SPECTRAL_GAP times
+    max(|l1|, l3), that scale above SPECTRAL_SCALE, or a NaN."""
+    sub = stack[~psd]
+    if stack.shape[1] != 3:
+        return np.arange(len(sub))
+    w = closed_form_eigvalsh(sub)
+    scale = np.maximum(np.abs(w[:, 0]), w[:, 2])
+    gap = np.diff(w, axis=1).min(axis=1)
+    rebuilt = (w[:, 0] <= -SCREEN_MARGIN) & (gap >= SPECTRAL_GAP * scale)
+    return np.flatnonzero(~(rebuilt & (scale <= SPECTRAL_SCALE)))
 
 
 def entrywise_matrices_complex(params) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtomo import estimators
 from qtomo.estimators import (
     constrained_estimate,
     constrained_rows,
@@ -38,6 +39,7 @@ from qtomo.states import bloch_to_matrix, haar_unitary, random_density
 
 from oracles import (
     bloch_radial_projection,
+    eigh_rows,
     hermitian_eig,
     matrix_to_bloch,
     project_density_dykstra,
@@ -388,6 +390,26 @@ def lapack_constrained_rows(phi):
     return (u[rows] * clipped[:, None, :]) @ u[rows].conj().swapaxes(1, 2), steps, psd
 
 
+def assert_matches_reference(stack, result):
+    """``result = constrained_rows(stack)`` against
+    ``lapack_constrained_rows``: the mask and the sweeps bit for bit, the
+    rows solved by eigh bit for bit, and the rows rebuilt from the k = 3
+    closed form within 1e-13 (1 + ||H||) of the reference and certified at
+    0.05 of the certificate's tolerance.  Returns the positions, among the
+    projected rows, of those solved by eigh."""
+    out, steps, psd = result
+    expected, expected_steps, expected_psd = lapack_constrained_rows(stack)
+    assert np.array_equal(psd, expected_psd) and np.array_equal(steps, expected_steps)
+    lapack = eigh_rows(stack, psd)
+    assert np.array_equal(out[lapack], expected[lapack])
+    rebuilt = np.setdiff1d(np.arange(len(out)), lapack)
+    for h, x, y in zip(stack[~psd][rebuilt], out[rebuilt], expected[rebuilt]):
+        assert np.linalg.norm(x - y) <= 1e-13 * (1.0 + np.linalg.norm(h))
+        residuals, tol = projection_certificate(h, x)
+        assert max(residuals.values()) <= 0.05 * tol, residuals
+    return lapack
+
+
 def _recorder(original, seen):
     def recorded(a, *args, **kwargs):
         seen.append(np.array(a))
@@ -414,19 +436,23 @@ class TestPsdScreen:
     to eigh, at every k."""
 
     def test_rows_inside_the_margin_reach_eigh(self):
-        # eigvalsh judges the rows inside the margin; eigh sees those it
-        # calls not PSD and the rows the screen decides not PSD.
+        # eigvalsh judges the rows inside the margin and eigh solves those
+        # it calls not PSD; the two rows the screen decides not PSD are
+        # rebuilt from the closed form.
         edge = np.linspace(-2 * PSD_ATOL, SCREEN_MARGIN, 40, endpoint=False)
         smallest = np.concatenate([edge, [0.05, 0.2, -0.1, -0.3]])
         phi = rotated_rows(smallest, seed=11)
         with recorded_lapack() as seen:
-            _, steps, psd = constrained_rows(phi)
+            result = constrained_rows(phi)
+        _, steps, psd = result
         near = psd_screen(phi)[1]
         not_psd = ~psd_mask(np.linalg.eigvalsh(phi))
+        inside = np.flatnonzero(not_psd[near])
         assert near.tolist() == list(range(40))
         assert len(seen["eigvalsh"]) == 1 and np.array_equal(seen["eigvalsh"][0], phi[near])
-        assert len(seen["eigh"]) == 1 and np.array_equal(seen["eigh"][0], phi[not_psd])
-        assert 0 < not_psd[near].sum() < len(near)
+        assert len(seen["eigh"]) == 1 and np.array_equal(seen["eigh"][0], phi[inside])
+        assert np.array_equal(assert_matches_reference(phi, result), np.arange(len(inside)))
+        assert 0 < len(inside) < len(near)
         assert np.array_equal(psd, ~not_psd)
         assert psd[-4:].tolist() == [True, True, False, False]
         assert steps[-2:].tolist() == [1, 1]
@@ -462,14 +488,15 @@ class TestPsdScreen:
                     constrained_rows(stack)
             else:
                 result = constrained_rows(stack)
-                for got, want in zip(result, expected):
-                    assert np.array_equal(got, want)
-                assert len(result[1]) == np.count_nonzero(~result[2])
-                assert (result[1] >= 1).all()
+        if expected is not None:
+            assert_matches_reference(stack, result)
+            assert len(result[1]) == np.count_nonzero(~result[2])
+            assert (result[1] >= 1).all()
         assert stack.tobytes() == before.tobytes()
         assert len(seen["eigvalsh"]) == len(seen["eigh"]) == 1
         assert np.array_equal(seen["eigvalsh"][0], stack[psd_screen(stack)[1]])
-        assert np.array_equal(seen["eigh"][0], stack[~psd_rows(stack)])
+        psd = psd_rows(stack)
+        assert np.array_equal(seen["eigh"][0], stack[~psd][eigh_rows(stack, psd)])
 
     def test_screened_rows_return_unchanged(self):
         # PSD rows are their own projections: none is rebuilt or returned.
@@ -531,7 +558,27 @@ class TestProjectionCertificate:
     @ROWS
     @given(data=st.data())
     def test_every_projected_row_is_certified(self, k, data):
-        stack, _ = data.draw(edge_stacks(k))
+        self.certify(k, data.draw(edge_stacks(k))[0])
+
+    @settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+    @given(edge_stacks(3))
+    def test_k3_rows_over_many_examples(self, case):
+        # The rows rebuilt from the closed form, edge and large rows among
+        # them, over many more examples than the other k get.
+        stack = case[0]
+        try:
+            lapack_constrained_rows(stack)
+        except InvariantError:
+            # A row of norm near 1e6 whose eigenvalues miss a unit sum by
+            # more than TRACE_ATOL: both paths reject the stack.
+            with pytest.raises(InvariantError):
+                constrained_rows(stack)
+            return
+        self.certify(3, stack)
+        assert_matches_reference(stack, constrained_rows(stack))
+
+    @staticmethod
+    def certify(k, stack):
         try:
             projected, _, psd = constrained_rows(stack)
         except InvariantError:
@@ -558,6 +605,93 @@ class TestProjectionCertificate:
         bad = 1.001 * x if corrupt == "trace" else x + 1e-6 * np.diag([0.0, -1.0, 1.0])
         residuals, tol = projection_certificate(h, bad)
         assert residuals["trace" if corrupt == "trace" else "x_psd"] > tol
+
+
+def spectra_near_double_roots():
+    """Trace-one spectra with lambda_1 from -1e-6 to -0.3 and a bottom or a
+    top gap from 2e-7 to 0.9, sorted.  The gaps keep lambda_2 off 0 and off
+    -lambda_1/2, where rounding decides between one sweep and two."""
+    spectra = []
+    for low in [-1e-6, -1e-5, -1e-4, -1e-3, -1e-2, -0.1, -0.3]:
+        for gap in [2e-7, 2e-6, 2e-5, 2e-4, 2e-3, 2e-2, 0.2, 0.9]:
+            spectra.append([low, low + gap, 1.0 - 2.0 * low - gap])
+            middle = (1.0 - low - gap) / 2.0
+            spectra.append([low, middle, middle + gap])
+    return np.sort(spectra, axis=1)
+
+
+class TestProjectorRebuild:
+    """At k = 3, constrained_rows rebuilds a projected row from its
+    closed-form spectrum and one spectral projector wherever the limits in
+    linalg hold, and leaves every other row to eigh."""
+
+    def test_near_double_roots_are_certified(self):
+        spectra = np.repeat(spectra_near_double_roots(), 8, axis=0)
+        stack = rotated_rows_k(spectra, seed=60)
+        result = constrained_rows(stack)
+        lapack = assert_matches_reference(stack, result)
+        assert 0 < len(lapack) < len(result[0]) == len(stack)
+        for h, x in zip(stack, result[0]):
+            residuals, tol = projection_certificate(h, x)
+            assert max(residuals.values()) <= 0.05 * tol, residuals
+
+    def test_reads_the_triangle_eigh_reads(self):
+        # eigh and the closed form read the lower triangle and the real
+        # part of the diagonal, and so does the rebuild: whatever the upper
+        # triangle and the diagonal's imaginary parts hold, every row comes
+        # out bit for bit as from the Hermitian stack.
+        spectra = [[-0.2, 0.5, 0.7], [-0.4, -0.1, 1.5], [-1e-8, 0.5, 0.5 + 1e-8]]
+        spectra = np.repeat(spectra, 4, axis=0)
+        stack = rotated_rows_k(spectra, seed=62)
+        noisy = stack.copy()
+        upper = np.triu_indices(3, 1)
+        noisy[:, upper[0], upper[1]] += 1e-3 * (1 + 1j)
+        noisy[:, [0, 1, 2], [0, 1, 2]] += 1e-3j
+        for got, want in zip(constrained_rows(noisy), constrained_rows(stack)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "spectrum", [(-1e-6, 9e-6, 1.0 - 8e-6), (-1e5, 5e4, 5e4 + 1.0)], ids=["gap", "scale"]
+    )
+    def test_rows_outside_the_limits_need_eigh(self, monkeypatch, spectrum):
+        # A bottom gap of 1e-5 at lambda_1 = -1e-6, or a norm of 1e5: with
+        # the limits lifted, the closed form alone fails the certificate.
+        # (At a norm of 1e6 the rows' eigenvalue sums already come within
+        # a tenth of TRACE_ATOL.)
+        stack = rotated_rows_k(np.array([spectrum] * 64), seed=61)
+        stack[:, 2, 2] = 1.0 - stack[:, 0, 0].real - stack[:, 1, 1].real
+
+        def worst(projected):
+            ratios = [
+                max(residuals.values()) / tol
+                for residuals, tol in map(projection_certificate, stack, projected)
+            ]
+            return max(ratios)
+
+        with recorded_lapack() as seen:
+            projected, _, psd = constrained_rows(stack)
+        assert not psd.any() and np.array_equal(seen["eigh"][0], stack)
+        assert worst(projected) <= 0.05
+        monkeypatch.setattr(estimators, "SCREEN_MARGIN", 0.0)
+        monkeypatch.setattr(estimators, "SPECTRAL_GAP", 0.0)
+        monkeypatch.setattr(estimators, "SPECTRAL_SCALE", np.inf)
+        with recorded_lapack() as seen:
+            projected, _, _ = constrained_rows(stack)
+        assert seen["eigh"][0].shape == (0, 3, 3)
+        assert worst(projected) > 1.0
+
+    def test_large_rows_are_checked_with_eigh_sums(self, monkeypatch):
+        # Wide gaps at a norm of 3e6: the closed-form eigenvalues sum to one
+        # within TRACE_ATOL where eigh's do not, so without the scale limit
+        # the stack would be projected where the reference rejects it.
+        stack = rotated_rows_k(np.array([[-3e6, 9e5, 2.1e6 + 1.0]] * 16), seed=63)
+        stack[:, 2, 2] = 1.0 - stack[:, 0, 0].real - stack[:, 1, 1].real
+        with pytest.raises(InvariantError):
+            lapack_constrained_rows(stack)
+        with pytest.raises(InvariantError):
+            constrained_rows(stack)
+        monkeypatch.setattr(estimators, "SPECTRAL_SCALE", np.inf)
+        assert constrained_rows(stack)[2].sum() == 0
 
 
 class TestThreeDirectionEstimate:

@@ -257,8 +257,8 @@ TRAJECTORY_SHA256 = {
     ("qubit_minimal_povm", 7): "47a329b3885a9f0fc50ef8f7d3fea4b7f8dcb5c5b7d7722f027c5b1e7517c560",
     ("qubit_three_direction", 42): "c179f707aac7d3141e51828de50a9c1fc723efdfd04b4b47ae0ea824ee5731d1",
     ("qubit_three_direction", 7): "95b4a6d39c555e037b315737a852fa6d2de0482308fac0aa0217b08cd21b2b24",
-    ("three_level_error", 42): "ec72a9c7cd13b29d6cab7291ccbed10322b337a9ba25c496927e60364cb82091",
-    ("three_level_error", 7): "a26e0faea33fd9205c2fcdbbda5b84d6c410e7f45986ad191cf7aa863341e69c",
+    ("three_level_error", 42): "dd645f5bc021c1429a2a4c2def3c79425797c1141aca9783c3f06447b52225e6",
+    ("three_level_error", 7): "b8766a85360d78156c3ab527733fc305f9fb318aed8a950075f8acdc895ade24",
 }
 
 
@@ -290,8 +290,8 @@ K4_TRAJECTORY_SHA256 = {
 K3_FIDELITY_METRICS = ["hs-unconstrained", "hs-constrained", "fidelity-constrained", "psd-fraction"]
 # seed -> sha256 of trajectory.csv for that config at trials = CHUNK_TRIALS + 4
 K3_FIDELITY_TRAJECTORY_SHA256 = {
-    42: "0bebf307fa9046221bed9d024983ffe030f9e1d76388640ce9655af417ed1f26",
-    7: "44fc4945bc3f13e0d1192f55b82b1ca2e5f382b52f4f1863bb4a281366768a83",
+    42: "092dd2cfa8cd1bff6c88a0f064a6f7a9d1e861a642d2fd8fccd392ae29b8a95d",
+    7: "761aca35b31941549447189ce2978118017c7a008822e8e673c27e39b5135a39",
 }
 
 

@@ -23,6 +23,8 @@ from qtomo.simulation import (
 )
 from qtomo.states import bloch_to_matrix, random_density
 
+from oracles import eigh_rows
+
 MIXED_QUBIT = bloch_to_matrix([0.3, 0.2, 0.1])
 FIGURE_SPECTRUM = (0.1186, 0.2871, 0.5943)
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -498,7 +500,8 @@ class TestRunTrajectory:
     def test_scoring_the_projected_rows_keeps_the_bits(self, monkeypatch, dim, shots):
         # The constrained metrics score PSD rows of phi and the projected
         # rows apart: each value must equal the one the whole constrained
-        # stack gives, and eigh must see exactly the rows that are not PSD.
+        # stack gives, and eigh must see exactly the rows that are not PSD,
+        # less those rebuilt from the k = 3 closed form.
         state = random_density(dim, np.random.default_rng(70 + dim))
         scheme = linear_scheme("klevel-pairs", dim)
         draws = scheme.sample(scheme.probabilities(state), shots, 600, stream_rng(71, dim))
@@ -513,7 +516,7 @@ class TestRunTrajectory:
         assert 0 < psd.sum() < len(phi)
         # fidelity_rows takes the square root of the 2-d true state at k > 2.
         stacks = [a for a in seen if a.ndim == 3]
-        assert len(stacks) == 1 and np.array_equal(stacks[0], phi[~psd])
+        assert len(stacks) == 1 and np.array_equal(stacks[0], phi[~psd][eigh_rows(phi, psd)])
         projected, _, _ = constrained_rows(phi)
         constrained = phi.copy()
         constrained[~psd] = projected
@@ -523,13 +526,15 @@ class TestRunTrajectory:
         assert np.array_equal(values["fidelity-constrained"], fidelity_rows(constrained, state))
 
     @pytest.mark.parametrize(
-        "dim, shots, trials, bound", [(3, 20, CHUNK_TRIALS, 2.8), (10, 10, 655, 4.6)]
+        "dim, shots, trials, bound", [(3, 20, CHUNK_TRIALS, 2.2), (10, 10, 655, 4.6)]
     )
     def test_constrained_block_peak(self, dim, shots, trials, bound):
         # constrained_rows copies, solves and rebuilds only the rows that
         # are not PSD: about half of this k = 3 block and all of this k = 10
         # block, a 1 MiB block of the module's budget.  Whole-stack copies
-        # peaked at 3.1 and 5.1 times the block's bytes.
+        # peaked at 3.1 and 5.1 times the block's bytes.  At k = 3 the
+        # projector rebuild holds no more than eigh did, and the peak is
+        # ||phi - rho|| (2.06 times).
         spectrum = FIGURE_SPECTRUM if dim == 3 else None
         state = random_density(dim, np.random.default_rng(1), spectrum)
         scheme = linear_scheme("klevel-pairs", dim)
@@ -546,6 +551,28 @@ class TestRunTrajectory:
         finally:
             tracemalloc.stop()
         assert peak < bound * phi.nbytes
+
+    def test_three_level_rows_rarely_reach_eigh(self, monkeypatch):
+        # One full chunk per point of the three_level_error demo at seed 42:
+        # about 9,800 projected rows, rebuilt from the k = 3 closed form but
+        # for at most a handful with a near double root.
+        obj = json.loads((CONFIGS / "three_level_error.json").read_text())
+        cfg = ExperimentConfig(
+            state=RandomState(3, tuple(obj["state"]["random"]["eigenvalues"])),
+            scheme=obj["scheme"],
+            schedule=tuple(obj["schedule"]),
+            trials=CHUNK_TRIALS,
+            seed=42,
+            metrics=tuple(obj["metrics"]),
+        )
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(len(a)) or eigh(a))
+        record = run_trajectory(cfg)
+        monkeypatch.undo()
+        projected = CHUNK_TRIALS * (1.0 - record.means["psd-fraction"]).sum()
+        assert len(seen) == len(cfg.schedule) and projected > 9000
+        assert sum(seen) <= 5
 
     @pytest.mark.parametrize("metrics", [("psd-fraction",), ("hs-constrained", "psd-fraction")])
     def test_psd_fraction_counts_the_unprojected_trials(self, metrics):
