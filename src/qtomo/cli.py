@@ -28,6 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .error_analysis import (
+    _check_thetas,
+    _check_total,
+    _comparison_scalars,
     average_mse_over_ball,
     compare_batch,
     mse_minimal,
@@ -451,24 +454,20 @@ def _grid_rows(axis, n):
     """CSV columns of the cube points in the closed unit ball, in the order of
     a triple loop over ``axis``, one slab of ``max(1, _SLAB_POINTS //
     len(axis)**2)`` consecutive t1 planes at a time, so memory is bounded by
-    the larger of the budget and one plane.  Every value is computed row by
-    row, so the text does not depend on the slab size."""
+    the larger of the budget and one plane.  The columns after theta are
+    ``compare_batch``'s fields other than ``diff``, so no 3x3 stack is
+    built.  Every value is computed row by row, so the text does not depend
+    on the slab size."""
+    n = _check_total(n, divisor=3)
     planes = max(1, _SLAB_POINTS // len(axis) ** 2)
     for start in range(0, len(axis), planes):
         t1 = axis[start : start + planes]
         slab = np.stack(np.meshgrid(t1, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        slab = slab[in_bloch_ball(slab)]
+        slab = _check_thetas(slab[in_bloch_ball(slab)])
         if not len(slab):
             continue
-        c = compare_batch(slab, n)
-        yield (
-            *slab.T,
-            c.min_eig,
-            c.dominated.astype(int),
-            c.trace_comp,
-            c.trace_min,
-            c.trace_ok.astype(int),
-        )
+        min_eig, dominated, trace_comp, trace_min, ok = _comparison_scalars(slab, n)
+        yield *slab.T, min_eig, dominated.astype(int), trace_comp, trace_min, ok.astype(int)
 
 
 def _cmd_compare(args) -> int:

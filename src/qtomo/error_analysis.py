@@ -193,13 +193,14 @@ def compare_batch(thetas, total: int) -> Comparison:
     ``dominated`` True at every row, by rank rather than by an
     eigensolver's rounding; no eigensolver runs.  Every row must lie in the
     closed unit ball within 1e-9, and n must be an integer of at least 1
-    divisible by 3.
+    divisible by 3.  Only ``diff`` is a matrix; the other fields are
+    constants or functions of |theta|^2, so the CLI's grid writes them
+    with no 3x3 stack built.
     """
     t = _check_thetas(thetas)
     n = _check_total(total, divisor=3)
     diff = _standard_rows(t, n) - _complementary_rows(t, float(n))
-    m = len(t)
-    return Comparison(diff, np.zeros(m), np.ones(m, dtype=bool), *_trace_rows(t, n))
+    return Comparison(diff, *_comparison_scalars(t, n))
 
 
 def compare_standard_vs_complementary(theta, total: int):
@@ -236,8 +237,11 @@ def compare_traces_min_vs_comp(theta, total: int):
     return float(c.trace_comp[0]), float(c.trace_min[0]), bool(c.trace_ok[0])
 
 
-def _trace_rows(t: np.ndarray, n: int):
+def _comparison_scalars(t: np.ndarray, n: int):
+    """The ``Comparison`` fields after ``diff`` at each row of a checked
+    (m, 3) stack, with n a checked copy budget."""
     norm_sq = row_dots(t)
     trace_comp = 3.0 * (3.0 - norm_sq) / n
     trace_min = (9.0 - norm_sq) / n
-    return trace_comp, trace_min, trace_comp <= trace_min + 1e-12
+    ok = trace_comp <= trace_min + 1e-12
+    return np.zeros(len(t)), np.ones(len(t), dtype=bool), trace_comp, trace_min, ok

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo import cli, measurement
+from qtomo import cli, error_analysis, measurement
 from qtomo.cli import _atomic_write, _csv_chunks, main, matrix_from_json, matrix_to_json
 from qtomo.error_analysis import compare_batch
 from qtomo.measurement import MAX_DIM
 from qtomo.simulation import ConfigError
+from qtomo.states import in_bloch_ball
 
 from test_pinned_draws import GRID_SHA256
 
@@ -610,7 +611,7 @@ class TestCompare:
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert peak < 4 * 2**20, grid
+            assert peak < 2 * 2**20, grid
 
     @pytest.mark.parametrize("theta", NON_FINITE_THETA)
     def test_non_finite_theta_exit_2(self, capsys, theta):
@@ -662,18 +663,53 @@ class TestCompare:
         points = grid**3 if planes is None else planes * grid**2
         monkeypatch.setattr(cli, "_SLAB_POINTS", points)
         slabs = []
+        scalars = cli._comparison_scalars
 
         def counted(thetas, n):
             slabs.append(len(thetas))
-            return compare_batch(thetas, n)
+            return scalars(thetas, n)
 
-        monkeypatch.setattr(cli, "compare_batch", counted)
+        monkeypatch.setattr(cli, "_comparison_scalars", counted)
         argv = ["--grid", str(grid), "--copies", str(copies), "--out", str(tmp_path)]
         code, _, _ = run(capsys, "compare", *argv)
         assert code == 0
         assert len(slabs) == {0: grid, 3: -(-grid // 3), None: 1}[planes]
         csv = (tmp_path / "comparison.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == GRID_SHA256[grid, copies]
+
+    @pytest.mark.parametrize("grid, copies", [(2, 3), (7, 30), (40, 3), (41, 300)])
+    def test_grid_tables_are_compare_batch_bit_for_bit(self, grid, copies):
+        # Floats by their bits, the 0/1 columns against the flags' astype(int).
+        axis = np.linspace(-1.0, 1.0, grid)
+        tables = list(cli._grid_rows(axis, copies))
+        for table in tables:
+            thetas = np.stack(table[:3], axis=1)
+            c = compare_batch(thetas, copies)
+            flags = c.dominated.astype(int), c.trace_ok.astype(int)
+            expected = (*thetas.T, c.min_eig, flags[0], c.trace_comp, c.trace_min, flags[1])
+            assert len(table) == len(expected)
+            for got, want in zip(table, expected):
+                assert got.dtype == want.dtype
+                if want.dtype == np.float64:
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                else:
+                    assert np.array_equal(got, want)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        written = np.concatenate([np.stack(t[:3], axis=1) for t in tables] or [np.empty((0, 3))])
+        assert np.array_equal(written, cube[in_bloch_ball(cube)])
+
+    def test_grid_builds_no_error_matrix(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid built a 3x3 error-matrix stack")
+
+        monkeypatch.setattr(error_analysis, "_standard_rows", refuse)
+        monkeypatch.setattr(error_analysis, "_complementary_rows", refuse)
+        code, _, err = run(
+            capsys, "compare", "--grid", "7", "--copies", "30", "--out", str(tmp_path)
+        )
+        assert code == 0, err
+        csv = (tmp_path / "comparison.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == GRID_SHA256[7, 30]
 
     def test_largest_grid_keeps_one_plane_per_table(self):
         # A t1 plane of grid 401 holds 160,801 cube points, more than the

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qtomo import simulation
+from qtomo import cli, simulation
 from qtomo.cli import _GRID_HEADER, _build_parser, main
 from qtomo.measurement import CHUNK_TRIALS
 
@@ -113,6 +113,16 @@ def test_readme_block_budget_matches_the_module():
     whole = int(trials.group(2))
     assert simulation._BLOCK_BYTES // (16 * whole**2) >= CHUNK_TRIALS
     assert simulation._BLOCK_BYTES // (16 * (whole + 1) ** 2) < CHUNK_TRIALS
+
+
+def test_readme_slab_budget_matches_the_module():
+    # The compare paragraph's slab budget and its plane count at grid 41
+    # read the module's budget.
+    readme = (ROOT / "README.md").read_text()
+    budget = re.search(r"([\d,]+)\s+cube points \((\d+) planes at grid 41\)", readme)
+    assert budget, "the compare paragraph no longer states the slab budget"
+    assert int(budget.group(1).replace(",", "")) == cli._SLAB_POINTS
+    assert int(budget.group(2)) == cli._SLAB_POINTS // 41**2
 
 
 @pytest.mark.parametrize("line", CLI_LINES)

@@ -565,7 +565,22 @@ class TestProjectionCertificate:
     def test_k3_rows_over_many_examples(self, case):
         # The rows rebuilt from the closed form, edge and large rows among
         # them, over many more examples than the other k get.
-        stack = case[0]
+        self.certify(3, case[0])
+
+    @staticmethod
+    def certify(k, stack):
+        """``constrained_rows(stack)`` raises exactly where the reference
+        does; otherwise it matches the reference and each row it rebuilds is
+        the closest density matrix, and a nearby one is not."""
+        if k == 1:
+            # A one-level row that is not PSD is not trace one either: the
+            # stack projects no row, or it is rejected.
+            if psd_mask(stack[:, :, 0].real).all():
+                assert len(constrained_rows(stack)[0]) == 0
+            else:
+                with pytest.raises(InvariantError):
+                    constrained_rows(stack)
+            return
         try:
             lapack_constrained_rows(stack)
         except InvariantError:
@@ -574,17 +589,9 @@ class TestProjectionCertificate:
             with pytest.raises(InvariantError):
                 constrained_rows(stack)
             return
-        self.certify(3, stack)
-        assert_matches_reference(stack, constrained_rows(stack))
-
-    @staticmethod
-    def certify(k, stack):
-        try:
-            projected, _, psd = constrained_rows(stack)
-        except InvariantError:
-            # A one-level row other than [[1]] is not trace one.
-            assert k == 1
-            return
+        result = constrained_rows(stack)
+        assert_matches_reference(stack, result)
+        projected, _, psd = result
         for h, x in zip(stack[~psd], projected):
             residuals, tol = projection_certificate(h, x)
             assert max(residuals.values()) <= tol, residuals
