@@ -38,9 +38,9 @@ _AXES = np.arange(3)
 
 
 def _check_thetas(thetas) -> np.ndarray:
-    """An (m, 3) stack of Bloch vectors, each in the closed unit ball within 1e-9."""
+    """An (m, 3) stack of Bloch vectors, each a state by ``in_bloch_ball``."""
     t = np.asarray(thetas, dtype=float)
-    if not np.all(in_bloch_ball(t, tol=1e-9)):
+    if not np.all(in_bloch_ball(t)):
         raise InvariantError("theta must lie in the closed unit Bloch ball")
     return t
 
@@ -191,8 +191,8 @@ def compare_batch(thetas, total: int) -> Comparison:
     every theta: 1 / theta entrywise is a null vector, or a coordinate axis
     where some theta_i is 0.  ``min_eig`` is therefore +0.0 and
     ``dominated`` True at every row, by rank rather than by an
-    eigensolver's rounding; no eigensolver runs.  Every row must lie in the
-    closed unit ball within 1e-9, and n must be an integer of at least 1
+    eigensolver's rounding; no eigensolver runs.  Every row must be a
+    state by ``in_bloch_ball``, and n must be an integer of at least 1
     divisible by 3.  Only ``diff`` is a matrix; the other fields are
     constants or functions of |theta|^2, so the CLI's grid writes them
     with no 3x3 stack built.

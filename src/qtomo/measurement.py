@@ -52,9 +52,6 @@ __all__ = [
 
 # Tolerance for the algebraic checks on projectors and POVM effects.
 _STRUCTURE_ATOL = 1e-10
-# Probabilities this far below zero are treated as rounding noise; anything
-# more negative signals an invalid state upstream.
-_PROB_FLOOR = -1e-12
 
 # Rows are the four unit vectors from the alternating-sign corners of a cube,
 # pointing at the vertices of a regular tetrahedron.
@@ -279,9 +276,6 @@ def _distribution(measurement, state: np.ndarray) -> np.ndarray:
             f"{ops.shape[1]}-level"
         )
     probs = np.einsum("sij,ji->s", ops, state).real
-    low = float(probs.min())
-    if low < _PROB_FLOOR:
-        raise InvariantError(f"outcome probability {low:.3e} below rounding tolerance")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
@@ -290,9 +284,9 @@ def outcome_probabilities(measurement, rho) -> np.ndarray:
     """Outcome distribution Tr(rho P_s) of an observable or POVM in ``rho``,
     a density matrix of the measurement's dimension.
 
-    Values within 1e-12 below zero are clipped to zero and the vector is
-    renormalized to sum exactly to one; anything more negative raises, since
-    it signals an invalid state rather than rounding noise.  This is
+    ``require_density`` judges ``rho``; the slack its PSD rule allows can
+    leave a probability slightly below zero, so negative values are clipped
+    to zero and the vector is renormalized to sum to one.  This is
     ``LinearScheme.probabilities`` for one setting.
     """
     return _distribution(measurement, require_density(rho))

@@ -30,9 +30,6 @@ PAULI = np.array(
     dtype=complex,
 )
 
-# Slack on the unit-ball check for Bloch vectors.
-BLOCH_ATOL = 1e-12
-
 
 def bloch_vector(theta) -> np.ndarray:
     """The one check of a single Bloch vector: ``theta`` as a float array of
@@ -56,20 +53,22 @@ def bloch_to_matrix(theta) -> np.ndarray:
 
 
 def is_bloch_state(theta) -> bool:
-    """Whether a Bloch vector lies in the closed unit ball (within
-    ``BLOCH_ATOL``); a NaN or infinite entry raises, as in ``bloch_vector``."""
+    """Whether a Bloch vector is a state, by ``in_bloch_ball``; a NaN or
+    infinite entry raises, as in ``bloch_vector``."""
     return bool(in_bloch_ball(bloch_vector(theta)[None])[0])
 
 
-def in_bloch_ball(thetas, tol: float = BLOCH_ATOL) -> np.ndarray:
-    """Whether each row of an (m, 3) stack lies in the closed unit ball.
+def in_bloch_ball(thetas) -> np.ndarray:
+    """Whether each row of an (m, 3) stack is a state: ``psd_mask`` of
+    (1 - |theta|) / 2, the smallest eigenvalue of ``bloch_to_matrix(theta)``,
+    which accepts exactly |theta| <= 1 + 2 ``PSD_ATOL``.
 
     A row's norm has the bits of ``np.linalg.norm`` of that row alone.
     """
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3:
         raise InvariantError(f"Bloch vectors must be stacked as (m, 3), got shape {t.shape}")
-    return np.sqrt(row_dots(t)) <= 1.0 + tol
+    return psd_mask((1.0 - np.sqrt(row_dots(t)))[:, None] / 2)
 
 
 def require_density(matrix) -> np.ndarray:
@@ -109,7 +108,7 @@ def random_density(
     rng : numpy.random.Generator
         Source of randomness; callers own seeding and stream splitting.
     eigenvalues : array_like, optional
-        Fixed spectrum to use.  Entries must be nonnegative and sum to one
+        Fixed spectrum to use.  It must pass ``psd_mask`` and sum to one
         within 1e-9.  When omitted the spectrum is drawn uniformly from the
         probability simplex.
 
@@ -126,8 +125,8 @@ def random_density(
         w = np.asarray(eigenvalues, dtype=float)
         if w.shape != (dim,):
             raise InvariantError(f"expected {dim} eigenvalues, got shape {w.shape}")
-        if not np.all(w >= 0):
-            raise InvariantError("fixed spectrum must be nonnegative")
+        if not psd_mask(w):
+            raise InvariantError("fixed spectrum is not positive semidefinite")
         if abs(float(w.sum()) - 1.0) > TRACE_ATOL:
             raise InvariantError(f"fixed spectrum sums to {w.sum()!r}, expected 1")
     u = haar_unitary(dim, rng)

@@ -13,7 +13,9 @@ bare ascending ``eigh``; a projection is also certified by its optimality
 conditions, with no solver, the entrywise estimates are rebuilt with
 complex temporaries instead of real and imaginary views, and the rows that
 the k = 3 projection leaves to ``eigh`` are named from the closed-form
-spectrum by the limits as documented.
+spectrum by the limits as documented; the Fisher information of a setting
+is summed outcome by outcome from its probabilities, not read from any
+error matrix.
 """
 
 import numpy as np
@@ -267,3 +269,14 @@ def linear_estimator_mse(probs, estimator_rows, n: int) -> np.ndarray:
     rows = np.asarray(estimator_rows, dtype=float)
     cov = (np.diag(p) - np.outer(p, p)) / n
     return rows.T @ cov @ rows
+
+
+def fisher_information(weights, vectors, theta) -> np.ndarray:
+    """Classical Fisher information per shot about the Bloch vector theta of
+    a setting whose outcome o has probability w_o (1 + a_o . theta): the sum
+    over outcomes of grad p_o grad p_o^T / p_o, which is
+    sum_o w_o a_o a_o^T / (1 + a_o . theta), one outcome at a time."""
+    info = np.zeros((3, 3))
+    for w, a in zip(np.asarray(weights, dtype=float), np.asarray(vectors, dtype=float)):
+        info += w * np.outer(a, a) / (1.0 + a @ theta)
+    return info

@@ -310,6 +310,17 @@ class TestSimulate:
         assert hashlib.sha256(svg).hexdigest() == TRAJECTORY_SVG_SHA256
         assert (out / "trajectory_psd-fraction.svg").exists()
 
+    def test_svg_of_one_point(self, capsys, sim_config, tmp_path):
+        # One schedule entry gives one x and one y: each axis spans a unit
+        # from its value, so the point sits at the chart's lower left corner.
+        out = tmp_path / "plots"
+        config = sim_config(schedule=[20])
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(out), "--svg")
+        assert code == 0, err
+        svg = (out / "trajectory_hs-unconstrained.svg").read_text()
+        assert '<polyline points="70.00,390.00"' in svg
+        assert 'font-size="10">20</text>' in svg and 'font-size="10">21</text>' in svg
+
     @pytest.mark.parametrize("svg", ["false", 1, None])
     def test_config_svg_must_be_boolean(self, capsys, sim_config, svg, tmp_path):
         out = tmp_path / "plots"

@@ -23,7 +23,7 @@ from qtomo.measurement import (
 )
 from qtomo.states import bloch_to_matrix, in_bloch_ball
 
-from oracles import linear_estimator_mse, random_ball_point, random_unit_rows
+from oracles import fisher_information, linear_estimator_mse, random_ball_point, random_unit_rows
 from test_acceptance import HADAMARD_ATOL
 
 THETAS = [
@@ -385,3 +385,97 @@ class TestCompareBatch:
     def test_copies_validated(self, n, message):
         with pytest.raises(InvariantError, match=message):
             compare_batch(np.zeros((1, 3)), n)
+
+
+# Each setting of a scheme as (weights, vectors): its outcome o has
+# probability w_o (1 + a_o . theta).
+STANDARD_SETTINGS = [(np.full(6, 1.0 / 6.0), np.vstack([np.eye(3), -np.eye(3)]))]
+MINIMAL_SETTINGS = [(np.full(4, 0.25), TETRAHEDRON)]
+UNIT_ROWS = st.integers(0, 2**32 - 1).map(lambda s: random_unit_rows(np.random.default_rng(s)))
+# Relative slack of the Fisher-information identities, times the condition
+# number of the matrix they invert.
+FISHER_RTOL = 1e-12
+
+
+def direction_settings(t):
+    return [((0.5, 0.5), np.stack([u, -u])) for u in t]
+
+
+def total_information(settings, theta, shots):
+    """Information of ``shots`` shots of each setting."""
+    return shots * sum(fisher_information(w, a, theta) for w, a in settings)
+
+
+def null_outcome(settings, theta) -> bool:
+    """Some outcome never occurs: a pure state, where F has no bound."""
+    return any(np.min(1.0 + a @ theta) <= 0.0 for _, a in settings)
+
+
+def assert_inverse(v, info):
+    assert np.abs(v @ info - np.eye(3)).max() <= FISHER_RTOL * np.linalg.cond(info)
+
+
+class TestFisherInformation:
+    """Each error matrix against the Cramer-Rao bound V >= F^-1, with F the
+    scheme's total classical Fisher information about theta."""
+
+    @BATCH
+    @given(ball_stacks(), UNIT_ROWS, st.integers(1, 1000))
+    def test_three_direction_is_efficient(self, thetas, t, r):
+        # V F = I: linear inversion of the three binomials attains the bound.
+        settings = direction_settings(t)
+        for theta in thetas:
+            if not null_outcome(settings, theta):
+                info = total_information(settings, theta, r)
+                assert_inverse(mse_three_direction(theta, t, r), info)
+
+    @BATCH
+    @given(ball_stacks(), COPIES)
+    def test_minimal_is_efficient(self, thetas, n):
+        # n V_min = F_min^-1: four outcome frequencies for three parameters
+        # are sufficient, so the linear estimator attains the bound.
+        for theta in thetas:
+            if not null_outcome(MINIMAL_SETTINGS, theta):
+                info = total_information(MINIMAL_SETTINGS, theta, n)
+                assert_inverse(mse_minimal(theta, n), info)
+
+    @BATCH
+    @given(ball_stacks(), COPIES)
+    def test_standard_bound_is_the_complementary_error(self, thetas, n):
+        # F_std^-1 / n = V_comp: the axis POVM carries the complementary
+        # scheme's information, so V_standard - V_comp, the dominance gap,
+        # is all that its linear estimator loses to the bound.
+        for theta in thetas:
+            if not null_outcome(STANDARD_SETTINGS, theta):
+                info = total_information(STANDARD_SETTINGS, theta, n)
+                assert_inverse(mse_three_direction(theta, np.eye(3), n // 3), info)
+
+    @BATCH
+    @given(ball_stacks(), UNIT_ROWS)
+    def test_every_setting_saturates_gill_massar(self, thetas, t):
+        # Tr((I - theta theta^T) F) = 1 per shot, the most that any
+        # measurement of one copy at a time can reach.
+        settings = STANDARD_SETTINGS + MINIMAL_SETTINGS + direction_settings(t)
+        for theta in thetas:
+            sld_inverse = np.eye(3) - np.outer(theta, theta)
+            for w, a in settings:
+                if not null_outcome([(w, a)], theta):
+                    info = fisher_information(w, a, theta)
+                    gap = abs(np.trace(sld_inverse @ info) - 1.0)
+                    assert gap <= FISHER_RTOL * np.linalg.cond(info)
+
+    @BATCH
+    @given(ball_stacks(), UNIT_ROWS, st.integers(1, 1000))
+    def test_no_scheme_beats_the_floor(self, thetas, t, r):
+        # n Tr V >= (Tr sqrt(I - theta theta^T))^2 = (2 + sqrt(1 - |theta|^2))^2,
+        # the Gill-Massar floor; the three-direction error carries the
+        # rounding of inverting T twice.
+        n = 3 * r
+        for theta in thetas:
+            floor = (2.0 + np.sqrt(max(0.0, 1.0 - theta @ theta))) ** 2
+            for v, cond in (
+                (mse_standard(theta, n), 1.0),
+                (mse_minimal(theta, n), 1.0),
+                (mse_three_direction(theta, t, r), np.linalg.cond(t) ** 2),
+            ):
+                assert n * np.trace(v) >= floor * (1.0 - FISHER_RTOL * cond)

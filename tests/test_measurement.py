@@ -207,6 +207,10 @@ class TestProbabilities:
                     linear_scheme(name, dim)
             assert linear_scheme(name, 2).to_matrix(np.zeros((1, 3))).shape == (1, 2, 2)
 
+    def test_unknown_scheme(self):
+        with pytest.raises(InvariantError, match="unknown scheme 'bogus'"):
+            linear_scheme("bogus")
+
 
 class TestPovms:
     def test_standard_effects(self):

@@ -83,8 +83,8 @@ class TestBlochMaps:
 
     def test_in_bloch_ball_rows(self):
         thetas = [[0.3, 0.4, 0.5], [1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.0 + 1e-10, 0.0, 0.0]]
-        assert in_bloch_ball(thetas).tolist() == [True, True, False, False]
-        assert in_bloch_ball(thetas, tol=1e-9).tolist() == [True, True, False, True]
+        assert in_bloch_ball(thetas).tolist() == [True, True, False, True]
+        assert in_bloch_ball([[1 + 1.5e-9, 0, 0], [1 + 2.5e-9, 0, 0]]).tolist() == [True, False]
         assert in_bloch_ball(np.empty((0, 3))).shape == (0,)
         with pytest.raises(InvariantError, match=r"stacked as \(m, 3\)"):
             in_bloch_ball([0.3, 0.4, 0.5])
