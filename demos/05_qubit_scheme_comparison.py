@@ -10,8 +10,7 @@ import numpy as np
 
 from qtomo import (
     average_mse_over_ball,
-    compare_standard_vs_complementary,
-    compare_traces_min_vs_comp,
+    compare_batch,
     empirical_mse,
     mse_minimal,
     mse_standard,
@@ -41,14 +40,14 @@ def main():
     print(f"\nminimal scheme, {TRIALS} simulated experiments: "
           f"largest entry gap to the formula {gap:.2e}")
 
-    diff, dominated = compare_standard_vs_complementary(THETA, COPIES)
-    print(f"\nV_standard - V_comp is PSD: {dominated} "
-          f"(eigenvalues {np.linalg.eigvalsh(diff).round(8)})")
+    c = compare_batch([THETA], COPIES)
+    print(f"\nV_standard - V_comp is PSD: {bool(c.dominated[0])} "
+          f"(eigenvalues {np.linalg.eigvalsh(c.diff[0]).round(8)})")
     print("so splitting the budget over the three axes beats the axis POVM")
     print("at every theta, in the matrix order.")
 
-    trace_comp, trace_min, ok = compare_traces_min_vs_comp(THETA, COPIES)
-    print(f"\ntotal error: Tr V_comp = {trace_comp:.6f} <= Tr V_min = {trace_min:.6f} ({ok})")
+    print(f"\ntotal error: Tr V_comp = {c.trace_comp[0]:.6f} <= "
+          f"Tr V_min = {c.trace_min[0]:.6f} ({bool(c.trace_ok[0])})")
     gap_matrix = mse_minimal(THETA, COPIES) - comp
     eigs = np.linalg.eigvalsh(gap_matrix)
     print(f"but V_min - V_comp has eigenvalues of both signs: {eigs.round(6)}")

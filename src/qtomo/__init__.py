@@ -9,8 +9,7 @@ through exact and empirical mean quadratic error matrices.
 from .error_analysis import (
     AVERAGE_MSE_COEFF,
     average_mse_over_ball,
-    compare_standard_vs_complementary,
-    compare_traces_min_vs_comp,
+    compare_batch,
     empirical_mse,
     mse_minimal,
     mse_standard,
@@ -56,7 +55,6 @@ from .states import (
     PAULI,
     bloch_to_matrix,
     haar_unitary,
-    is_bloch_state,
     random_density,
     require_density,
 )
@@ -81,8 +79,7 @@ __all__ = [
     "TrajectoryRecord",
     "average_mse_over_ball",
     "bloch_to_matrix",
-    "compare_standard_vs_complementary",
-    "compare_traces_min_vs_comp",
+    "compare_batch",
     "constrained_estimate",
     "determinant",
     "diag_observable_z",
@@ -92,7 +89,6 @@ __all__ = [
     "haar_unitary",
     "hs_distance",
     "indefinite_decay_rate",
-    "is_bloch_state",
     "minimal_povm",
     "mse_minimal",
     "mse_standard",

@@ -24,8 +24,6 @@ __all__ = [
     "mse_minimal",
     "empirical_mse",
     "average_mse_over_ball",
-    "compare_standard_vs_complementary",
-    "compare_traces_min_vs_comp",
     "Comparison",
     "compare_batch",
 ]
@@ -177,64 +175,35 @@ class Comparison(NamedTuple):
     dominated: np.ndarray  # diff is PSD: True at every row
     trace_comp: np.ndarray  # Tr V_comp
     trace_min: np.ndarray  # Tr V_min
-    trace_ok: np.ndarray  # Tr V_comp <= Tr V_min within 1e-12
+    trace_ok: np.ndarray  # Tr V_comp <= Tr V_min: True at every row
 
 
 def compare_batch(thetas, total: int) -> Comparison:
     """Both scheme comparisons at every row of an (m, 3) stack of theta.
 
-    Row i holds what ``compare_standard_vs_complementary`` and
-    ``compare_traces_min_vs_comp`` return at ``thetas[i]``, plus the
-    smallest eigenvalue of the difference.  With Theta = diag(theta) and J
-    the all-ones matrix, V_standard - V_comp = Theta (3I - J) Theta / n, and
-    3I - J has spectrum {0, 3, 3}.  So the difference is PSD and singular at
-    every theta: 1 / theta entrywise is a null vector, or a coordinate axis
-    where some theta_i is 0.  ``min_eig`` is therefore +0.0 and
-    ``dominated`` True at every row, by rank rather than by an
-    eigensolver's rounding; no eigensolver runs.  Every row must be a
-    state by ``in_bloch_ball``, and n must be an integer of at least 1
+    The complementary scheme is the three-direction scheme along the
+    coordinate axes with r = n / 3.  Row i holds V_standard - V_comp at
+    ``thetas[i]``, its smallest eigenvalue and whether it is PSD, then
+    Tr V_comp = 3 (3 - |theta|^2) / n, Tr V_min = (9 - |theta|^2) / n and
+    whether Tr V_comp <= Tr V_min.  That comparison needs no slack: it
+    reduces to |theta|^2 >= 0.  The matrix gap V_min - V_comp is indefinite
+    for generic theta, so neither of those two schemes dominates entrywise.
+
+    With Theta = diag(theta) and J the all-ones matrix, V_standard - V_comp
+    = Theta (3I - J) Theta / n, and 3I - J has spectrum {0, 3, 3}.  So the
+    difference is PSD and singular at every theta: 1 / theta entrywise is a
+    null vector, or a coordinate axis where some theta_i is 0.  ``min_eig``
+    is therefore +0.0 and ``dominated`` True at every row, by rank rather
+    than by an eigensolver's rounding; no eigensolver runs.  Every row must
+    be a state by ``in_bloch_ball``, and n must be an integer of at least 1
     divisible by 3.  Only ``diff`` is a matrix; the other fields are
-    constants or functions of |theta|^2, so the CLI's grid writes them
-    with no 3x3 stack built.
+    constants or functions of |theta|^2, so the CLI's grid writes them with
+    no 3x3 stack built.
     """
     t = _check_thetas(thetas)
     n = _check_total(total, divisor=3)
     diff = _standard_rows(t, n) - _complementary_rows(t, float(n))
     return Comparison(diff, *_comparison_scalars(t, n))
-
-
-def compare_standard_vs_complementary(theta, total: int):
-    """Difference V_standard - V_complementary at equal copy budget n.
-
-    The complementary scheme is the three-direction scheme along the
-    coordinate axes with r = n / 3, so n must be divisible by 3.  Returns
-    the difference matrix and a flag for whether it is PSD, i.e. whether the
-    axis POVM is dominated at this theta.  The difference works out to
-    (2 diag(theta_i^2) - offdiag(theta_i theta_j)) / n, the Hadamard
-    product (3I - J) o theta theta^T / n, which is PSD with smallest
-    eigenvalue 0 for every theta, so the flag is always True.  This is row
-    0 of ``compare_batch``, whose docstring gives the factorization.
-    """
-    c = compare_batch(bloch_vector(theta)[None], total)
-    return c.diff[0], bool(c.dominated[0])
-
-
-def compare_traces_min_vs_comp(theta, total: int):
-    """Traces of the complementary and tetrahedral error matrices at budget n.
-
-    Tr V_comp = 3 (3 - |theta|^2) / n and Tr V_min = (9 - |theta|^2) / n, so
-    the complementary scheme never loses on total error; the full matrix
-    difference V_min - V_comp is indefinite for generic theta, so neither
-    scheme dominates entrywise.  Requires n divisible by 3.  This is row 0
-    of ``compare_batch``.
-
-    Returns
-    -------
-    (float, float, bool)
-        (Tr V_comp, Tr V_min, Tr V_comp <= Tr V_min within 1e-12).
-    """
-    c = compare_batch(bloch_vector(theta)[None], total)
-    return float(c.trace_comp[0]), float(c.trace_min[0]), bool(c.trace_ok[0])
 
 
 def _comparison_scalars(t: np.ndarray, n: int):
@@ -243,5 +212,5 @@ def _comparison_scalars(t: np.ndarray, n: int):
     norm_sq = row_dots(t)
     trace_comp = 3.0 * (3.0 - norm_sq) / n
     trace_min = (9.0 - norm_sq) / n
-    ok = trace_comp <= trace_min + 1e-12
+    ok = trace_comp <= trace_min
     return np.zeros(len(t)), np.ones(len(t), dtype=bool), trace_comp, trace_min, ok

@@ -16,6 +16,7 @@ __all__ = [
     "HERMITIAN_ATOL",
     "PSD_ATOL",
     "SCREEN_MARGIN",
+    "SINGULAR_ATOL",
     "SPECTRAL_GAP",
     "SPECTRAL_SCALE",
     "TRACE_ATOL",
@@ -46,8 +47,11 @@ SCREEN_MARGIN = 1e-6
 # A k = 3 projection uses the closed form at gaps >= SPECTRAL_GAP max(|l1|, l3) <= SPECTRAL_SCALE.
 SPECTRAL_GAP = 1e-3
 SPECTRAL_SCALE = 16.0
-# Slack on unit-trace and unit-sum checks.
+# Slack on unit-trace and unit-sum checks, and on the norm of a unit
+# direction and the total of a count record.
 TRACE_ATOL = 1e-9
+# A direction matrix whose |determinant| is at most this is singular.
+SINGULAR_ATOL = 1e-12
 
 
 class InvariantError(ValueError):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import InvariantError, is_integer
+from .linalg import SINGULAR_ATOL, TRACE_ATOL, InvariantError, is_integer
 from .states import PAULI, SIGMA_0, require_density
 
 __all__ = [
@@ -234,7 +234,7 @@ def direction_observable(direction) -> Observable:
     u = np.asarray(direction, dtype=float)
     if u.shape != (3,):
         raise InvariantError(f"direction must have shape (3,), got {u.shape}")
-    if not abs(float(np.linalg.norm(u)) - 1.0) <= 1e-9:
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= TRACE_ATOL:
         raise InvariantError("direction must be a unit vector")
     spin = np.tensordot(u, PAULI, axes=1)
     plus = 0.5 * (SIGMA_0 + spin)
@@ -296,7 +296,7 @@ def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.nda
     """The one check of an outcome-count record, returning its relative
     frequencies: ``counts`` has shape (outcomes,), finite nonnegative entries
     (fractions allowed, so expected counts work) and at least one shot.  With
-    ``shots`` the total must equal it within 1e-9 and the result is
+    ``shots`` the total must equal it within ``TRACE_ATOL`` and the result is
     ``counts / shots``; without, it is ``counts / total``."""
     c = np.asarray(counts, dtype=float)
     if c.shape != (outcomes,):
@@ -306,7 +306,7 @@ def count_frequencies(counts, outcomes: int, shots: int | None = None) -> np.nda
     total = float(c.sum())
     if shots is None:
         shots = total
-    elif abs(total - shots) > 1e-9:
+    elif abs(total - shots) > TRACE_ATOL:
         raise InvariantError(f"counts sum to {total!r}, expected {shots}")
     if shots < 1:
         raise InvariantError("counts must contain at least one shot")
@@ -450,9 +450,9 @@ def _direction_matrix(directions) -> np.ndarray:
     if t.shape != (3, 3):
         raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
     norms = np.linalg.norm(t, axis=1)
-    if not np.abs(norms - 1.0).max() <= 1e-9:
+    if not np.abs(norms - 1.0).max() <= TRACE_ATOL:
         raise InvariantError("direction rows must be unit vectors")
-    if abs(float(np.linalg.det(t))) <= 1e-12:
+    if abs(float(np.linalg.det(t))) <= SINGULAR_ATOL:
         raise InvariantError("direction matrix is singular")
     return t
 

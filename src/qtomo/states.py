@@ -11,7 +11,6 @@ __all__ = [
     "PAULI",
     "bloch_vector",
     "bloch_to_matrix",
-    "is_bloch_state",
     "in_bloch_ball",
     "require_trace_one",
     "require_density",
@@ -50,12 +49,6 @@ def bloch_to_matrix(theta) -> np.ndarray:
     is a density matrix exactly when ``|theta| <= 1``.
     """
     return 0.5 * (SIGMA_0 + np.tensordot(bloch_vector(theta), PAULI, axes=1))
-
-
-def is_bloch_state(theta) -> bool:
-    """Whether a Bloch vector is a state, by ``in_bloch_ball``; a NaN or
-    infinite entry raises, as in ``bloch_vector``."""
-    return bool(in_bloch_ball(bloch_vector(theta)[None])[0])
 
 
 def in_bloch_ball(thetas) -> np.ndarray:

@@ -12,8 +12,7 @@ from qtomo.cli import main
 from qtomo.error_analysis import (
     AVERAGE_MSE_COEFF,
     average_mse_over_ball,
-    compare_standard_vs_complementary,
-    compare_traces_min_vs_comp,
+    compare_batch,
     empirical_mse,
     mse_minimal,
     mse_standard,
@@ -356,8 +355,9 @@ def test_criterion_07_standard_dominated_and_hadamard_identity():
                (lambda g: g / np.linalg.norm(g, axis=1, keepdims=True))(
                    rng.standard_normal((200, 3)))]
     for theta in points:
-        diff, dominated = compare_standard_vs_complementary(theta, n)
-        assert dominated
+        c = compare_batch([theta], n)
+        diff = c.diff[0]
+        assert bool(c.dominated[0])
         assert float(np.linalg.eigvalsh(diff)[0]) >= PSD_EIG_FLOOR
         expect = hadamard_core * np.outer(theta, theta) / n
         assert np.abs(diff - expect).max() <= HADAMARD_ATOL
@@ -404,8 +404,9 @@ def test_criterion_09_trace_inequality_and_indefinite_gap():
     for _ in range(300):
         g = rng.standard_normal(3)
         theta = g / np.linalg.norm(g) * rng.uniform() ** (1 / 3)
-        trace_comp, trace_min, ok = compare_traces_min_vs_comp(theta, n)
-        assert ok
+        c = compare_batch([theta], n)
+        trace_comp, trace_min = float(c.trace_comp[0]), float(c.trace_min[0])
+        assert bool(c.trace_ok[0])
         norm_sq = float(theta @ theta)
         assert abs(trace_comp - 3 * (3 - norm_sq) / n) <= TRACE_ATOL
         assert abs(trace_min - (9 - norm_sq) / n) <= TRACE_ATOL

@@ -7,8 +7,6 @@ from qtomo.error_analysis import (
     AVERAGE_MSE_COEFF,
     average_mse_over_ball,
     compare_batch,
-    compare_standard_vs_complementary,
-    compare_traces_min_vs_comp,
     empirical_mse,
     mse_minimal,
     mse_standard,
@@ -100,17 +98,21 @@ class TestClosedForms:
             mse_minimal([2.0, 0.0, 0.0], 100)
         with pytest.raises(InvariantError, match="3x3"):
             mse_three_direction([0.0, 0.0, 0.0], np.eye(2), 1)
-        for call in (mse_standard, compare_standard_vs_complementary):
-            with pytest.raises(InvariantError, match="Bloch vector must have shape"):
-                call([0.1, 0.2], 300)
-            with pytest.raises(InvariantError, match="finite"):
-                call([np.nan, 0.0, 0.0], 300)
+        with pytest.raises(InvariantError, match="Bloch vector must have shape"):
+            mse_standard([0.1, 0.2], 300)
+        with pytest.raises(InvariantError, match="finite"):
+            mse_standard([np.nan, 0.0, 0.0], 300)
+        # A stack has no shape (3,) to check: it is judged by its rows.
+        with pytest.raises(InvariantError, match=r"stacked as \(m, 3\)"):
+            compare_batch([[0.1, 0.2]], 300)
+        with pytest.raises(InvariantError, match="closed unit Bloch ball"):
+            compare_batch([[np.nan, 0.0, 0.0]], 300)
 
     @pytest.mark.parametrize("count", [300.7, 300.0, 2.5, True, "300"])
     def test_counts_must_be_integers(self, count):
         # Non-integers are rejected, never truncated.
         theta = [0.3, 0.4, 0.5]
-        for call in (mse_standard, mse_minimal, compare_traces_min_vs_comp):
+        for call in (mse_standard, mse_minimal):
             with pytest.raises(InvariantError, match="integer"):
                 call(theta, count)
         with pytest.raises(InvariantError, match="integer"):
@@ -199,38 +201,38 @@ class TestComparisons:
     @pytest.mark.parametrize("theta", THETAS, ids=["origin", "x06", "generic", "z05"])
     def test_difference_closed_form(self, theta):
         n = 300
-        diff, dominated = compare_standard_vs_complementary(theta, n)
+        c = compare_batch([theta], n)
         # diag 2 theta_i^2 / n, off-diagonal -theta_i theta_j / n.
         expect = (3.0 * np.diag(theta**2) - np.outer(theta, theta)) / n
-        assert np.abs(diff - expect).max() < 1e-14
-        assert dominated
+        assert np.abs(c.diff[0] - expect).max() < 1e-14
+        assert bool(c.dominated[0])
 
     def test_difference_psd_everywhere(self):
         rng = np.random.default_rng(604)
         for _ in range(200):
             theta = random_ball_point(rng)
-            diff, dominated = compare_standard_vs_complementary(theta, 30)
-            assert dominated
-            assert np.linalg.eigvalsh(diff)[0] >= -1e-12 * np.linalg.norm(diff)
+            c = compare_batch([theta], 30)
+            assert bool(c.dominated[0])
+            assert np.linalg.eigvalsh(c.diff[0])[0] >= -1e-12 * np.linalg.norm(c.diff[0])
 
     def test_zero_at_origin(self):
-        diff, dominated = compare_standard_vs_complementary([0.0, 0.0, 0.0], 30)
-        assert np.abs(diff).max() == 0.0
-        assert dominated
+        c = compare_batch([[0.0, 0.0, 0.0]], 30)
+        assert np.abs(c.diff[0]).max() == 0.0
+        assert bool(c.dominated[0])
 
     def test_trace_comparison(self):
-        trace_comp, trace_min, ok = compare_traces_min_vs_comp([0.0, 0.0, 0.5], 300)
-        assert trace_comp == pytest.approx(3 * (3 - 0.25) / 300, abs=1e-15)
-        assert trace_min == pytest.approx((9 - 0.25) / 300, abs=1e-15)
-        assert ok
+        c = compare_batch([[0.0, 0.0, 0.5]], 300)
+        assert float(c.trace_comp[0]) == pytest.approx(3 * (3 - 0.25) / 300, abs=1e-15)
+        assert float(c.trace_min[0]) == pytest.approx((9 - 0.25) / 300, abs=1e-15)
+        assert bool(c.trace_ok[0])
 
     def test_trace_comparison_on_ball(self):
         rng = np.random.default_rng(605)
         for _ in range(100):
             theta = random_ball_point(rng)
-            trace_comp, trace_min, ok = compare_traces_min_vs_comp(theta, 30)
-            assert ok
-            assert trace_comp <= trace_min + 1e-15
+            c = compare_batch([theta], 30)
+            assert bool(c.trace_ok[0])
+            assert float(c.trace_comp[0]) <= float(c.trace_min[0]) + 1e-15
 
     def test_minimal_not_dominated_entrywise(self):
         # The matrix gap V_min - V_comp has eigenvalues of both signs at
@@ -245,9 +247,9 @@ class TestComparisons:
 
     def test_divisibility_checked(self):
         with pytest.raises(InvariantError):
-            compare_traces_min_vs_comp([0.0, 0.0, 0.0], 100)
+            compare_batch([[0.0, 0.0, 0.0]], 100)
         with pytest.raises(InvariantError, match="divisible by 3"):
-            compare_standard_vs_complementary([0.3, 0.4, 0.5], 100)
+            compare_batch([[0.3, 0.4, 0.5]], 100)
 
 
 @st.composite
@@ -293,21 +295,16 @@ def _assert_gap_is_exact(c, thetas, n):
     assert np.abs(c.diff - expect).max() <= HADAMARD_ATOL
 
 
-class TestCompareBatch:
-    @BATCH
-    @given(ball_stacks(), COPIES)
-    def test_rows_equal_scalar_functions(self, thetas, n):
-        c = compare_batch(thetas, n)
-        for i, theta in enumerate(thetas):
-            diff, dominated = compare_standard_vs_complementary(theta, n)
-            trace_comp, trace_min, trace_ok = compare_traces_min_vs_comp(theta, n)
-            assert _bits(c.diff[i]) == _bits(diff)
-            assert _bits(c.min_eig[i]) == _bits(0.0)
-            assert bool(c.dominated[i]) is dominated
-            assert _bits(c.trace_comp[i]) == _bits(trace_comp)
-            assert _bits(c.trace_min[i]) == _bits(trace_min)
-            assert bool(c.trace_ok[i]) is trace_ok
+def _grid_41_ball():
+    """The ball points of `compare --grid 41`."""
+    axis = np.linspace(-1.0, 1.0, 41)
+    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    thetas = cube[in_bloch_ball(cube)]
+    assert len(thetas) == 33_401
+    return thetas
 
+
+class TestCompareBatch:
     @BATCH
     @given(ball_stacks(), COPIES)
     def test_rows_equal_one_vector_formulas(self, thetas, n):
@@ -337,12 +334,19 @@ class TestCompareBatch:
         _assert_gap_is_exact(compare_batch(thetas, n), thetas, n)
 
     def test_gap_is_exactly_psd_on_grid_41(self):
-        # The ball points of `compare --grid 41` at 300 copies.
-        axis = np.linspace(-1.0, 1.0, 41)
-        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        thetas = cube[in_bloch_ball(cube)]
-        assert len(thetas) == 33_401
+        thetas = _grid_41_ball()
         _assert_gap_is_exact(compare_batch(thetas, 300), thetas, 300)
+
+    @BATCH
+    @given(ball_stacks(), st.one_of(COPIES, st.integers(1, 2**40).map(lambda a: 3 * a)))
+    def test_trace_order_needs_no_slack(self, thetas, n):
+        # 3 (3 - s) / n <= (9 - s) / n holds in floating point as written.
+        c = compare_batch(thetas, n)
+        assert np.all(c.trace_comp <= c.trace_min)
+
+    def test_trace_order_needs_no_slack_on_grid_41(self):
+        c = compare_batch(_grid_41_ball(), 300)
+        assert np.all(c.trace_comp <= c.trace_min)
 
     @BATCH
     @given(ball_stacks(), st.data())
@@ -352,12 +356,6 @@ class TestCompareBatch:
         thetas[row] = direction * data.draw(st.floats(1.0 + 1e-8, 2.0))
         with pytest.raises(InvariantError, match="closed unit Bloch ball"):
             compare_batch(thetas, 300)
-
-    def test_return_types_of_one_point_functions(self):
-        diff, dominated = compare_standard_vs_complementary([0.3, 0.4, 0.5], 300)
-        traces = compare_traces_min_vs_comp([0.3, 0.4, 0.5], 300)
-        assert diff.shape == (3, 3) and type(dominated) is bool
-        assert [type(v) for v in traces] == [float, float, bool]
 
     @pytest.mark.parametrize("tiny", [1e-9, -1.1102230246251565e-16, 5e-86])
     def test_dominated_near_origin(self, tiny):

@@ -36,6 +36,9 @@ DELETED = [
         ("estimators", "three_direction_estimate"),
         ("estimators", "standard_estimate"),
         ("estimators", "minimal_estimate"),
+        ("error_analysis", "compare_standard_vs_complementary"),
+        ("error_analysis", "compare_traces_min_vs_comp"),
+        ("states", "is_bloch_state"),
     )
     for module_name in ("qtomo", f"qtomo.{owner}")
 ]

@@ -27,7 +27,7 @@ from qtomo.measurement import (
     stream_rng,
 )
 from qtomo.simulation import ExperimentConfig, run_trajectory
-from qtomo.states import PAULI, bloch_to_matrix, is_bloch_state, random_density
+from qtomo.states import PAULI, bloch_to_matrix, bloch_vector, in_bloch_ball, random_density
 
 from oracles import entrywise_matrices_complex, random_ball_point
 
@@ -396,7 +396,9 @@ NON_FINITE_INPUTS = {
             directions=_directions(x),
         )
     ),
-    "is_bloch_state": lambda x: is_bloch_state([x, 0.0, 0.0]),
+    # Whether one vector is a state: ``bloch_vector`` raises before
+    # ``in_bloch_ball``, which answers a stack's non-finite row with False.
+    "is_bloch_state": lambda x: in_bloch_ball(bloch_vector([x, 0.0, 0.0])[None])[0],
     "bloch_to_matrix": lambda x: bloch_to_matrix([0.0, x, 0.0]),
     "hs_distance": lambda x: hs_distance([[x, 0.0], [0.0, 1.0]], np.eye(2)),
 }

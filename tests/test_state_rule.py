@@ -18,7 +18,7 @@ from qtomo.error_analysis import (
 from qtomo.linalg import InvariantError
 from qtomo.measurement import SCHEMES, linear_scheme, outcome_probabilities
 from qtomo.simulation import ExperimentConfig, run_trajectory
-from qtomo.states import bloch_to_matrix, is_bloch_state, require_density
+from qtomo.states import bloch_to_matrix, bloch_vector, in_bloch_ball, require_density
 
 QUBIT_SCHEMES = ("three-direction", "standard", "minimal")
 # theta = (1 + delta) u: the PSD rule accepts delta = 1.5e-9 and rejects
@@ -88,7 +88,8 @@ def test_the_edge_points_take_both_verdicts(point):
 
 @pytest.mark.parametrize("point", EDGE)
 def test_is_bloch_state_agrees(point):
-    assert is_bloch_state(EDGE[point]) is density_accepts(EDGE[point])
+    theta = EDGE[point]
+    assert bool(in_bloch_ball(bloch_vector(theta)[None])[0]) is density_accepts(theta)
 
 
 @pytest.mark.parametrize("entry", LIBRARY)

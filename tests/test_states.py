@@ -9,7 +9,6 @@ from qtomo.states import (
     bloch_vector,
     haar_unitary,
     in_bloch_ball,
-    is_bloch_state,
     random_density,
     require_density,
     require_trace_one,
@@ -68,11 +67,15 @@ class TestBlochMaps:
             bloch_to_matrix([1.0, 0.0])
 
     def test_is_bloch_state(self):
-        assert is_bloch_state([0.3, 0.4, 0.5])
-        assert is_bloch_state([1.0, 0.0, 0.0])
-        assert not is_bloch_state([1.0, 0.1, 0.0])
+        # One vector: checked by ``bloch_vector``, judged by ``in_bloch_ball``.
+        def is_state(theta):
+            return bool(in_bloch_ball(bloch_vector(theta)[None])[0])
+
+        assert is_state([0.3, 0.4, 0.5])
+        assert is_state([1.0, 0.0, 0.0])
+        assert not is_state([1.0, 0.1, 0.0])
         with pytest.raises(InvariantError, match="Bloch vector must have shape"):
-            is_bloch_state([[0.3, 0.4, 0.5]])
+            is_state([[0.3, 0.4, 0.5]])
 
     def test_bloch_vector(self):
         t = bloch_vector([1, 2, 3])
