@@ -169,8 +169,9 @@ def constrained_estimate(matrix):
     norm: the one-matrix case of ``constrained_rows``.
 
     Returns the density matrix and the number of redistribution sweeps.  An
-    input that is already PSD (within 1e-9) is returned as is with 0 sweeps,
-    so the constrained and unconstrained estimates then coincide exactly.
+    input that is already PSD (within ``PSD_ATOL``) is returned as is with 0
+    sweeps, so the constrained and unconstrained estimates then coincide
+    exactly.
     """
     require_trace_one(matrix)
     h = np.array(matrix, dtype=complex)

@@ -72,6 +72,15 @@ CHUNK_TRIALS = 4096
 # observables hold up to three k x k projectors each, about 48 k^4 bytes: at
 # k = 32 povm-check takes 0.84 s and 81 MiB, at k = 64 it would need 0.8 GB.
 MAX_DIM = 32
+# A setting of d outcomes is drawn from a table of its exact count CDF when
+# its count simplex, C(shots + d - 1, d - 1) count vectors, has at most this
+# many cells, and by numpy's multinomial sampler otherwise.  A setting of
+# fewer than three outcomes is counted as if it had three, so it is tabled
+# up to 126 shots.  Both bounds are where the table stops being the faster
+# on 4,096-row draws: above about 10,000 cells at d = 3 to 6, where numpy
+# sets up a binomial for every outcome of every row, and above about 150
+# shots at d = 2, where numpy sets up its one binomial once per call.
+_TABLE_CELLS = 2**13
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -225,6 +234,12 @@ def diag_observable_z(dim: int, i: int) -> Observable:
     return Observable((1.0, 0.0), np.stack([e_ii, np.eye(dim, dtype=complex) - e_ii]))
 
 
+def _require_unit(directions: np.ndarray):
+    # The one unit-norm check of Bloch directions, one per row of the last axis.
+    if not (np.abs(np.linalg.norm(directions, axis=-1) - 1.0) <= TRACE_ATOL).all():
+        raise InvariantError("directions must be unit vectors")
+
+
 def direction_observable(direction) -> Observable:
     """Qubit spin observable along a unit Bloch direction u.
 
@@ -234,8 +249,7 @@ def direction_observable(direction) -> Observable:
     u = np.asarray(direction, dtype=float)
     if u.shape != (3,):
         raise InvariantError(f"direction must have shape (3,), got {u.shape}")
-    if not abs(float(np.linalg.norm(u)) - 1.0) <= TRACE_ATOL:
-        raise InvariantError("direction must be a unit vector")
+    _require_unit(u)
     spin = np.tensordot(u, PAULI, axes=1)
     plus = 0.5 * (SIGMA_0 + spin)
     minus = 0.5 * (SIGMA_0 - spin)
@@ -367,6 +381,45 @@ class MeasurementPlan:
         return self.repetitions * (self.dim**2 - 1)
 
 
+def _count_table(shots: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every count vector of ``shots`` shots over the outcomes of ``p``, as
+    (cells, d) rows in lexicographic order, and their multinomial CDF, which
+    ends at exactly 1."""
+    d = len(p)
+    cells, rest = np.zeros((1, 0), dtype=np.int64), np.array([shots], dtype=np.int64)
+    for _ in range(d - 1):
+        reps = rest + 1
+        x = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        cells = np.column_stack([np.repeat(cells, reps, axis=0), x])
+        rest = np.repeat(rest, reps) - x
+    cells = np.column_stack([cells, rest])
+    log_fact = np.array([math.lgamma(x + 1.0) for x in range(shots + 1)])
+    log_p = np.log(p, out=np.zeros(d), where=p > 0)
+    # Column j is x log p_j - log x! for x = 0..shots: 0 log 0 is 0, and any
+    # shot of an impossible outcome -inf.
+    terms = np.outer(np.arange(shots + 1), log_p) - log_fact[:, None]
+    terms[1:, p == 0] = -np.inf
+    cdf = np.cumsum(np.exp(log_fact[shots] + sum(terms[cells[:, j], j] for j in range(d))))
+    return cells, cdf / cdf[-1]
+
+
+def _draw_counts(rng: np.random.Generator, shots: int, p: np.ndarray, m: int) -> np.ndarray:
+    """Outcome counts (m, d) of ``m`` independent runs of ``shots`` shots
+    with outcome distribution ``p``, the one sampler of every scheme.
+
+    A count simplex of at most ``_TABLE_CELLS`` cells, counting at least
+    three outcomes, is drawn by inversion: each row is the cell of
+    ``_count_table`` in whose CDF step one uniform lands.  A larger one is
+    ``rng.multinomial(shots, p, size=m)``.  The cells are counted with
+    Python integers, so any C long of shots is safe.
+    """
+    n, e = int(shots), max(len(p), 3)
+    if math.comb(n + e - 1, e - 1) > _TABLE_CELLS:
+        return rng.multinomial(n, p, size=m)
+    cells, cdf = _count_table(n, p)
+    return cells[np.searchsorted(cdf, rng.random(m), side="right")]
+
+
 def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> dict:
     """Outcome counts for every observable in the plan, keyed by label.
 
@@ -375,7 +428,8 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
     ``LinearScheme.probabilities``.
     """
     probs = plan.scheme.probabilities(rho)
-    return {key: rng.multinomial(plan.repetitions, p / p.sum()) for key, p in zip(plan.keys, probs)}
+    r = plan.repetitions
+    return {key: _draw_counts(rng, r, p / p.sum(), 1)[0] for key, p in zip(plan.keys, probs)}
 
 
 @dataclass(frozen=True)
@@ -418,9 +472,9 @@ class LinearScheme:
         """Parameter estimates of ``m`` independent runs of ``shots`` shots per
         setting, given the settings' outcome distributions ``probs``.
 
-        Draws one multinomial block per setting, in setting order.
+        Draws one ``_draw_counts`` block per setting, in setting order.
         """
-        draws = (rng.multinomial(shots, p, size=m) / shots for p in probs)
+        draws = (_draw_counts(rng, shots, p, m) / shots for p in probs)
         return self.estimate(draws, m)
 
 
@@ -449,9 +503,7 @@ def _direction_matrix(directions) -> np.ndarray:
         raise InvariantError("directions must be a 3x3 matrix of real numbers") from None
     if t.shape != (3, 3):
         raise InvariantError(f"directions must be a 3x3 matrix, got {t.shape}")
-    norms = np.linalg.norm(t, axis=1)
-    if not np.abs(norms - 1.0).max() <= TRACE_ATOL:
-        raise InvariantError("direction rows must be unit vectors")
+    _require_unit(t)
     if abs(float(np.linalg.det(t))) <= SINGULAR_ATOL:
         raise InvariantError("direction matrix is singular")
     return t

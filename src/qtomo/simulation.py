@@ -46,7 +46,9 @@ METRICS = (
     "det-mean",
 )
 
-# Shots per setting reach the multinomial sampler as a C long.
+# Shots per setting reach measurement._draw_counts, which counts a setting's
+# cells in Python integers and passes the shots of a setting above its table
+# cap to numpy's multinomial sampler as a C long.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 # Stream namespaces under the master seed.
 _NS_STATE = 0

@@ -102,8 +102,8 @@ def random_density(
         Source of randomness; callers own seeding and stream splitting.
     eigenvalues : array_like, optional
         Fixed spectrum to use.  It must pass ``psd_mask`` and sum to one
-        within 1e-9.  When omitted the spectrum is drawn uniformly from the
-        probability simplex.
+        within ``TRACE_ATOL``.  When omitted the spectrum is drawn uniformly
+        from the probability simplex.
 
     Returns
     -------

@@ -15,8 +15,12 @@ complex temporaries instead of real and imaginary views, and the rows that
 the k = 3 projection leaves to ``eigh`` are named from the closed-form
 spectrum by the limits as documented; the Fisher information of a setting
 is summed outcome by outcome from its probabilities, not read from any
-error matrix.
+error matrix; and a multinomial probability is exact, from integer
+binomial coefficients and rational powers, not from logarithms.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -280,3 +284,19 @@ def fisher_information(weights, vectors, theta) -> np.ndarray:
     for w, a in zip(np.asarray(weights, dtype=float), np.asarray(vectors, dtype=float)):
         info += w * np.outer(a, a) / (1.0 + a @ theta)
     return info
+
+
+def multinomial_pmf(counts, probs) -> Fraction:
+    """Exact probability of the count vector ``counts`` in ``sum(counts)``
+    independent draws from the outcome distribution ``probs``, each float
+    taken at its exact binary value: the multinomial coefficient as a
+    product of binomial coefficients, times the rational power of each
+    probability (0^0 = 1)."""
+    coefficient, left = 1, sum(counts)
+    for x in counts:
+        coefficient *= math.comb(left, x)
+        left -= x
+    pmf = Fraction(coefficient)
+    for x, p in zip(counts, probs):
+        pmf *= Fraction(float(p)) ** x
+    return pmf

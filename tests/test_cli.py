@@ -39,7 +39,7 @@ MALFORMED_DIRECTIONS = (
 # --theta values with an entry that parses as a float but is not finite.
 NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
 # sha256 of trajectory_hs-unconstrained.svg for the sim_config defaults.
-TRAJECTORY_SVG_SHA256 = "75c572a211a9a6640a6c77e1e905df081aa30fec27b9fbe9b0883e874573b06a"
+TRAJECTORY_SVG_SHA256 = "00876b16d2557dbedfd5492e4fb1b183b40faf26b30f993458fb8b83bf4c29a5"
 
 
 def run(capsys, *argv):

@@ -3,6 +3,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qtomo import cli, simulation
+from qtomo import cli, measurement, simulation
 from qtomo.cli import _GRID_HEADER, _build_parser, main
 from qtomo.measurement import CHUNK_TRIALS
 
@@ -113,6 +114,19 @@ def test_readme_block_budget_matches_the_module():
     whole = int(trials.group(2))
     assert simulation._BLOCK_BYTES // (16 * whole**2) >= CHUNK_TRIALS
     assert simulation._BLOCK_BYTES // (16 * (whole + 1) ** 2) < CHUNK_TRIALS
+
+
+def test_readme_count_table_cap_matches_the_module():
+    # Determinism's table cap and the largest r it tabulates at each d read
+    # the module's cap, over at least three outcomes.
+    readme = (ROOT / "README.md").read_text()
+    cap = re.search(r"at most\s+`2\*\*(\d+)` = ([\d,]+) of them", readme)
+    edges = re.findall(r"r ≤ ([\d,]+) at\s+d = (\d+)", readme)
+    assert cap and edges, "Determinism no longer states the count table cap"
+    assert 2 ** int(cap.group(1)) == int(cap.group(2).replace(",", "")) == measurement._TABLE_CELLS
+    for shots, d in ((int(r.replace(",", "")), max(int(d), 3)) for r, d in edges):
+        assert math.comb(shots + d - 1, d - 1) <= measurement._TABLE_CELLS
+        assert math.comb(shots + d, d - 1) > measurement._TABLE_CELLS
 
 
 def test_readme_slab_budget_matches_the_module():

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +32,7 @@ from qtomo.measurement import (
 from qtomo.simulation import ExperimentConfig, run_trajectory
 from qtomo.states import PAULI, bloch_to_matrix, bloch_vector, in_bloch_ball, random_density
 
-from oracles import entrywise_matrices_complex, random_ball_point
+from oracles import entrywise_matrices_complex, multinomial_pmf, random_ball_point
 
 
 class TestObservableStructure:
@@ -275,6 +278,128 @@ class TestSampling:
         ):
             with pytest.raises(InvariantError, match=message):
                 count_frequencies(counts, outcomes, shots)
+
+
+# The largest shots the table takes at d outcomes: those whose count
+# simplex over max(d, 3) outcomes has at most _TABLE_CELLS cells.
+CAP_EDGE = {1: 126, 2: 126, 3: 126, 4: 34, 6: 12}
+# (shots, outcome distribution) pairs whose table is checked against the
+# exact law.  Large simplexes take dyadic probabilities, which keep the
+# exact powers small.
+EXACT_LAW_CASES = [
+    (1, (0.3, 0.7)),
+    (7, (0.3, 0.7)),
+    (CAP_EDGE[2], (0.3, 0.7)),
+    (CAP_EDGE[1], (1.0,)),
+    (1, (0.2, 0.3, 0.5)),
+    (9, (0.2, 0.3, 0.5)),
+    (CAP_EDGE[3], (0.125, 0.375, 0.5)),
+    (1, (0.1, 0.2, 0.3, 0.4)),
+    (6, (0.1, 0.2, 0.3, 0.4)),
+    (CAP_EDGE[4], (0.1, 0.2, 0.3, 0.4)),
+    (30, (0.0, 0.4, 0.6)),
+    (12, (1.0, 0.0, 0.0)),
+    (5, (0.0, 1.0)),
+]
+LAW_TV = 1e-11
+
+
+def _table_law(shots, probs):
+    """The table's cells and the probability of each under inversion of a
+    uniform draw, the steps of its CDF."""
+    cells, cdf = measurement._count_table(shots, np.array(probs))
+    return cells, np.diff(cdf, prepend=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDrawCounts:
+    """``measurement._draw_counts`` draws the exact multinomial law: by
+    inverting the count CDF up to ``_TABLE_CELLS`` cells, counting at least
+    three outcomes, and by numpy above."""
+
+    @pytest.mark.parametrize("d", sorted(CAP_EDGE))
+    def test_cap_edges_pick_the_path(self, monkeypatch, d):
+        e = max(d, 3)
+        assert math.comb(CAP_EDGE[d] + e - 1, e - 1) <= measurement._TABLE_CELLS
+        assert math.comb(CAP_EDGE[d] + e, e - 1) > measurement._TABLE_CELLS
+        built, table = [], measurement._count_table
+        monkeypatch.setattr(measurement, "_count_table", lambda n, p: built.append(n) or table(n, p))
+        for shots in (CAP_EDGE[d], CAP_EDGE[d] + 1):
+            measurement._draw_counts(stream_rng(2), shots, np.full(d, 1.0 / d), 3)
+        assert built == [CAP_EDGE[d]]
+
+    @pytest.mark.parametrize("shots, probs", EXACT_LAW_CASES)
+    def test_table_matches_exact_law(self, shots, probs):
+        cells, law = _table_law(shots, probs)
+        d = len(probs)
+        # Every count vector once, in lexicographic order.
+        assert cells.shape == (math.comb(shots + d - 1, d - 1), d)
+        assert (cells >= 0).all() and (cells.sum(axis=1) == shots).all()
+        rows = cells.tolist()
+        assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+        assert (law >= 0.0).all() and law.sum() == pytest.approx(1.0, abs=1e-15)
+        exact = [float(multinomial_pmf(c, probs)) for c in cells.tolist()]
+        assert 0.5 * np.abs(law - exact).sum() <= LAW_TV
+
+    @pytest.mark.parametrize("shots, probs", [(10, (0.2, 0.3, 0.5)), (5, (0.0, 0.1, 0.3, 0.6))])
+    def test_draws_fit_the_exact_law(self, shots, probs):
+        m = 200_000
+        draws = measurement._draw_counts(stream_rng(3, shots), shots, np.array(probs), m)
+        cells = _table_law(shots, probs)[0].tolist()
+        index = {tuple(c): i for i, c in enumerate(cells)}
+        observed = np.bincount([index[tuple(c)] for c in draws.tolist()], minlength=len(cells))
+        expected = m * np.array([float(multinomial_pmf(c, probs)) for c in cells])
+        # A cell the law excludes is never drawn; the rest are pooled into
+        # one bin below an expectation of 5 and scored by chi-square.
+        assert observed[expected == 0.0].sum() == 0
+        big = expected >= 5.0
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        df = len(obs) - 1
+        assert ((obs - exp) ** 2 / exp).sum() <= df + 6.0 * math.sqrt(2.0 * df)
+
+    @pytest.mark.parametrize(
+        "shots, probs",
+        [
+            (CAP_EDGE[1] + 1, (1.0,)),
+            (CAP_EDGE[2] + 1, (0.3, 0.7)),
+            (16383, (0.3, 0.7)),
+            (CAP_EDGE[3] + 1, (0.2, 0.3, 0.5)),
+            (CAP_EDGE[4] + 1, (0.1, 0.2, 0.3, 0.4)),
+            (CAP_EDGE[6] + 1, (0.1, 0.1, 0.2, 0.2, 0.2, 0.2)),
+            (300, (0.0, 0.5, 0.5)),
+        ],
+    )
+    def test_above_the_cap_draws_numpy_multinomial_bits(self, shots, probs):
+        p = np.array(probs)
+        got = measurement._draw_counts(stream_rng(4, shots), shots, p, 1000)
+        want = stream_rng(4, shots).multinomial(shots, p, size=1000)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shots, probs", [(CAP_EDGE[3], (0.2, 0.3, 0.5)), (CAP_EDGE[2], (0.3, 0.7)), (3, (0.5, 0.5))]
+    )
+    def test_table_draws_one_uniform_per_row(self, shots, probs):
+        rng, twin = stream_rng(5, shots), stream_rng(5, shots)
+        draws = measurement._draw_counts(rng, shots, np.array(probs), 700)
+        cells, cdf = measurement._count_table(shots, np.array(probs))
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, cells[np.searchsorted(cdf, twin.random(700), side="right")])
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("shots", [2**63 - 1, np.int64(2**63 - 1)])
+    @pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.5), (0.2, 0.3, 0.5)])
+    def test_largest_shots_pick_the_path_without_allocating(self, shots, probs):
+        p = np.array(probs)
+        measurement._draw_counts(stream_rng(6), shots, p, 3)
+        tracemalloc.start()
+        try:
+            got = measurement._draw_counts(stream_rng(6), shots, p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert np.array_equal(got, stream_rng(6).multinomial(2**63 - 1, p, size=3))
 
 
 class TestEntrywiseMatrices:

@@ -1,59 +1,42 @@
 """Pinned outputs of the seeded samplers.
 
-The expected values below were recorded at commit e5d117f, the last commit
-whose trajectory and error-matrix samplers each had their own read-out, by
-running this module's inputs in a separate checkout of that commit and
-printing every float with 17 significant digits.  A single draw that
-differs moves these values by about 1e-4, so agreement to 1e-10 relative
-shows that every multinomial draw, and the order in which the streams are
-consumed, is unchanged.  The one looser value is the qubit
-fidelity-constrained metric: it takes the square root of determinants of
-rank-one projected estimates, which are zero up to rounding, so ulp-level
-changes in the read-out move it by up to about 1e-9.
+Every value and hash below that a sampled count feeds was re-recorded when
+count sampling moved to ``measurement._draw_counts``, which draws a setting
+whose count simplex has at most ``_TABLE_CELLS`` cells, counting at least
+three outcomes, by inverting its exact count CDF, one uniform per row,
+instead of by ``rng.multinomial``.
+They were recorded by running this module's inputs on that sampler and
+printing every float with 17 significant digits.  Their law is checked
+apart from them, against exact multinomial probabilities, in
+``test_measurement.py``; these pins keep the draws, and the order in which
+the streams are consumed, from changing unnoticed.  The ``standard`` and
+``minimal`` error matrices were not re-recorded: at 300 copies their
+six- and four-outcome settings lie above the cap, so ``rng.multinomial``
+still draws them, bit for bit as when they were recorded at commit
+e5d117f, the last commit whose trajectory and error-matrix samplers each
+had their own read-out.
+
+A single draw that differs moves the values by about 1e-4, so agreement to
+1e-10 relative shows that every draw is unchanged.  The one looser value
+is the qubit fidelity-constrained metric: it takes the square root of
+determinants of rank-one projected estimates, which are zero up to
+rounding, so ulp-level changes in the read-out move it by up to about
+1e-9.  Every hash must match byte for byte, and the ``sample_plan_counts``
+table of the README example exactly.  The pinned ``trajectory.csv`` runs
+cover the demo configs at two seeds, a random ten-level config without a
+constrained metric, a random four-level config whose PSD share runs from
+under 1% at r = 10 to 98% (seed 7) and 100% (seed 42) at r = 10000, so
+that both sides of the PSD screen decide rows, and the three-level demo
+config scored with ``fidelity-constrained`` too, which pins a fidelity
+line at k >= 3.
 
 The ``comparison.csv`` hashes and the ``compare --theta`` payload were
 recorded at commit 0e2daf5, the last commit that evaluated the comparison
 grid one point at a time, by running the same commands in a separate
-checkout of it.  They must match byte for byte.
-
-The ``povm-check`` payload hashes were recorded at commit c68a002, the last
-commit whose ``klevel-pairs`` check recomputed every observable's structure
-gaps, by running the same commands in a separate checkout of it.  They must
-match byte for byte.
-
-The ``trajectory.csv`` hashes were recorded at commit 4b885b5, the last
-commit whose simulation projected and scored its estimates with code of its
-own, by running ``simulate`` on each demo config at two seeds in a separate
-checkout of it, except the two ``qubit_minimal_povm`` entries.  Those were
-re-recorded once the projection followed the PSD rule's 1e-9 slack: it no
-longer projects estimates whose smallest eigenvalue is a rounding-level
-negative, which moves their ``fidelity-constrained`` lines at n = 30 and
-n = 90 by about 1e-11.  All must match byte for byte.
-
-The ``trajectory.csv`` hashes of the random ten-level config were recorded
-at commit 8de00ce, the last commit whose chunks without a constrained
-metric took their eigenvalues from a full ``eigh``, by running the same
-``simulate`` command in a separate checkout of it.  They must match byte
-for byte.
-
-The ``trajectory.csv`` hashes of the random four-level config were recorded
-at commit 2c73573, the last commit whose chunks without a constrained
-metric sent every row at k >= 4 to ``eigvalsh``, by running the same
-``simulate`` command in a separate checkout of it.  Its PSD share runs from
-0.7% at r = 10 to 98% (seed 7) and 100% (seed 42) at r = 10000, so both
-sides of the PSD screen decide rows.  They must match byte for byte.
-
-The ``trajectory.csv`` hashes of the three-level config scored with
-``fidelity-constrained`` too were recorded at commit 78cdf18, the last
-commit whose ``constrained_rows`` copied the whole stack and whose chunks
-scored the constrained metrics on every row of that copy, by running the
-same ``simulate`` command in a separate checkout of it.  They pin a
-fidelity line at k >= 3 and must match byte for byte.
-
-The ``sample_plan_counts`` table of the README example was recorded at
-commit 00575e8, the last commit whose plan sampler drew each observable's
-counts through the checked one-vector sampler ``sample_counts``, by running
-the same call in a separate checkout of it.  It must match exactly.
+checkout of it.  The ``povm-check`` payload hashes were recorded at commit
+c68a002, the last commit whose ``klevel-pairs`` check recomputed every
+observable's structure gaps, in the same way.  Neither draws a count, and
+both must match byte for byte.
 """
 
 import hashlib
@@ -91,58 +74,58 @@ MSE_CASES = {
 TRAJECTORIES = {
     "pure_state_determinant": {
         "det-mean": (
-            (-0.5, -0.24920731707317073, -0.10083902439024392, -0.049778048780487812, -0.0049110000000000004, -0.00049236658536585035),
-            (0.0, 0.0027617705054928323, 0.0014212920709589017, 0.00073603271043303669, 7.5895412539974422e-05, 7.9210532752488831e-06),
+            (-0.5, -0.24920731707317073, -0.10083902439024392, -0.049778048780487812, -0.0049403170731707313, -0.00049236658536585046),
+            (0.0, 0.0027617705054928323, 0.0014212920709589019, 0.00073603271043303669, 7.5560784400227119e-05, 7.9210532752488882e-06),
         ),
         "psd-fraction": (
-            (0.0, 0.25170731707317073, 0.0, 0.06121951219512195, 0.0051219512195121953, 0.0017073170731707317),
-            (0.0, 0.0067786734082093047, 0.0, 0.0037444496949951373, 0.0011149712887249296, 0.00064483273513533761),
+            (0.0, 0.25170731707317073, 0.0, 0.06121951219512195, 0.0068292682926829268, 0.0017073170731707317),
+            (0.0, 0.0067786734082093047, 0.0, 0.0037444496949951373, 0.0012863527652854873, 0.00064483273513533761),
         ),
     },
     "qubit_minimal_povm": {
         "hs-unconstrained": (
-            (0.34591530320414809, 0.20035547551261704, 0.10960336965766324, 0.062920925447767104, 0.034444746976578886),
-            (0.0023300582917737843, 0.0013508135186397429, 0.0007219937569247864, 0.00042899143632983987, 0.00023770143598889307),
+            (0.34566661564102347, 0.20035547551261707, 0.10960336965766324, 0.062920925447767118, 0.034444746976578886),
+            (0.0022849448877728506, 0.0013508135186397431, 0.0007219937569247865, 0.00042899143632983998, 0.00023770143598889315),
         ),
         "hs-constrained": (
-            (0.30932838622713427, 0.19414535858429091, 0.10951225450520381, 0.062920925447767104, 0.034444746976578886),
-            (0.0020591213407101139, 0.0012355417537722741, 0.00071807674264357218, 0.00042899143632983987, 0.00023770143598889307),
+            (0.31034615594922432, 0.19414535858429091, 0.1095122545052038, 0.062920925447767118, 0.034444746976578886),
+            (0.0020332913169934107, 0.0012355417537722741, 0.0007180767426435724, 0.00042899143632983998, 0.00023770143598889315),
         ),
         "fidelity-constrained": (
-            (0.89903195315924989, 0.95770566639658139, 0.9881690756425946, 0.99645874973140569, 0.99896674488277903),
-            (0.00111412756075657, 0.00070275319356237975, 0.00024420822333006759, 6.0312631335657609e-05, 1.6013690643101635e-05),
+            (0.89828734213911166, 0.95770566639997723, 0.98816907564260226, 0.99645874973140558, 0.99896674488277903),
+            (0.0011013844718735244, 0.000702753193447158, 0.00024420822333219078, 6.0312631335657596e-05, 1.6013690643101632e-05),
         ),
         "psd-fraction": (
-            (0.71195121951219509, 0.89975609756097563, 0.99560975609756097, 1.0, 1.0),
-            (0.0070732528042141496, 0.0046908594725874851, 0.0010326423614325825, 0.0, 0.0),
+            (0.70804878048780484, 0.89975609756097563, 0.99560975609756097, 1.0, 1.0),
+            (0.0071014621596858082, 0.0046908594725874851, 0.0010326423614325825, 0.0, 0.0),
         ),
     },
     "qubit_three_direction": {
         "hs-unconstrained": (
-            (0.33422213596509515, 0.19383538838272343, 0.10587027016454179, 0.060999409979529351, 0.033072092715303814),
-            (0.0022270329078562202, 0.0012682059735577124, 0.0007044317385834387, 0.0004122907518717954, 0.00022150095832919634),
+            (0.33455367238430683, 0.19386018041343167, 0.10602438000108307, 0.060999409979529365, 0.033072092715303814),
+            (0.0022269117830473915, 0.0012716038963817183, 0.00070194031326449352, 0.00041229075187179534, 0.0002215009583291964),
         ),
         "hs-constrained": (
-            (0.32504849623887305, 0.19376491931658243, 0.10587027016454179, 0.060999409979529351, 0.033072092715303814),
-            (0.0020552864515970522, 0.0012652752747958963, 0.0007044317385834387, 0.0004122907518717954, 0.00022150095832919634),
+            (0.32574234596328172, 0.193817823510469, 0.10602438000108307, 0.060999409979529365, 0.033072092715303814),
+            (0.0020638264511244953, 0.0012700384859319872, 0.00070194031326449352, 0.00041229075187179534, 0.0002215009583291964),
         ),
         "psd-fraction": (
-            (0.84414634146341461, 0.99707317073170731, 1.0, 1.0, 1.0),
-            (0.0056653717526924567, 0.00084376838860837351, 0.0, 0.0, 0.0),
+            (0.84756097560975607, 0.99707317073170731, 1.0, 1.0, 1.0),
+            (0.0056142868376219462, 0.00084376838860837362, 0.0, 0.0, 0.0),
         ),
     },
     "three_level_error": {
         "hs-unconstrained": (
-            (0.71466446250368831, 0.508562014282537, 0.3599235169996654, 0.25346536264030128, 0.17957186664173838, 0.12670367408722982, 0.090158215920271345),
-            (0.0028536506338704424, 0.0020285757058263834, 0.0014404584178377459, 0.0010569412302703824, 0.00073139664360525843, 0.00053309314786501136, 0.0003719990388186528),
+            (0.71809899093342433, 0.51078100111205094, 0.35764969627429904, 0.25390961013287333, 0.17840752204366994, 0.12670367408722982, 0.090158215920271345),
+            (0.0027975295544214597, 0.0019924540498286155, 0.001456055226782486, 0.0010604278813874063, 0.00073887905589758171, 0.00053309314786501136, 0.0003719990388186528),
         ),
         "hs-constrained": (
-            (0.52572769625130489, 0.42608420420123699, 0.33304541673873211, 0.24801674090965062, 0.17898709344769476, 0.12669797416455078, 0.090158215920271345),
-            (0.0019749624570282879, 0.0015541854349850057, 0.0012232281320339422, 0.0009751842568178538, 0.00071798567147571084, 0.00053288062034114066, 0.0003719990388186528),
+            (0.52449449822835625, 0.42578901019059195, 0.33145541509097132, 0.24784080395781816, 0.17794131629942739, 0.12669797416455078, 0.090158215920271345),
+            (0.0019477416382462532, 0.0015336159524553176, 0.0012143917157661028, 0.00097123345686410542, 0.00072831475409629743, 0.00053288062034114066, 0.0003719990388186528),
         ),
         "psd-fraction": (
-            (0.059512195121951217, 0.22707317073170732, 0.53926829268292686, 0.82414634146341459, 0.96585365853658534, 0.99878048780487805, 1.0),
-            (0.003695222638398533, 0.0065435457654524683, 0.0077855183809464896, 0.0059461917821735889, 0.0028365392338373266, 0.00054511626347015043, 0.0),
+            (0.051219512195121948, 0.21975609756097561, 0.5382926829268293, 0.81195121951219518, 0.97390243902439022, 0.99878048780487805, 1.0),
+            (0.003443195104314613, 0.0064676528271390508, 0.0077867038518161262, 0.0061032515589092501, 0.0024901111220250213, 0.00054511626347015043, 0.0),
         ),
     },
 }
@@ -158,14 +141,14 @@ MSE = {
         (0.0016156493050991242, 0.0010953111985543757, 0.0090617565533914098),
     ),
     "three-direction": (
-        (0.0088638048780487755, -1.0048780487804624e-05, 0.00018107317073170746),
-        (-1.0048780487804624e-05, 0.0083476097560975602, -0.00012858536585365839),
-        (0.00018107317073170746, -0.00012858536585365839, 0.0075900487804878153),
+        (0.0091096585365853643, -3.5707317073170747e-05, -2.2439024390244151e-05),
+        (-3.5707317073170747e-05, 0.0083028292682926826, 6.7317073170731958e-05),
+        (-2.2439024390244151e-05, 6.7317073170731958e-05, 0.0075895609756097592),
     ),
     "three-direction-skew": (
-        (0.0088638048780487755, -0.006776756097560975, 0.0050446402439024395),
-        (-0.006776756097560975, 0.016944335365853658, -0.012419897865853659),
-        (0.0050446402439024395, -0.012419897865853659, 0.018447133765243897),
+        (0.0091096585365853643, -0.0068974878048780512, 0.0051559207317073167),
+        (-0.0068974878048780512, 0.016797810975609753, -0.01250085823170732),
+        (0.0051559207317073167, -0.01250085823170732, 0.018644134527439016),
     ),
 }
 
@@ -251,14 +234,14 @@ def test_compare_theta_payload(capsys):
 
 # (config, seed) -> sha256 of trajectory.csv at trials = CHUNK_TRIALS + 4
 TRAJECTORY_SHA256 = {
-    ("pure_state_determinant", 42): "2eb5004d68c42d059c081692e12d37354a8414477252f12d2fc4665acb7ce31f",
-    ("pure_state_determinant", 7): "56941ef4df5f66ee2a48ea5a65ea8018573339ed5e8eae9aec6ae1fa4b2d3d95",
-    ("qubit_minimal_povm", 42): "c2391fdd8beed207cfee133264f421eac18c99d9bedf066e56383796a18d2894",
-    ("qubit_minimal_povm", 7): "47a329b3885a9f0fc50ef8f7d3fea4b7f8dcb5c5b7d7722f027c5b1e7517c560",
-    ("qubit_three_direction", 42): "c179f707aac7d3141e51828de50a9c1fc723efdfd04b4b47ae0ea824ee5731d1",
-    ("qubit_three_direction", 7): "95b4a6d39c555e037b315737a852fa6d2de0482308fac0aa0217b08cd21b2b24",
-    ("three_level_error", 42): "dd645f5bc021c1429a2a4c2def3c79425797c1141aca9783c3f06447b52225e6",
-    ("three_level_error", 7): "b8766a85360d78156c3ab527733fc305f9fb318aed8a950075f8acdc895ade24",
+    ("pure_state_determinant", 42): "5a6f73b14a946090a7be14ed7c742f5fbe44535acd4d965ce3704a3ea63e73a6",
+    ("pure_state_determinant", 7): "dbdc496356464ee291c9693900b198047e47005d6deea42720a47dbc22a74778",
+    ("qubit_minimal_povm", 42): "fb27ace1592708d6fac4bf41694d708b50786aee95f8198286a1902b0429c3b0",
+    ("qubit_minimal_povm", 7): "97101ebe59f34b23bb4167a43c9b4866c3c29d4cafc580491f4b12f168213b34",
+    ("qubit_three_direction", 42): "227e8548af903ee299fdc70b2000ea0e531686832a31526bd81c549e7db74981",
+    ("qubit_three_direction", 7): "75478e434c3138936d7877aaec0e143507059bc31beacce62a4408e675d2dcbf",
+    ("three_level_error", 42): "66a81df57243caf0dc21b43be9b0a47b8f7301689a4fa16e27e2eb5b9a70cd64",
+    ("three_level_error", 7): "218adc923f2dfade74816fd36647759a20aaaed7c5a4172133a42136f94b262b",
 }
 
 
@@ -272,8 +255,8 @@ K10_CONFIG = {
 }
 # seed -> sha256 of trajectory.csv for K10_CONFIG at trials = CHUNK_TRIALS + 4
 K10_TRAJECTORY_SHA256 = {
-    42: "659d10e1dfc8b8970d6ff73a447327573a3c3ffc031180ad11cbcdec5e1ac671",
-    7: "df613742b72225b4cb99cc524609083570552a869ff2b5ad4805ec10d9ec7155",
+    42: "c5532687740f66f8d0a0907181feb6e393a94852af1cce89a1f88b5a20ffc758",
+    7: "63c33aa11c4f4ac2792d5f53cd6395d0227791e5ad0e9ed07aa08b0abea81482",
 }
 
 
@@ -281,8 +264,8 @@ K10_TRAJECTORY_SHA256 = {
 K4_CONFIG = dict(K10_CONFIG, state={"random": {"dim": 4}}, schedule=[10, 100, 1000, 10000])
 # seed -> sha256 of trajectory.csv for K4_CONFIG at trials = CHUNK_TRIALS + 4
 K4_TRAJECTORY_SHA256 = {
-    42: "98e6604eac738572467a15ca438b94bc001976111e4b95bcc435db8effbe28a9",
-    7: "3f7317fc53e8b7b3a14a214df7d203b71cd9ad1fd220cc0e7adec598e119c2f3",
+    42: "dabc0921f347d0e3a1b2bcc76575476e8ee3ce6974a387ea77cc8f68b388e580",
+    7: "a9897ea36843885e90114675fd6f2e28247c402bfa2e946d55e1c0530e6fa0f2",
 }
 
 
@@ -290,8 +273,8 @@ K4_TRAJECTORY_SHA256 = {
 K3_FIDELITY_METRICS = ["hs-unconstrained", "hs-constrained", "fidelity-constrained", "psd-fraction"]
 # seed -> sha256 of trajectory.csv for that config at trials = CHUNK_TRIALS + 4
 K3_FIDELITY_TRAJECTORY_SHA256 = {
-    42: "092dd2cfa8cd1bff6c88a0f064a6f7a9d1e861a642d2fd8fccd392ae29b8a95d",
-    7: "761aca35b31941549447189ce2978118017c7a008822e8e673c27e39b5135a39",
+    42: "394d8fd6a60111dd36e1e677cc643e6d2247caf0becf7600426e3b888179081a",
+    7: "de97c14b5858d0851290d65528a87e1eef240d0cae4b5909e57f4140274acb81",
 }
 
 
@@ -361,12 +344,12 @@ def test_povm_check_payload_bytes(args, tmp_path):
 PLAN_COUNTS = {
     ("z", 1): [14, 36],
     ("z", 2): [14, 36],
-    ("x", 1, 2): [19, 10, 21],
-    ("x", 1, 3): [19, 7, 24],
-    ("x", 2, 3): [10, 22, 18],
-    ("y", 1, 2): [14, 23, 13],
-    ("y", 1, 3): [10, 16, 24],
-    ("y", 2, 3): [24, 11, 15],
+    ("x", 1, 2): [19, 14, 17],
+    ("x", 1, 3): [20, 6, 24],
+    ("x", 2, 3): [7, 28, 15],
+    ("y", 1, 2): [14, 17, 19],
+    ("y", 1, 3): [14, 13, 23],
+    ("y", 2, 3): [31, 6, 13],
 }
 
 

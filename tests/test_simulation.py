@@ -577,7 +577,7 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("metrics", [("psd-fraction",), ("hs-constrained", "psd-fraction")])
     def test_psd_fraction_counts_the_unprojected_trials(self, metrics):
         # The first chunk of the qubit_minimal_povm demo at n = 30, seed 42:
-        # 51 of its trials have a smallest eigenvalue in [-1e-9, 0), rounding
+        # 62 of its trials have a smallest eigenvalue in [-1e-9, 0), rounding
         # noise on rank-one estimates.  They count as PSD, so they must not
         # be projected, whichever metrics the chunk computes.
         state = bloch_to_matrix([0.3, 0.4, 0.5])
@@ -587,7 +587,7 @@ class TestRunTrajectory:
         psd = simulation._metric_block(phi, state, metrics)["psd-fraction"]
         _, steps, unprojected = constrained_rows(phi)
         smallest = np.linalg.eigh(phi)[0][:, 0]
-        assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 51
+        assert np.count_nonzero((smallest < 0.0) & (smallest >= -1e-9)) == 62
         assert np.array_equal(psd == 1.0, unprojected)
         assert len(steps) == np.count_nonzero(psd == 0.0) and (steps >= 1).all()
 
