@@ -429,7 +429,7 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
     """
     probs = plan.scheme.probabilities(rho)
     r = plan.repetitions
-    return {key: _draw_counts(rng, r, p / p.sum(), 1)[0] for key, p in zip(plan.keys, probs)}
+    return {key: _draw_counts(rng, r, p, 1)[0] for key, p in zip(plan.keys, probs)}
 
 
 @dataclass(frozen=True)

@@ -264,20 +264,6 @@ def _chunk_task(run, job):
     return {metric: np.concatenate([b[metric] for b in blocks]) for metric in metrics}
 
 
-# A pool process's run constants, sent once by its initializer so that each
-# job pickles only its (point, amount, chunk, m).
-_worker_run = None
-
-
-def _init_worker(run):
-    global _worker_run
-    _worker_run = run
-
-
-def _worker_task(job):
-    return _chunk_task(_worker_run, job)
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     # A forking pool starts all its processes at once: clamp before it exists.
     return min(workers, tasks, os.cpu_count() or 1)
@@ -298,9 +284,9 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     schedule = np.array(config.schedule)
     copies = schedule * len(scheme.settings)
     # Sampling reads only the read-out; dropping the settings frees their
-    # projectors for the run and keeps them out of every pool process.
+    # projectors for the run and keeps them out of every pool job.
     scheme = replace(scheme, settings=())
-    run = (scheme, probs, state, config.metrics, config.seed)
+    task = partial(_chunk_task, (scheme, probs, state, config.metrics, config.seed))
     sizes = [min(CHUNK_TRIALS, config.trials - s) for s in range(0, config.trials, CHUNK_TRIALS)]
     jobs = [
         (point, amount, chunk, m)
@@ -324,10 +310,10 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
 
     processes = _pool_size(workers, len(jobs))
     if processes == 1:
-        summarize(map(partial(_chunk_task, run), jobs))
+        summarize(map(task, jobs))
     else:
-        with ProcessPoolExecutor(processes, initializer=_init_worker, initargs=(run,)) as pool:
-            summarize(pool.map(_worker_task, jobs))
+        with ProcessPoolExecutor(processes) as pool:
+            summarize(pool.map(task, jobs))
     return TrajectoryRecord(
         scheme=config.scheme,
         seed=config.seed,

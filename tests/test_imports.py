@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, or imports inside
-a function body, where an import hides a layering problem; and no module
-defines a private name that no module of the package reads."""
+a function body, where an import hides a layering problem; no module
+defines a private name that no module of the package reads; and no module
+has a ``global`` or ``nonlocal`` statement, through which a function would
+rebind state outside its own call."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,34 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def rebinding_lines(source: str) -> list[int]:
+    """Line numbers of the ``global`` and ``nonlocal`` statements of a source."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    )
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda p: p.name)
+def test_no_global_or_nonlocal_statements(path):
+    assert rebinding_lines(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("_run = None\ndef f():\n    return _run\n", []),
+        ("_run = None\ndef f(run):\n    global _run\n    _run = run\n", [3]),
+        ("def f():\n    n = 0\n    def g():\n        nonlocal n\n        n += 1\n", [4]),
+        ("class C:\n    def f(self):\n        global x, y\n", [3]),
+        ("global_run = 1\n", []),
+    ],
+)
+def test_rebinding_lines_detector(source, expected):
+    assert rebinding_lines(source) == expected
 
 
 def private_definitions(tree) -> set[str]:

@@ -1,7 +1,6 @@
 import json
 import pickle
 import tracemalloc
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -270,15 +269,37 @@ class TestRunTrajectory:
             assert np.array_equal(r1.means[metric], r2.means[metric])
             assert np.array_equal(r1.stderrs[metric], r2.stderrs[metric])
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = ExperimentConfig(
-            state=RandomState(3, FIGURE_SPECTRUM),
-            scheme="klevel-pairs",
-            schedule=(5, 15),
-            trials=CHUNK_TRIALS + 123,
-            seed=4,
-            metrics=("hs-unconstrained", "hs-constrained", "psd-fraction"),
-        )
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                state=RandomState(3, FIGURE_SPECTRUM),
+                scheme="klevel-pairs",
+                schedule=(5, 15),
+                trials=CHUNK_TRIALS + 123,
+                seed=4,
+                metrics=("hs-unconstrained", "hs-constrained", "psd-fraction"),
+            ),
+            # A 4,096-trial chunk at k = 5 is two row blocks of 2,621 rows.
+            ExperimentConfig(
+                state=RandomState(5),
+                scheme="klevel-pairs",
+                schedule=(5, 15),
+                trials=CHUNK_TRIALS + 1,
+                seed=4,
+            ),
+            ExperimentConfig(
+                state=MIXED_QUBIT,
+                scheme="three-direction",
+                schedule=(5, 15),
+                trials=CHUNK_TRIALS + 123,
+                seed=4,
+                directions=[[1, 0, 0], [0.6, 0.8, 0], [0, 0.6, 0.8]],
+            ),
+        ],
+        ids=["pairs-k3", "pairs-k5-two-blocks", "three-direction-skew"],
+    )
+    def test_worker_count_does_not_change_results(self, cfg):
         serial = run_trajectory(cfg, workers=1)
         parallel = run_trajectory(cfg, workers=3)
         for metric in cfg.metrics:
@@ -311,15 +332,14 @@ class TestRunTrajectory:
         record = run_trajectory(cfg, workers=10**9)
         assert np.array_equal(record.means["det-mean"], run_trajectory(cfg).means["det-mean"])
 
-    def test_pool_jobs_do_not_carry_the_run(self, monkeypatch):
-        # The run's constants reach each pool process once, through its
-        # initializer; a job pickles only (point, amount, chunk, m).
+    def test_pool_jobs_carry_the_readout_not_the_projectors(self, monkeypatch):
+        # Each pool job pickles the chunk task with the run's read-out,
+        # probabilities, state and seed, but never the settings' projectors.
         pickled = {}
 
         class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
-                self.start = partial(initializer, *initargs)
-                pickled["run"] = len(pickle.dumps(initargs))
+            def __init__(self, max_workers):
+                pass
 
             def __enter__(self):
                 return self
@@ -328,14 +348,11 @@ class TestRunTrajectory:
                 return False
 
             def map(self, fn, jobs):
-                self.start()
-                pickled["jobs"] = {len(pickle.dumps((fn, job))) for job in jobs}
+                pickled["jobs"] = [len(pickle.dumps((fn, job))) for job in jobs]
                 return map(fn, jobs)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(simulation, "_worker_run", None)
-        sizes = {}
         for dim in (2, 10):
             cfg = ExperimentConfig(
                 state=RandomState(dim),
@@ -347,13 +364,9 @@ class TestRunTrajectory:
             )
             pooled = run_trajectory(cfg, workers=2).means["hs-unconstrained"]
             assert np.array_equal(pooled, run_trajectory(cfg).means["hs-unconstrained"])
-            sizes[dim] = dict(pickled)
-        assert sizes[10]["jobs"] == sizes[2]["jobs"]
-        assert max(sizes[10]["jobs"]) < 200
-        assert sizes[10]["run"] > 10 * sizes[2]["run"]
-        # The run carries the read-out, not the 99 observables' projectors,
-        # which pickle to about 480 kB at k = 10.
-        assert sizes[10]["run"] < 50_000
+        # The 99 observables' projectors alone pickle to about 480 kB at k = 10.
+        assert len(pickled["jobs"]) == 4
+        assert max(pickled["jobs"]) < 50_000
 
     def test_memory_does_not_grow_with_the_schedule(self):
         # Each point is summarized as its last chunk arrives, so a run holds
