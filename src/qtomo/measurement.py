@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import SINGULAR_ATOL, TRACE_ATOL, InvariantError, is_integer
-from .states import PAULI, SIGMA_0, require_density
+from .states import bloch_matrices, require_density
 
 __all__ = [
     "Observable",
@@ -63,6 +63,8 @@ TETRAHEDRON = np.array(
         [-1.0, -1.0, 1.0],
     ]
 ) / np.sqrt(3.0)
+# The standard POVM's Bloch vectors in outcome order: +e_1, +e_2, +e_3, -e_1, -e_2, -e_3.
+_AXES = np.vstack([np.eye(3), -np.eye(3)])
 
 
 # Trials per sampling chunk; part of the reproducibility contract, since the
@@ -250,10 +252,7 @@ def direction_observable(direction) -> Observable:
     if u.shape != (3,):
         raise InvariantError(f"direction must have shape (3,), got {u.shape}")
     _require_unit(u)
-    spin = np.tensordot(u, PAULI, axes=1)
-    plus = 0.5 * (SIGMA_0 + spin)
-    minus = 0.5 * (SIGMA_0 - spin)
-    return Observable((1.0, -1.0), np.stack([plus, minus]))
+    return Observable((1.0, -1.0), bloch_matrices(np.stack([u, -u])))
 
 
 def standard_povm() -> Povm:
@@ -262,18 +261,12 @@ def standard_povm() -> Povm:
     Effects are P_i / 3 for outcomes 1..3 and Q_i / 3 for outcomes 4..6,
     where P_i and Q_i project onto the +1 and -1 eigenvectors of sigma_i.
     """
-    effects = []
-    for a in range(3):
-        effects.append((0.5 * (SIGMA_0 + PAULI[a])) / 3.0)
-    for a in range(3):
-        effects.append((0.5 * (SIGMA_0 - PAULI[a])) / 3.0)
-    return Povm(np.stack(effects))
+    return Povm(bloch_matrices(_AXES) / 3.0)
 
 
 def minimal_povm() -> Povm:
     """Four-outcome tetrahedral qubit POVM, effects (I + a_i . sigma) / 4."""
-    effects = [0.25 * (SIGMA_0 + np.tensordot(a, PAULI, axes=1)) for a in TETRAHEDRON]
-    return Povm(np.stack(effects))
+    return Povm(bloch_matrices(TETRAHEDRON) / 2.0)
 
 
 def _distribution(measurement, state: np.ndarray) -> np.ndarray:
@@ -492,10 +485,6 @@ def _entrywise_matrices(params: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _bloch_matrices(theta: np.ndarray) -> np.ndarray:
-    return 0.5 * (SIGMA_0 + np.einsum("ma,aij->mij", theta, PAULI))
-
-
 def _direction_matrix(directions) -> np.ndarray:
     try:
         t = np.asarray(directions).astype(float, casting="same_kind")
@@ -538,11 +527,9 @@ def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:
         settings = tuple(direction_observable(u) for u in dirmat)
         inverse = np.linalg.inv(dirmat)
         readout = tuple(np.outer(obs.values, inverse[:, a]) for a, obs in enumerate(settings))
-        return LinearScheme(settings, readout, (_BLOCH,) * 3, _bloch_matrices)
+        return LinearScheme(settings, readout, (_BLOCH,) * 3, bloch_matrices)
     if name == "standard":
-        block = 3.0 * np.vstack([np.eye(3), -np.eye(3)])
-        return LinearScheme((standard_povm(),), (block,), (_BLOCH,), _bloch_matrices)
+        return LinearScheme((standard_povm(),), (3.0 * _AXES,), (_BLOCH,), bloch_matrices)
     if name == "minimal":
-        block = 3.0 * TETRAHEDRON
-        return LinearScheme((minimal_povm(),), (block,), (_BLOCH,), _bloch_matrices)
+        return LinearScheme((minimal_povm(),), (3.0 * TETRAHEDRON,), (_BLOCH,), bloch_matrices)
     raise InvariantError(f"unknown scheme {name!r}")

@@ -1,4 +1,6 @@
-"""Density matrices, the qubit Bloch parametrization, and random states."""
+"""Density matrices, the qubit Bloch parametrization, and random states.  The
+one Bloch map, ``bloch_matrices``, builds ``bloch_to_matrix``, the direction
+observables, both qubit POVMs and the qubit schemes' ``to_matrix``."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ __all__ = [
     "PAULI",
     "bloch_vector",
     "bloch_to_matrix",
+    "bloch_matrices",
     "in_bloch_ball",
     "require_trace_one",
     "require_density",
@@ -42,13 +45,18 @@ def bloch_vector(theta) -> np.ndarray:
     return t
 
 
+def bloch_matrices(thetas: np.ndarray) -> np.ndarray:
+    """(I + theta . sigma) / 2 for each row of a real (m, 3) stack, unchecked."""
+    return 0.5 * (SIGMA_0 + np.einsum("ma,aij->mij", thetas, PAULI))
+
+
 def bloch_to_matrix(theta) -> np.ndarray:
     """Map a Bloch vector to the 2x2 matrix (I + theta . sigma) / 2.
 
     The result is Hermitian with unit trace for any finite real 3-vector; it
     is a density matrix exactly when ``|theta| <= 1``.
     """
-    return 0.5 * (SIGMA_0 + np.tensordot(bloch_vector(theta), PAULI, axes=1))
+    return bloch_matrices(bloch_vector(theta)[None])[0]
 
 
 def in_bloch_ball(thetas) -> np.ndarray:
@@ -121,7 +129,7 @@ def random_density(
         if not psd_mask(w):
             raise InvariantError("fixed spectrum is not positive semidefinite")
         if abs(float(w.sum()) - 1.0) > TRACE_ATOL:
-            raise InvariantError(f"fixed spectrum sums to {w.sum()!r}, expected 1")
+            raise InvariantError(f"fixed spectrum sums to {float(w.sum())!r}, expected 1")
     u = haar_unitary(dim, rng)
     rho = (u * w) @ u.conj().T
     # Reconstruction noise is ~1e-16; round back to exact Hermiticity.

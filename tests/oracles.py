@@ -15,8 +15,10 @@ complex temporaries instead of real and imaginary views, and the rows that
 the k = 3 projection leaves to ``eigh`` are named from the closed-form
 spectrum by the limits as documented; the Fisher information of a setting
 is summed outcome by outcome from its probabilities, not read from any
-error matrix; and a multinomial probability is exact, from integer
-binomial coefficients and rational powers, not from logarithms.
+error matrix; a multinomial probability is exact, from integer
+binomial coefficients and rational powers, not from logarithms; and the
+qubit operators are built one Pauli sum at a time, by ``tensordot`` or by
+indexing ``PAULI``, instead of by the stacked Bloch map.
 """
 
 import math
@@ -32,6 +34,8 @@ from qtomo.linalg import (
     closed_form_eigvalsh,
     require_hermitian,
 )
+from qtomo.measurement import TETRAHEDRON
+from qtomo.states import PAULI, SIGMA_0
 
 # A spectral decomposition must reproduce its input to this relative accuracy.
 RECONSTRUCTION_RTOL = 1e-10
@@ -70,6 +74,32 @@ def matrix_to_bloch(matrix) -> np.ndarray:
     entries: (2 Re M_21, 2 Im M_21, M_11 - M_22)."""
     m = np.asarray(matrix, dtype=complex)
     return np.array([2 * m[1, 0].real, 2 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
+
+
+def bloch_matrix_tensordot(theta) -> np.ndarray:
+    """(I + theta . sigma) / 2 for one Bloch vector, by ``tensordot``."""
+    return 0.5 * (SIGMA_0 + np.tensordot(np.asarray(theta, dtype=float), PAULI, axes=1))
+
+
+def direction_projectors(direction) -> np.ndarray:
+    """The spin projectors (I + u . sigma) / 2 and (I - u . sigma) / 2."""
+    spin = np.tensordot(np.asarray(direction, dtype=float), PAULI, axes=1)
+    return np.stack([0.5 * (SIGMA_0 + spin), 0.5 * (SIGMA_0 - spin)])
+
+
+def standard_povm_effects() -> np.ndarray:
+    """(I + sigma_a) / 6 for a = 1..3, then (I - sigma_a) / 6, one by one."""
+    effects = []
+    for a in range(3):
+        effects.append((0.5 * (SIGMA_0 + PAULI[a])) / 3.0)
+    for a in range(3):
+        effects.append((0.5 * (SIGMA_0 - PAULI[a])) / 3.0)
+    return np.stack(effects)
+
+
+def minimal_povm_effects() -> np.ndarray:
+    """(I + a . sigma) / 4 for each tetrahedron vector a, one by one."""
+    return np.stack([0.25 * (SIGMA_0 + np.tensordot(a, PAULI, axes=1)) for a in TETRAHEDRON])
 
 
 def hs_distance_brute(a, b) -> float:

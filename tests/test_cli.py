@@ -1009,3 +1009,63 @@ class TestParser:
         assert result.returncode == code, result.stderr
         if code == 0:
             assert json.loads(result.stdout)["outcomes"] == 4
+
+
+# Finite inputs whose checks overflow to inf or NaN on the way to a rejection;
+# a dict as the last argument is written to a JSON file whose path takes its
+# place.
+OVERFLOWING_INPUTS = {
+    "compare-theta": ["compare", "--theta", "1e200,0,0"],
+    "mse-theta": ["mse", "--scheme", "minimal", "--theta", "1e200,0,0", "--copies", "3"],
+    "project-k3-spectrum": [
+        "project",
+        "--matrix",
+        "[[[0.3,0],[0,0],[0,0]],[[0,0],[0.3,0],[1e300,0]],[[0,0],[1e300,0],[0.4,0]]]",
+    ],
+    "project-hermitian-gap": ["project", "--matrix", "[[[0.5,0],[1e308,0]],[[-1e308,0],[0.5,0]]]"],
+    "estimate-count-sum": [
+        "estimate",
+        "--counts",
+        {
+            "dim": 2,
+            "repetitions": 1,
+            "counts": {"z_1": [1e308, 1e308], "x_1_2": [1, 0], "y_1_2": [1, 0]},
+        },
+    ],
+    "simulate-matrix-trace": [
+        "simulate",
+        "--config",
+        {
+            "state": {"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+            "scheme": "minimal",
+            "schedule": [20],
+            "trials": 10,
+            "seed": 1,
+        },
+    ],
+    "simulate-spectrum-sum": [
+        "simulate",
+        "--config",
+        {
+            "state": {"random": {"dim": 3, "eigenvalues": [1e308, 1e308, 1e308]}},
+            "scheme": "klevel-pairs",
+            "schedule": [20],
+            "trials": 10,
+            "seed": 1,
+        },
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", OVERFLOWING_INPUTS.values(), ids=OVERFLOWING_INPUTS.keys())
+def test_overflowing_input_prints_one_error_line(capsys, tmp_path, argv):
+    *head, last = argv
+    if isinstance(last, dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(last))
+        last = str(path)
+    code, out, err = run(capsys, *head, last, "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err

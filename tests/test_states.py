@@ -152,6 +152,10 @@ class TestRandomDensity:
         with pytest.raises(InvariantError):
             random_density(3, rng, [0.5, 0.5])
 
+    def test_fixed_spectrum_sum_prints_as_a_float(self):
+        with pytest.raises(InvariantError, match=r"sums to 1\.1, expected 1$"):
+            random_density(2, np.random.default_rng(6), [0.5, 0.6])
+
     def test_deterministic_per_seed(self):
         a = random_density(4, np.random.default_rng(9))
         b = random_density(4, np.random.default_rng(9))
