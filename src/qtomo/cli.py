@@ -36,7 +36,8 @@ from .error_analysis import (
     mse_three_direction,
 )
 from .estimators import constrained_estimate, unconstrained_estimate
-from .linalg import InvariantError, hs_distance, require_trace_one
+from .linalg import EigenDecompositionError, InvariantError, copy_count, hs_distance
+from .linalg import require_trace_one
 from .measurement import SCHEMES, MeasurementPlan, linear_scheme, structure_gaps
 from .simulation import ConfigError, ExperimentConfig, RandomState, run_trajectory
 from .states import bloch_to_matrix, in_bloch_ball
@@ -407,10 +408,8 @@ _MSE_SCHEMES = ("comp", "three-direction", "standard", "minimal")
 def _cmd_mse(args) -> int:
     theta = _parse_theta(args.theta)
     directions = _directions_option(args)
-    n = args.copies
+    n = copy_count(args.copies)
     if args.scheme in ("comp", "three-direction"):
-        if n < 1:
-            raise InvariantError("the number of copies must be at least 1")
         if n % 3:
             raise ConfigError("the per-direction schemes need copies divisible by 3")
         rows = np.eye(3) if directions is None else directions
@@ -471,10 +470,7 @@ def _grid_rows(axis, n):
 def _cmd_compare(args) -> int:
     if args.theta is not None and args.grid is not None:
         raise ConfigError("--theta does not take --grid")
-    n = args.copies
-    if n < 1:
-        # Checked before the grid's output directory is made.
-        raise InvariantError("the number of copies must be at least 1")
+    n = copy_count(args.copies)  # before the grid's output directory is made
     if n % 3:
         raise ConfigError("comparisons need copies divisible by 3")
     if args.theta is not None:
@@ -621,7 +617,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
+    except (InvariantError, EigenDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

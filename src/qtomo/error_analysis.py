@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import InvariantError, is_integer, row_dots
+from .linalg import InvariantError, copy_count, is_integer, row_dots
 from .measurement import CHUNK_TRIALS, _direction_matrix, linear_scheme, stream_rng
 from .states import bloch_to_matrix, bloch_vector, in_bloch_ball
 
@@ -47,17 +47,6 @@ def _check_theta(theta) -> np.ndarray:
     return _check_thetas(bloch_vector(theta)[None])[0]
 
 
-def _check_total(total: int, divisor: int = 1) -> int:
-    if not is_integer(total):
-        raise InvariantError("the number of copies must be an integer")
-    n = int(total)
-    if n < 1:
-        raise InvariantError("the number of copies must be at least 1")
-    if n % divisor:
-        raise InvariantError(f"the number of copies must be divisible by {divisor}")
-    return n
-
-
 def mse_three_direction(theta, directions, repetitions: int) -> np.ndarray:
     """Error matrix of the three-direction scheme with r shots per direction.
 
@@ -65,12 +54,11 @@ def mse_three_direction(theta, directions, repetitions: int) -> np.ndarray:
     per-direction binomial variances of the +-1 outcomes.
     """
     t = _check_theta(theta)
-    if not (is_integer(repetitions) and repetitions >= 1):
-        raise InvariantError("repetitions must be an integer of at least 1")
+    r = copy_count(repetitions)
     dirmat = _direction_matrix(directions)
     variances = 1.0 - (dirmat @ t) ** 2
     inv = np.linalg.inv(dirmat)
-    return (inv * variances) @ inv.T / int(repetitions)
+    return (inv * variances) @ inv.T / r
 
 
 def _complementary_rows(t: np.ndarray, total: float) -> np.ndarray:
@@ -91,7 +79,7 @@ def mse_standard(theta, total: int) -> np.ndarray:
     Diagonal entries (3 - theta_i^2) / n, off-diagonal -theta_i theta_j / n.
     """
     t = _check_theta(theta)
-    n = _check_total(total)
+    n = copy_count(total)
     return _standard_rows(t[None], n)[0]
 
 
@@ -102,7 +90,7 @@ def mse_minimal(theta, total: int) -> np.ndarray:
     sqrt(3) theta_l - theta_i theta_j where l is the remaining index.
     """
     t = _check_theta(theta)
-    n = _check_total(total)
+    n = copy_count(total)
     cross = np.sqrt(3.0) * np.array(
         [
             [0.0, t[2], t[1]],
@@ -144,7 +132,7 @@ def empirical_mse(
         raise InvariantError("seed must be an integer in [0, 2**64)")
     linear = linear_scheme(scheme, directions=directions)
     settings = len(linear.settings)
-    shots = _check_total(total, divisor=settings) // settings
+    shots = copy_count(total, divisor=settings) // settings
     probs = linear.probabilities(bloch_to_matrix(t))
     accum = np.zeros((3, 3))
     for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
@@ -195,13 +183,13 @@ def compare_batch(thetas, total: int) -> Comparison:
     null vector, or a coordinate axis where some theta_i is 0.  ``min_eig``
     is therefore +0.0 and ``dominated`` True at every row, by rank rather
     than by an eigensolver's rounding; no eigensolver runs.  Every row must
-    be a state by ``in_bloch_ball``, and n must be an integer of at least 1
+    be a state by ``in_bloch_ball``, and n a count by ``linalg.copy_count``
     divisible by 3.  Only ``diff`` is a matrix; the other fields are
     constants or functions of |theta|^2, so the CLI's grid writes them with
     no 3x3 stack built.
     """
     t = _check_thetas(thetas)
-    n = _check_total(total, divisor=3)
+    n = copy_count(total, divisor=3)
     diff = _standard_rows(t, n) - _complementary_rows(t, float(n))
     return Comparison(diff, *_comparison_scalars(t, n))
 

@@ -45,15 +45,15 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]
 
 
-def _require_unit_sums(rows, index):
+def _require_unit_sums(rows, index, label="row {} sums"):
     """Raise ``InvariantError`` unless each of the (m, k) ``rows`` sums to one
-    within ``TRACE_ATOL``; the message calls row i by ``index[i]``."""
+    within ``TRACE_ATOL``; the message is ``label`` with row i's ``index[i]``."""
     sums = rows.sum(axis=1)
     bad = np.nonzero(~(np.abs(sums - 1.0) <= TRACE_ATOL))[0]
     if bad.size:
         first = int(bad[0])
         raise InvariantError(
-            f"row {int(index[first])} sums to {float(sums[first])!r}, "
+            f"{label.format(int(index[first]))} to {float(sums[first])!r}, "
             f"expected 1 within {TRACE_ATOL:.1e}"
         )
 
@@ -153,7 +153,7 @@ def constrained_rows(phi):
         fast &= scale <= SPECTRAL_SCALE
     lapack = np.flatnonzero(~fast)
     w[lapack], u = eigen_rows(phi[rows[lapack]], vectors=True)
-    _require_unit_sums(w, rows)
+    _require_unit_sums(w, rows, "the eigenvalues of row {} sum")
     clipped, steps = _redistribute(w.copy())
     uh = u.conj().swapaxes(1, 2)  # before u is scaled in place
     u *= clipped[lapack][:, None, :]

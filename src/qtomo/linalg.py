@@ -14,6 +14,7 @@ __all__ = [
     "InvariantError",
     "EigenDecompositionError",
     "HERMITIAN_ATOL",
+    "MAX_COPIES",
     "PSD_ATOL",
     "SCREEN_MARGIN",
     "SINGULAR_ATOL",
@@ -21,6 +22,7 @@ __all__ = [
     "SPECTRAL_SCALE",
     "TRACE_ATOL",
     "is_integer",
+    "copy_count",
     "require_hermitian",
     "psd_mask",
     "closed_form_eigvalsh",
@@ -52,6 +54,9 @@ SPECTRAL_SCALE = 16.0
 TRACE_ATOL = 1e-9
 # A direction matrix whose |determinant| is at most this is singular.
 SINGULAR_ATOL = 1e-12
+# The most copies, shots or repetitions of a run: numpy's multinomial
+# sampler reads shots as a C long, and trajectory.csv's n is an int64.
+MAX_COPIES = 2**63 - 1
 
 
 class InvariantError(ValueError):
@@ -67,6 +72,22 @@ def is_integer(value) -> bool:
     """The one rule for a count, size or seed: a Python or numpy integer,
     never a bool (nor JSON's ``true``), a float or a string."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def copy_count(value, divisor: int = 1) -> int:
+    """The one rule for a number of copies, shots or repetitions: an integer
+    by ``is_integer`` from 1 to ``MAX_COPIES`` that ``divisor`` divides,
+    returned as an ``int``; ``InvariantError`` otherwise."""
+    if not is_integer(value):
+        raise InvariantError("the number of copies must be an integer")
+    n = int(value)
+    if n < 1:
+        raise InvariantError("the number of copies must be at least 1")
+    if n > MAX_COPIES:
+        raise InvariantError(f"the number of copies must be at most {MAX_COPIES}")
+    if n % divisor:
+        raise InvariantError(f"the number of copies must be divisible by {divisor}")
+    return n
 
 
 def require_hermitian(matrix) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SINGULAR_ATOL, TRACE_ATOL, InvariantError, is_integer
+from .linalg import SINGULAR_ATOL, TRACE_ATOL, InvariantError, copy_count, is_integer
 from .states import bloch_matrices, require_density
 
 __all__ = [
@@ -333,8 +333,7 @@ class MeasurementPlan:
     def __post_init__(self):
         if not (is_integer(self.dim) and 2 <= self.dim <= MAX_DIM):
             raise InvariantError(f"dimension must be an integer from 2 to {MAX_DIM}")
-        if not (is_integer(self.repetitions) and self.repetitions >= 1):
-            raise InvariantError("repetitions must be an integer of at least 1")
+        copy_count(self.repetitions)
 
     @cached_property
     def keys(self) -> tuple[tuple, ...]:

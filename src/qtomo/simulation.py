@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .estimators import constrained_rows
-from .linalg import InvariantError, fidelity_rows, is_integer, psd_rows
+from .linalg import MAX_COPIES, InvariantError, fidelity_rows, is_integer, psd_rows
 from .measurement import CHUNK_TRIALS, MAX_DIM, SCHEMES, linear_scheme, stream_rng
 from .states import bloch_to_matrix, random_density, require_density
 
@@ -46,10 +46,6 @@ METRICS = (
     "det-mean",
 )
 
-# Shots per setting reach measurement._draw_counts, which counts a setting's
-# cells in Python integers and passes the shots of a setting above its table
-# cap to numpy's multinomial sampler as a C long.
-_MAX_SHOTS = int(np.iinfo(np.int64).max)
 # Stream namespaces under the master seed.
 _NS_STATE = 0
 _NS_SAMPLE = 1
@@ -120,8 +116,8 @@ class ExperimentConfig:
         sched = tuple(int(v) for v in sched)
         if not sched:
             raise ConfigError("schedule must be nonempty")
-        if not all(1 <= v <= _MAX_SHOTS for v in sched):
-            raise ConfigError(f"schedule entries must be from 1 to {_MAX_SHOTS}")
+        if not all(1 <= v <= MAX_COPIES for v in sched):
+            raise ConfigError(f"schedule entries must be from 1 to {MAX_COPIES}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
@@ -165,10 +161,10 @@ class ExperimentConfig:
         settings = 3 if self.scheme == "three-direction" else 1
         if self.scheme == "klevel-pairs" and rows:
             settings = int(rows[0]) ** 2 - 1
-        if sched[-1] * settings > _MAX_SHOTS:
+        if sched[-1] * settings > MAX_COPIES:
             raise ConfigError(
                 f"schedule entry {sched[-1]} times the {settings} settings of {self.scheme} "
-                f"exceeds {_MAX_SHOTS} copies"
+                f"exceeds {MAX_COPIES} copies"
             )
         if self.directions is not None:
             if self.scheme != "three-direction":

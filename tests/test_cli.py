@@ -40,6 +40,16 @@ MALFORMED_DIRECTIONS = (
 NON_FINITE_THETA = ("nan,0,0", "0,inf,0")
 # sha256 of trajectory_hs-unconstrained.svg for the sim_config defaults.
 TRAJECTORY_SVG_SHA256 = "00876b16d2557dbedfd5492e4fb1b183b40faf26b30f993458fb8b83bf4c29a5"
+# Copy counts just above linalg.MAX_COPIES and far above any float.
+COPIES_ABOVE_THE_BOUND = (str(2**63), str(3 * 10**400))
+# Finite, Hermitian, trace-one matrices on which LAPACK returns a non-finite
+# eigenvalue, at k = 2, 3 and 4.
+NON_FINITE_SPECTRUM = (
+    "[[[0.5,0],[1.7e308,1.7e308]],[[1.7e308,-1.7e308],[0.5,0]]]",
+    "[[[0.3,0],[1.7e308,0],[0,0]],[[1.7e308,0],[0.3,0],[1.7e308,0]],[[0,0],[1.7e308,0],[0.4,0]]]",
+    "[[[0.25,0],[1.7e308,0],[0,0],[0,0]],[[1.7e308,0],[0.25,0],[1.7e308,0],[0,0]],"
+    "[[0,0],[1.7e308,0],[0.25,0],[1.7e308,0]],[[0,0],[0,0],[1.7e308,0],[0.25,0]]]",
+)
 
 
 def run(capsys, *argv):
@@ -52,6 +62,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def assert_one_error_line(out, err):
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 @pytest.fixture()
@@ -127,6 +142,21 @@ class TestProject:
         monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
         payload = run_json(capsys, "project", "--matrix-file", "-")
         assert payload["steps"] == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", NON_FINITE_SPECTRUM, ids=["k2", "k3", "k4"])
+    def test_non_finite_eigenvalue_exit_3(self, capsys, matrix):
+        code, out, err = run(capsys, "project", "--matrix", matrix)
+        assert code == 3
+        assert_one_error_line(out, err)
+
+    def test_eigenvalue_sum_is_named(self, capsys):
+        # The trace is exactly 1; the spectrum (-1e300, 0.3, 1e300) cancels to 0.
+        matrix = "[[[0.3,0],[0,0],[0,0]],[[0,0],[0.3,0],[1e300,0]],[[0,0],[1e300,0],[0.4,0]]]"
+        code, out, err = run(capsys, "project", "--matrix", matrix)
+        assert code == 3
+        assert_one_error_line(out, err)
+        assert "the eigenvalues of row 0 sum to 0.0, expected 1 within 1.0e-09" in err
 
 
 class TestEstimate:
@@ -216,6 +246,14 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--counts", str(path))
         assert code == 2
         assert f"dimension must be an integer from 2 to {MAX_DIM}" in err
+
+    def test_repetitions_above_the_bound_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"dim": 2, "repetitions": 2**63, "counts": {}}))
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 2
+        assert_one_error_line(out, err)
+        assert "the number of copies must be at most 9223372036854775807" in err
 
     @pytest.mark.parametrize("label", ["z_01", "x_2_1", "z_2"])
     def test_label_outside_plan_exit_2(self, capsys, tmp_path, label):
@@ -516,6 +554,22 @@ class TestMse:
         assert "the number of copies must be at least 1" in err
         assert "repetitions" not in err
 
+    @pytest.mark.parametrize("scheme", ["comp", "three-direction", "standard", "minimal"])
+    @pytest.mark.parametrize("copies", COPIES_ABOVE_THE_BOUND, ids=["2^63", "3e400"])
+    def test_copies_above_the_bound_exit_3(self, capsys, scheme, copies):
+        code, out, err = run(
+            capsys, "mse", "--scheme", scheme, "--theta", "0,0,0", "--copies", copies
+        )
+        assert code == 3
+        assert_one_error_line(out, err)
+        assert "the number of copies must be at most 9223372036854775807" in err
+
+    def test_copies_at_the_bound(self, capsys):
+        payload = run_json(
+            capsys, "mse", "--scheme", "standard", "--theta", "0,0,0", "--copies", str(2**63 - 1)
+        )
+        assert payload["copies"] == 2**63 - 1
+
     def test_theta_outside_ball_exit_3(self, capsys):
         code, _, _ = run(
             capsys, "mse", "--scheme", "standard", "--theta", "1.2,0,0", "--copies", "300"
@@ -583,6 +637,24 @@ class TestCompare:
         )
         assert code == 3
         assert "at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("copies", COPIES_ABOVE_THE_BOUND, ids=["2^63", "3e400"])
+    def test_theta_copies_above_the_bound_exit_3(self, capsys, copies):
+        code, out, err = run(capsys, "compare", "--theta", "0.1,0.2,0.3", "--copies", copies)
+        assert code == 3
+        assert_one_error_line(out, err)
+        assert "at most" in err
+
+    @pytest.mark.parametrize("copies", COPIES_ABOVE_THE_BOUND, ids=["2^63", "3e400"])
+    def test_grid_copies_above_the_bound_exit_3(self, capsys, tmp_path, copies):
+        out = tmp_path / "never"
+        code, stdout, err = run(
+            capsys, "compare", "--grid", "3", "--copies", copies, "--out", str(out)
+        )
+        assert code == 3
+        assert_one_error_line(stdout, err)
+        assert "at most" in err
         assert not out.exists()
 
     def test_grid_above_the_bound_exit_2(self, capsys, tmp_path):
