@@ -78,10 +78,14 @@ MAX_DIM = 32
 # its count simplex, C(shots + d - 1, d - 1) count vectors, has at most this
 # many cells, and by numpy's multinomial sampler otherwise.  A setting of
 # fewer than three outcomes is counted as if it had three, so it is tabled
-# up to 126 shots.  Both bounds are where the table stops being the faster
-# on 4,096-row draws: above about 10,000 cells at d = 3 to 6, where numpy
-# sets up a binomial for every outcome of every row, and above about 150
-# shots at d = 2, where numpy sets up its one binomial once per call.
+# up to 126 shots.  Both bounds were set where the table stopped being the
+# faster on 4,096-row draws under a binary search: above about 10,000 cells
+# at d = 3 to 6, where numpy sets up a binomial for every outcome of every
+# row, and above about 150 shots at d = 2, where numpy sets up its one
+# binomial once per call.  The guide table of _cdf_index moved that point to
+# 13,000-14,000 cells at d = 3, past 16,000 at d = 4, about 10,000 at d = 6
+# and past 200 shots at d = 2.  The bound stays: a higher one would change
+# the draws of every setting it moves off numpy.
 _TABLE_CELLS = 2**13
 
 
@@ -395,21 +399,42 @@ def _count_table(shots: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, cdf / cdf[-1]
 
 
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for a nondecreasing ``cdf``
+    that ends at 1 and uniforms ``u`` in [0, 1), found through a guide table
+    (Chen and Asau's indexed search).
+
+    With g the power of two at or above the larger of ``len(cdf)`` and
+    ``len(u)``, ``guide[j]`` counts the CDF entries at most j / g; both
+    products by g are exact.  A uniform in bucket b = floor(u g) has between
+    ``guide[b]`` and ``guide[b + 1]`` entries at most itself, so where the
+    two agree that count is its index, and only the other rows are searched.
+    """
+    g = 1 << (max(len(cdf), len(u)) - 1).bit_length()
+    guide = np.cumsum(np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1))
+    bucket = (u * g).astype(np.intp)
+    index = guide[bucket]
+    wide = np.flatnonzero(guide[bucket + 1] != index)
+    index[wide] = np.searchsorted(cdf, u[wide], side="right")
+    return index
+
+
 def _draw_counts(rng: np.random.Generator, shots: int, p: np.ndarray, m: int) -> np.ndarray:
     """Outcome counts (m, d) of ``m`` independent runs of ``shots`` shots
     with outcome distribution ``p``, the one sampler of every scheme.
 
     A count simplex of at most ``_TABLE_CELLS`` cells, counting at least
     three outcomes, is drawn by inversion: each row is the cell of
-    ``_count_table`` in whose CDF step one uniform lands.  A larger one is
-    ``rng.multinomial(shots, p, size=m)``.  The cells are counted with
-    Python integers, so any C long of shots is safe.
+    ``_count_table`` in whose CDF step one uniform lands, found by
+    ``_cdf_index``, which returns the cell a binary search does.  A larger
+    one is ``rng.multinomial(shots, p, size=m)``.  The cells are counted
+    with Python integers, so any C long of shots is safe.
     """
     n, e = int(shots), max(len(p), 3)
     if math.comb(n + e - 1, e - 1) > _TABLE_CELLS:
         return rng.multinomial(n, p, size=m)
     cells, cdf = _count_table(n, p)
-    return cells[np.searchsorted(cdf, rng.random(m), side="right")]
+    return np.take(cells, _cdf_index(cdf, rng.random(m)), axis=0)
 
 
 def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> dict:

@@ -311,6 +311,46 @@ def _table_law(shots, probs):
     return cells, np.diff(cdf, prepend=0.0)
 
 
+# Rows per draw at which the guide table is checked: one row, a small
+# block, the last chunk of three_level_error.json and a whole chunk.
+INVERSION_ROWS = [1, 64, 3616, 4096]
+
+
+@st.composite
+def _inversion_cases(draw):
+    """A CDF as ``_count_table`` gives it and uniforms to invert through it.
+
+    The CDF is a real table, with outcomes of probability 0 (so repeated CDF
+    values) as often as not, the one-cell table, or a dyadic CDF whose
+    entries, repeats included, sit exactly on bucket edges j / 2^t.  Up to
+    all of the uniforms are replaced by 0, the largest double below 1,
+    bucket edges j / 2^t, CDF entries and their neighbours."""
+    kind = draw(st.sampled_from(["table", "one-cell", "dyadic"]))
+    if kind == "table":
+        d = draw(st.sampled_from(sorted(CAP_EDGE)))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+        zeros = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        weights[np.array(zeros) & (np.arange(d) != draw(st.integers(0, d - 1)))] = 0.0
+        cdf = measurement._count_table(draw(st.integers(1, CAP_EDGE[d])), weights / weights.sum())[1]
+    elif kind == "one-cell":
+        cdf = measurement._count_table(CAP_EDGE[1], np.array([1.0]))[1]
+    else:
+        t = draw(st.integers(0, 14))
+        steps = draw(st.lists(st.integers(0, 2**t), min_size=0, max_size=300))
+        cdf = np.append(np.sort(steps), 2**t) / 2**t
+    m = draw(st.sampled_from(INVERSION_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.random(m)
+    t = draw(st.integers(0, 14))
+    special = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], np.arange(2**t) / 2**t, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)]
+    )
+    special = special[(special >= 0.0) & (special < 1.0)]
+    swap = rng.random(m) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    u[swap] = rng.choice(special, swap.sum())
+    return cdf, u
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDrawCounts:
     """``measurement._draw_counts`` draws the exact multinomial law: by
@@ -376,16 +416,26 @@ class TestDrawCounts:
         want = stream_rng(4, shots).multinomial(shots, p, size=1000)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [1, 700, 4096])
     @pytest.mark.parametrize(
-        "shots, probs", [(CAP_EDGE[3], (0.2, 0.3, 0.5)), (CAP_EDGE[2], (0.3, 0.7)), (3, (0.5, 0.5))]
+        "shots, probs",
+        [(CAP_EDGE[3], (0.2, 0.3, 0.5)), (CAP_EDGE[2], (0.3, 0.7)), (3, (0.5, 0.5)), (30, (0.0, 0.4, 0.6))],
     )
-    def test_table_draws_one_uniform_per_row(self, shots, probs):
+    def test_table_draws_one_uniform_per_row(self, shots, probs, m):
         rng, twin = stream_rng(5, shots), stream_rng(5, shots)
-        draws = measurement._draw_counts(rng, shots, np.array(probs), 700)
+        draws = measurement._draw_counts(rng, shots, np.array(probs), m)
         cells, cdf = measurement._count_table(shots, np.array(probs))
         assert draws.dtype == np.int64
-        assert np.array_equal(draws, cells[np.searchsorted(cdf, twin.random(700), side="right")])
+        assert np.array_equal(draws, cells[np.searchsorted(cdf, twin.random(m), side="right")])
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_inversion_cases())
+    def test_guided_inversion_equals_binary_search(self, case):
+        cdf, u = case
+        got = measurement._cdf_index(cdf, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
     @pytest.mark.parametrize("shots", [2**63 - 1, np.int64(2**63 - 1)])
     @pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.5), (0.2, 0.3, 0.5)])

@@ -2,7 +2,8 @@
 ``measurement._draw_counts``, so that a simulation, ``empirical_mse`` and
 ``sample_plan_counts`` share one law and one use of the stream.  A call to
 a ``multinomial`` method anywhere else in the package would be a second
-sampler."""
+sampler, and so would a ``searchsorted`` call outside ``_cdf_index``, the
+sampler's one inversion of a count CDF."""
 
 import ast
 
@@ -11,11 +12,13 @@ import pytest
 from test_imports import MODULE_FILES
 
 ALLOWED = {"measurement.py:_draw_counts"}
+INVERSION = {"measurement.py:_cdf_index"}
 
 
-def multinomial_callers(source: str) -> list[str]:
-    """The innermost enclosing function of each call of a ``.multinomial``
-    attribute in ``source``, or ``<module>`` for a call outside any."""
+def callers(source: str, name: str) -> list[str]:
+    """The innermost enclosing function of each call of ``name``, as an
+    attribute or a bare name, in ``source``, or ``<module>`` for a call
+    outside any."""
     found = []
 
     def visit(node, owner):
@@ -23,10 +26,9 @@ def multinomial_callers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, getattr(child, "name", "<lambda>"))
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "multinomial"
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "attr", None),
+                getattr(child.func, "id", None),
             ):
                 found.append(owner)
             visit(child, owner)
@@ -35,13 +37,18 @@ def multinomial_callers(source: str) -> list[str]:
     return found
 
 
-def test_only_draw_counts_calls_multinomial():
-    found = {
-        f"{path.name}:{owner}"
-        for path in MODULE_FILES
-        for owner in multinomial_callers(path.read_text())
+def package_callers(name: str) -> set[str]:
+    return {
+        f"{path.name}:{owner}" for path in MODULE_FILES for owner in callers(path.read_text(), name)
     }
-    assert found == ALLOWED
+
+
+def test_only_draw_counts_calls_multinomial():
+    assert package_callers("multinomial") == ALLOWED
+
+
+def test_only_the_sampler_calls_searchsorted():
+    assert package_callers("searchsorted") == INVERSION
 
 
 @pytest.mark.parametrize(
@@ -57,4 +64,21 @@ def test_only_draw_counts_calls_multinomial():
     ],
 )
 def test_multinomial_callers_detector(source, expected):
-    assert multinomial_callers(source) == expected
+    assert callers(source, "multinomial") == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(cdf, u):\n    return np.searchsorted(cdf, u, side='right')\n", ["f"]),
+        ("def f(cdf, u):\n    return cdf.searchsorted(u)\n", ["f"]),
+        ("from numpy import searchsorted\ni = searchsorted(c, 0.5)\n", ["<module>"]),
+        ("class T:\n    def g(self, u):\n        return [np.searchsorted(c, x) for x in u]\n", ["g"]),
+        ("def f():\n    def g(u):\n        return np.searchsorted(c, u)\n    return g\n", ["g"]),
+        ("f = lambda u: np.searchsorted(c, u)\n", ["<lambda>"]),
+        ('"""Not np.searchsorted(c, u)."""\ns = np.searchsorted\n', []),
+        ("def f(c, u):\n    return np.digitize(u, c)\n", []),
+    ],
+)
+def test_searchsorted_callers_detector(source, expected):
+    assert callers(source, "searchsorted") == expected
