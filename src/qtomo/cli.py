@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +140,11 @@ def _require_keys(obj: dict, allowed: set, origin: str):
 
 
 def _atomic_write(path: Path, chunks):
-    """Write the strings of ``chunks`` in order; they may come from a generator."""
+    """Write the strings of ``chunks`` in order; they may come from a generator.
+    The file gets mode 0o666 less the umask, as ``open`` would give it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -533,7 +534,7 @@ def _cmd_povm_check(args) -> int:
         payload["checks"] = {"unit_rows": True, "invertible": True}
         payload["probabilities"] = {f"direction_{a + 1}": p for a, p in enumerate(probs)}
     else:
-        (povm,) = scheme.settings
+        povm = scheme.settings[0]()
         gaps = structure_gaps(povm.effects, "hermitian", "psd", "sums_to_identity")
         payload["outcomes"] = povm.n_outcomes
         # Povm has rejected effects outside the structure tolerance.

@@ -35,11 +35,11 @@ def unconstrained_estimate(plan: MeasurementPlan, counts) -> np.ndarray:
     sum to r.  Each error message names the key of the row at fault.
     """
     frequencies = []
-    for key, obs in plan.observables.items():
+    for key, block in zip(plan.keys, plan.scheme.readout):
         if key not in counts:
             raise InvariantError(f"missing counts for observable {key}")
         try:
-            frequencies.append(count_frequencies(counts[key], len(obs.values), plan.repetitions))
+            frequencies.append(count_frequencies(counts[key], len(block), plan.repetitions))
         except InvariantError as exc:
             raise InvariantError(f"counts for {key}: {exc}") from None
     return plan.scheme.to_matrix(plan.scheme.estimate(frequencies))[0]

@@ -9,10 +9,11 @@ a six-outcome one built from the three coordinate axes and a four-outcome
 tetrahedral one.
 
 Every scheme's estimator is linear in the outcome frequencies, so a scheme
-is described once, as a ``LinearScheme``: its settings in measurement order,
-one real read-out block per setting, and the map from the estimated
-parameters to a matrix.  Sampling and ``LinearScheme.estimate``, the one
-estimator of every scheme, share its one read-out.
+is described once, as a ``LinearScheme``: its settings' builders in
+measurement order, one real read-out block of outcome values per setting,
+and the map from the estimated parameters to a matrix.  Sampling and
+``LinearScheme.estimate``, the one estimator of every scheme, share its one
+read-out; an operator is built only where one is asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,14 +66,18 @@ TETRAHEDRON = np.array(
 ) / np.sqrt(3.0)
 # The standard POVM's Bloch vectors in outcome order: +e_1, +e_2, +e_3, -e_1, -e_2, -e_3.
 _AXES = np.vstack([np.eye(3), -np.eye(3)])
+# Outcome values, read by the observables' builders and read-out blocks alike.
+_DIAG_VALUES = (1.0, 0.0)
+_PAIR_VALUES = (1.0, -1.0, 0.0)
 
 
 # Trials per sampling chunk; part of the reproducibility contract, since the
 # stream key of every random number depends on it.
 CHUNK_TRIALS = 4096
 # The largest k a MeasurementPlan or a RandomState takes.  The plan's k^2 - 1
-# observables hold up to three k x k projectors each, about 48 k^4 bytes: at
-# k = 32 povm-check takes 0.84 s and 81 MiB, at k = 64 it would need 0.8 GB.
+# observables hold up to three k x k projectors each, about 48 k^4 bytes, all
+# built by plan.observables (48 MiB at k = 32, 0.8 GB at k = 64) and one at a
+# time by its scheme's probabilities.
 MAX_DIM = 32
 # A setting of d outcomes is drawn from a table of its exact count CDF when
 # its count simplex, C(shots + d - 1, d - 1) count vectors, has at most this
@@ -203,12 +208,10 @@ def _pair_observable(dim: int, i: int, j: int, phase: complex) -> Observable:
     _check_pair(dim, i, j)
     e_ii, e_jj = _unit_matrix(dim, i, i), _unit_matrix(dim, j, j)
     off = phase * _unit_matrix(dim, i, j) + np.conj(phase) * _unit_matrix(dim, j, i)
-    plus = 0.5 * (e_ii + off + e_jj)
-    minus = 0.5 * (e_ii - off + e_jj)
-    if dim == 2:
-        return Observable((1.0, -1.0), np.stack([plus, minus]))
-    rest = np.eye(dim, dtype=complex) - e_ii - e_jj
-    return Observable((1.0, -1.0, 0.0), np.stack([plus, minus, rest]))
+    ops = [0.5 * (e_ii + off + e_jj), 0.5 * (e_ii - off + e_jj)]
+    if dim > 2:
+        ops.append(np.eye(dim, dtype=complex) - e_ii - e_jj)
+    return Observable(_PAIR_VALUES[: len(ops)], np.stack(ops))
 
 
 def pair_observable_x(dim: int, i: int, j: int) -> Observable:
@@ -237,7 +240,7 @@ def diag_observable_z(dim: int, i: int) -> Observable:
     if not (1 <= i <= dim):
         raise InvariantError(f"need 1 <= i <= {dim}, got i={i}")
     e_ii = _unit_matrix(dim, i, i)
-    return Observable((1.0, 0.0), np.stack([e_ii, np.eye(dim, dtype=complex) - e_ii]))
+    return Observable(_DIAG_VALUES, np.stack([e_ii, np.eye(dim, dtype=complex) - e_ii]))
 
 
 def _require_unit(directions: np.ndarray):
@@ -256,7 +259,7 @@ def direction_observable(direction) -> Observable:
     if u.shape != (3,):
         raise InvariantError(f"direction must have shape (3,), got {u.shape}")
     _require_unit(u)
-    return Observable((1.0, -1.0), bloch_matrices(np.stack([u, -u])))
+    return Observable(_PAIR_VALUES[:2], bloch_matrices(np.stack([u, -u])))
 
 
 def standard_povm() -> Povm:
@@ -350,26 +353,24 @@ class MeasurementPlan:
 
     @cached_property
     def scheme(self) -> LinearScheme:
-        """The observables in key order with the entrywise read-out.
+        """The observables' builders in key order with the entrywise read-out.
 
         Parameter s is the entry that observable s estimates: rho_ii for
         i < k, then Re rho_ij and Im rho_ij for i < j.  Its block is the
         observable's outcome values, halved for the pair observables, whose
-        expectations are 2 Re rho_ij and 2 Im rho_ij.
+        expectations are 2 Re rho_ij and 2 Im rho_ij.  None is built here.
         """
         builders = {"z": diag_observable_z, "x": pair_observable_x, "y": pair_observable_y}
-        settings, readout = [], []
-        for key in self.keys:
-            obs = builders[key[0]](self.dim, *key[1:])
-            scale = 1.0 if key[0] == "z" else 0.5
-            settings.append(obs)
-            readout.append(scale * np.array(obs.values)[:, None])
+        diag = _readonly(np.array(_DIAG_VALUES)[:, None])
+        pair = _readonly(0.5 * np.array(_PAIR_VALUES[: min(self.dim, 3)])[:, None])
+        settings = tuple(partial(builders[key[0]], self.dim, *key[1:]) for key in self.keys)
+        readout = tuple(diag if key[0] == "z" else pair for key in self.keys)
         columns = tuple(slice(s, s + 1) for s in range(len(settings)))
-        return LinearScheme(tuple(settings), tuple(readout), columns, _entrywise_matrices)
+        return LinearScheme(settings, readout, columns, _entrywise_matrices)
 
     @cached_property
     def observables(self) -> dict:
-        return dict(zip(self.keys, self.scheme.settings))
+        return {key: setting() for key, setting in zip(self.keys, self.scheme.settings)}
 
     @property
     def total_copies(self) -> int:
@@ -453,12 +454,12 @@ def sample_plan_counts(plan: MeasurementPlan, rho, rng: np.random.Generator) -> 
 class LinearScheme:
     """Measurement settings whose estimator is linear in the frequencies.
 
-    The settings (``Observable`` or ``Povm``) are measured in order, each
-    with the same number of shots.  ``readout[s]`` has one row per outcome
-    of setting ``s`` and one column per parameter in the slice
-    ``columns[s]``; the parameter estimate is the sum over settings of the
-    setting's relative frequencies times its block.  ``to_matrix`` maps
-    parameter rows (m, d) to the estimated matrices (m, k, k).
+    The settings, builders of an ``Observable`` or ``Povm`` that take no
+    arguments, are measured in order, each with the same number of shots.
+    ``readout[s]`` has one row per outcome of setting ``s`` and one column
+    per parameter in the slice ``columns[s]``; the parameter estimate is
+    the sum over settings of the setting's relative frequencies times its
+    block.  ``to_matrix`` maps parameter rows (m, d) to the estimates (m, k, k).
     """
 
     settings: tuple
@@ -469,9 +470,9 @@ class LinearScheme:
     def probabilities(self, rho) -> tuple[np.ndarray, ...]:
         """Outcome distribution of every setting in ``rho``, each as
         ``outcome_probabilities`` gives it; ``rho`` is validated as a density
-        matrix once, however many settings there are."""
+        matrix once, and each setting is built, read and dropped in turn."""
         state = require_density(rho)
-        return tuple(_distribution(setting, state) for setting in self.settings)
+        return tuple(_distribution(setting(), state) for setting in self.settings)
 
     def estimate(self, frequencies, m: int = 1) -> np.ndarray:
         """Parameter estimates (m, d) from per-setting relative frequencies.
@@ -548,12 +549,11 @@ def linear_scheme(name: str, dim: int = 2, directions=None) -> LinearScheme:
         raise InvariantError(f"scheme {name!r} measures qubits, got dim {dim!r}")
     if name == "three-direction":
         dirmat = np.eye(3) if directions is None else _direction_matrix(directions)
-        settings = tuple(direction_observable(u) for u in dirmat)
-        inverse = np.linalg.inv(dirmat)
-        readout = tuple(np.outer(obs.values, inverse[:, a]) for a, obs in enumerate(settings))
+        settings = tuple(partial(direction_observable, u) for u in dirmat)
+        readout = tuple(np.outer(_PAIR_VALUES[:2], c) for c in np.linalg.inv(dirmat).T)
         return LinearScheme(settings, readout, (_BLOCH,) * 3, bloch_matrices)
     if name == "standard":
-        return LinearScheme((standard_povm(),), (3.0 * _AXES,), (_BLOCH,), bloch_matrices)
+        return LinearScheme((standard_povm,), (3.0 * _AXES,), (_BLOCH,), bloch_matrices)
     if name == "minimal":
-        return LinearScheme((minimal_povm(),), (3.0 * TETRAHEDRON,), (_BLOCH,), bloch_matrices)
+        return LinearScheme((minimal_povm,), (3.0 * TETRAHEDRON,), (_BLOCH,), bloch_matrices)
     raise InvariantError(f"unknown scheme {name!r}")

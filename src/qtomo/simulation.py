@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
@@ -279,9 +279,6 @@ def run_trajectory(config: ExperimentConfig, workers: int = 1) -> TrajectoryReco
     probs = scheme.probabilities(state)
     schedule = np.array(config.schedule)
     copies = schedule * len(scheme.settings)
-    # Sampling reads only the read-out; dropping the settings frees their
-    # projectors for the run and keeps them out of every pool job.
-    scheme = replace(scheme, settings=())
     task = partial(_chunk_task, (scheme, probs, state, config.metrics, config.seed))
     sizes = [min(CHUNK_TRIALS, config.trials - s) for s in range(0, config.trials, CHUNK_TRIALS)]
     jobs = [

@@ -931,6 +931,29 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_every_writer_honours_the_umask(self, capsys, sim_config, tmp_path):
+        # Each output file is made 0o666 less the umask, as open() makes one.
+        old = os.umask(0o022)
+        try:
+            sim, grid = tmp_path / "sim", tmp_path / "grid"
+            assert main(["simulate", "--config", sim_config(), "--out", str(sim), "--svg"]) == 0
+            assert main(["compare", "--grid", "3", "--copies", "30", "--out", str(grid)]) == 0
+            mse = tmp_path / "mse.json"
+            argv = ["mse", "--scheme", "minimal", "--theta", "0,0,0", "--copies", "30"]
+            assert main([*argv, "--out", str(mse)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        written = [
+            sim / "trajectory.csv",
+            sim / "trajectory_hs-unconstrained.svg",
+            grid / "comparison.csv",
+            mse,
+        ]
+        assert {path: oct(path.stat().st_mode & 0o777) for path in written} == {
+            path: oct(0o644) for path in written
+        }
+
 
 class TestPovmCheck:
     def test_minimal(self, capsys):

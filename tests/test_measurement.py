@@ -538,6 +538,40 @@ class TestMeasurementPlan:
             assert np.abs(counts[key] / 200000 - probs).max() < 0.01
 
 
+class TestOperatorsOnDemand:
+    """A scheme holds its settings' builders, so an operator is built only
+    where one is asked for, and ``probabilities`` holds one at a time."""
+
+    def test_plan_scheme_and_estimate_build_no_observable(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an Observable was built")
+
+        monkeypatch.setattr(Observable, "__post_init__", refuse)
+        plan = MeasurementPlan(32, 3)
+        assert len(plan.scheme.settings) == len(linear_scheme("klevel-pairs", 32).settings) == 1023
+        counts = {key: [3.0] + [0.0] * (1 if key[0] == "z" else 2) for key in plan.keys}
+        phi = unconstrained_estimate(plan, counts)
+        assert phi.shape == (32, 32) and np.trace(phi) == 1.0
+
+    def test_probabilities_peak_below_the_operators(self):
+        # The 255 observables' projectors at k = 16 take 3 MiB together.
+        rho = random_density(16, np.random.default_rng(70))
+        tracemalloc.start()
+        try:
+            linear_scheme("klevel-pairs", 16).probabilities(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_probabilities_equal_each_observables(self, k):
+        plan = MeasurementPlan(k, 1)
+        rho = random_density(k, np.random.default_rng(80 + k))
+        for key, p in zip(plan.keys, plan.scheme.probabilities(rho)):
+            assert np.array_equal(p, outcome_probabilities(plan.observables[key], rho))
+
+
 NAN = float("nan")
 
 

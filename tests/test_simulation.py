@@ -334,7 +334,8 @@ class TestRunTrajectory:
 
     def test_pool_jobs_carry_the_readout_not_the_projectors(self, monkeypatch):
         # Each pool job pickles the chunk task with the run's read-out,
-        # probabilities, state and seed, but never the settings' projectors.
+        # settings' builders, probabilities, state and seed, but never the
+        # settings' projectors.
         pickled = {}
 
         class InlinePool:
@@ -353,7 +354,8 @@ class TestRunTrajectory:
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
-        for dim in (2, 10):
+        # The 99 observables' projectors alone pickle to about 480 kB at k = 10.
+        for dim, bound in ((2, 50_000), (10, 50_000), (32, 150_000)):
             cfg = ExperimentConfig(
                 state=RandomState(dim),
                 scheme="klevel-pairs",
@@ -364,9 +366,8 @@ class TestRunTrajectory:
             )
             pooled = run_trajectory(cfg, workers=2).means["hs-unconstrained"]
             assert np.array_equal(pooled, run_trajectory(cfg).means["hs-unconstrained"])
-        # The 99 observables' projectors alone pickle to about 480 kB at k = 10.
-        assert len(pickled["jobs"]) == 4
-        assert max(pickled["jobs"]) < 50_000
+            assert len(pickled["jobs"]) == 4
+            assert max(pickled["jobs"]) < bound
 
     def test_memory_does_not_grow_with_the_schedule(self):
         # Each point is summarized as its last chunk arrives, so a run holds

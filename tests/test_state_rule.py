@@ -40,7 +40,7 @@ LIBRARY = {
     },
     **{
         f"outcome_probabilities-{name}-{s}": lambda t, setting=setting: outcome_probabilities(
-            setting, bloch_to_matrix(t)
+            setting(), bloch_to_matrix(t)
         )
         for name in SCHEMES
         for s, setting in enumerate(linear_scheme(name).settings)
